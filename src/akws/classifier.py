@@ -21,6 +21,16 @@ identical to re-solving the joint ridge problem over every batch seen so
 far, without retaining any past rows; ``joint_solve`` computes that joint
 solution directly and serves as the oracle in tests.
 
+The weight step needs no product with ``A_t`` itself. With
+``K = I + S' A_{t-1} S'T``,
+
+    A_t S'T = A_{t-1} S'T K^-1,
+
+the transpose of the ``K^-1 S' A_{t-1}`` already solved for the ``A``
+refresh. Wherever ``A`` is formed directly from a Cholesky factor ``L`` of
+the regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
+``L`` in place, and the triangle it fills is mirrored onto the other.
+
 Column order follows class registration order: classes are assigned
 columns in the order their batches first present them.
 """
@@ -29,6 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .errors import (
     ClassCollisionError,
@@ -144,13 +155,49 @@ def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
     return s
 
 
+# Edge of the square blocks the E x E kernels below work on: a pair of
+# 64 x 64 float64 blocks (64 KiB) stays in cache while one is read transposed.
+_TILE = 64
+
+
+def _symmetrize(x: np.ndarray) -> np.ndarray:
+    """Replace square ``x`` in place by ``(x + x.T) / 2`` and return it.
+
+    Bit-identical to the whole-matrix expression, without its two E x E
+    temporaries or its cache-hostile transposed walk.
+    """
+    n = x.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            up = x[i : i + _TILE, j : j + _TILE]
+            lo = x[j : j + _TILE, i : i + _TILE]
+            up += lo.T if i != j else lo.T.copy()  # a diagonal block is its own mirror
+            up *= 0.5
+            lo[...] = up.T
+    return x
+
+
 def _spd_factor(g: np.ndarray):
     return cho_factor(g, lower=True)
 
 
-def _materialize_inverse(factor, size: int) -> np.ndarray:
-    inv = cho_solve(factor, np.eye(size))
-    return (inv + inv.T) / 2.0
+def _materialize_inverse(factor) -> np.ndarray:
+    """Explicit inverse of ``L L^T`` from its lower Cholesky factor.
+
+    ``potri`` fills the lower triangle, which is then copied onto the upper
+    one tile by tile. Consumes ``factor``: ``potri`` overwrites it.
+    """
+    inv, info = dpotri(factor[0], lower=1, overwrite_c=1)
+    if info != 0:
+        raise DataError(f"cannot invert the regularized Gram matrix (LAPACK potri info={info})")
+    n = inv.shape[0]
+    for i in range(0, n, _TILE):
+        d = inv[i : i + _TILE, i : i + _TILE]
+        d[...] = np.tril(d) + np.tril(d, -1).T
+        for j in range(i + _TILE, n, _TILE):
+            inv[i : i + _TILE, j : j + _TILE] = inv[j : j + _TILE, i : i + _TILE].T
+    # Exactly symmetric now, so the transpose is the same matrix in C order.
+    return inv.T
 
 
 def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> AnalyticClassifier:
@@ -168,7 +215,7 @@ def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> Analy
     e = s.shape[1]
     factor = _spd_factor(s.T @ s + gamma * np.eye(e))
     weights = cho_solve(factor, s.T @ y0.onehot)
-    afam = Afam(matrix=_materialize_inverse(factor, e), gamma=float(gamma))
+    afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
     registry = {cid: j for j, cid in enumerate(y0.class_ids)}
     return AnalyticClassifier(weights=weights, afam=afam, class_registry=registry, tasks_seen=1)
 
@@ -210,11 +257,12 @@ def update(
 
     a_prev = c.afam.matrix
     sa = s @ a_prev  # n x E
-    k_factor = _spd_factor(np.eye(n) + sa @ s.T)
-    a_new = a_prev - (sa.T @ cho_solve(k_factor, sa))
-    a_new = (a_new + a_new.T) / 2.0  # bound asymmetry drift over long runs
+    ksa = cho_solve(_spd_factor(np.eye(n) + sa @ s.T), sa)  # K^-1 S A_{t-1}
+    a_new = sa.T @ ksa
+    np.subtract(a_prev, a_new, out=a_new)
+    _symmetrize(a_new)  # bound asymmetry drift over long runs
 
-    ast = a_new @ s.T  # E x n
+    ast = ksa.T  # E x n: A_t S'T = A_{t-1} S'T K^-1
     weights = c.weights - ast @ (s @ c.weights)
     correlations = ast @ y_t.onehot  # E x k, columns ordered as y_t.class_ids
     registry = dict(c.class_registry)
@@ -268,7 +316,7 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
         rhs[:, cols] += s.T @ y.onehot
     factor = _spd_factor(gram)
     weights = cho_solve(factor, rhs)
-    afam = Afam(matrix=_materialize_inverse(factor, e), gamma=float(gamma))
+    afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
     return AnalyticClassifier(
         weights=weights, afam=afam, class_registry=registry, tasks_seen=len(checked)
     )
@@ -299,7 +347,7 @@ def afam_direct(batches, gamma: float, expansion_size: int | None = None) -> Afa
     gram = gamma * np.eye(e)
     for s in mats:
         gram += s.T @ s
-    return Afam(matrix=_materialize_inverse(_spd_factor(gram), e), gamma=float(gamma))
+    return Afam(matrix=_materialize_inverse(_spd_factor(gram)), gamma=float(gamma))
 
 
 def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:

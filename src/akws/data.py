@@ -201,18 +201,27 @@ def load_manifest(path) -> list[dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "tasks" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
         raise ParseError("manifest must be an object with a 'tasks' list")
     base = os.path.dirname(os.path.abspath(path))
     tasks = []
     for i, entry in enumerate(doc["tasks"]):
+        if not isinstance(entry, dict):
+            raise ParseError(f"task {i} must be an object")
         for key in ("id", "classes", "train", "test"):
             if key not in entry:
                 raise ParseError(f"task {i} missing key {key!r}")
+        if not (isinstance(entry["train"], str) and isinstance(entry["test"], str)):
+            raise ParseError(f"task {i} train and test must be file paths")
+        if not isinstance(entry["classes"], list):
+            raise ParseError(f"task {i} classes must be a list")
+        for value in [entry["id"], *entry["classes"]]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParseError(f"task {i} id and classes must be integers, got {value!r}")
         tasks.append(
             {
-                "id": int(entry["id"]),
-                "classes": [int(c) for c in entry["classes"]],
+                "id": entry["id"],
+                "classes": list(entry["classes"]),
                 "train": os.path.join(base, entry["train"]),
                 "test": os.path.join(base, entry["test"]),
             }

@@ -447,7 +447,7 @@ def time_trend(times) -> tuple[float, float, float]:
     Returns (slope, t_stat, two_sided_p). Used to check that per-task
     adaptation cost stays flat as tasks accumulate.
     """
-    from scipy import stats
+    from scipy.special import stdtr
 
     y = np.asarray(times, dtype=np.float64)
     n = y.size
@@ -461,5 +461,5 @@ def time_trend(times) -> tuple[float, float, float]:
     if se == 0.0:
         return slope, 0.0, 1.0
     t_stat = slope / se
-    p = 2.0 * float(stats.t.sf(abs(t_stat), df=n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return slope, t_stat, p

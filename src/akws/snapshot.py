@@ -16,6 +16,7 @@ Layout (all little-endian):
     f64[]   autocorrelation matrix, E*E values row-major
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ from .errors import SnapshotFormatError
 
 MAGIC = b"AKWS"
 FORMAT_VERSION = 1
+# Fixed header after the magic: version, E, C, d, seed, activation, gamma,
+# tasks seen, registry entry count.
+_HEADER = struct.Struct("<IIIIQBdII")
 
 _ACTIVATION_CODE = {"identity": 0, "relu": 1}
 _ACTIVATION_NAME = {v: k for k, v in _ACTIVATION_CODE.items()}
@@ -44,12 +48,17 @@ def dump_snapshot(c: AnalyticClassifier, meta: SnapshotMeta) -> bytes:
     e, n_classes = c.weights.shape
     parts = [
         MAGIC,
-        struct.pack("<IIII", FORMAT_VERSION, e, n_classes, meta.dim),
-        struct.pack("<Q", meta.seed & 0xFFFFFFFFFFFFFFFF),
-        struct.pack("<B", _ACTIVATION_CODE[meta.activation]),
-        struct.pack("<d", c.afam.gamma),
-        struct.pack("<I", c.tasks_seen),
-        struct.pack("<I", len(c.class_registry)),
+        _HEADER.pack(
+            FORMAT_VERSION,
+            e,
+            n_classes,
+            meta.dim,
+            meta.seed & 0xFFFFFFFFFFFFFFFF,
+            _ACTIVATION_CODE[meta.activation],
+            c.afam.gamma,
+            c.tasks_seen,
+            len(c.class_registry),
+        ),
     ]
     for cid, col in c.class_registry.items():
         parts.append(struct.pack("<II", cid, col))
@@ -61,26 +70,28 @@ def dump_snapshot(c: AnalyticClassifier, meta: SnapshotMeta) -> bytes:
 def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
     if blob[:4] != MAGIC:
         raise SnapshotFormatError("bad magic; not a classifier snapshot")
-    off = 4
-    version, e, n_classes, dim = struct.unpack_from("<IIII", blob, off)
-    off += 16
-    if version != FORMAT_VERSION:
-        raise SnapshotFormatError(f"unsupported snapshot version {version}")
-    (seed,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    (act_code,) = struct.unpack_from("<B", blob, off)
-    off += 1
+    off = len(MAGIC) + _HEADER.size
+    try:
+        version, e, n_classes, dim, seed, act_code, gamma, tasks_seen, reg_count = (
+            _HEADER.unpack_from(blob, len(MAGIC))
+        )
+        if version != FORMAT_VERSION:
+            raise SnapshotFormatError(f"unsupported snapshot version {version}")
+        if reg_count != n_classes:
+            raise SnapshotFormatError(f"{reg_count} registry entries for {n_classes} classes")
+        entries = struct.unpack_from(f"<{2 * reg_count}I", blob, off)
+    except struct.error as exc:
+        raise SnapshotFormatError(f"truncated header: {exc}") from None
+    off += 8 * reg_count
     if act_code not in _ACTIVATION_NAME:
         raise SnapshotFormatError(f"unknown activation code {act_code}")
-    (gamma,) = struct.unpack_from("<d", blob, off)
-    off += 8
-    tasks_seen, reg_count = struct.unpack_from("<II", blob, off)
-    off += 8
-    registry = {}
-    for _ in range(reg_count):
-        cid, col = struct.unpack_from("<II", blob, off)
-        off += 8
-        registry[cid] = col
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise SnapshotFormatError(f"ridge parameter must be finite and > 0, got {gamma}")
+    registry = dict(zip(entries[0::2], entries[1::2]))
+    if sorted(registry.values()) != list(range(n_classes)):
+        raise SnapshotFormatError(
+            f"registry must map {n_classes} distinct class ids onto columns 0..{n_classes - 1}"
+        )
     need = 8 * (e * n_classes + e * e)
     if len(blob) - off != need:
         raise SnapshotFormatError(

@@ -10,6 +10,7 @@ from akws import (
     relative_frobenius,
     update,
 )
+from akws.classifier import _materialize_inverse, _spd_factor, _symmetrize
 from akws.errors import (
     ClassCollisionError,
     DataError,
@@ -149,13 +150,40 @@ class TestUpdate:
 
     def test_does_not_mutate_input_classifier(self):
         rng = np.random.default_rng(6)
-        b0 = random_batch(rng, 12, 5, range(2))
-        clf = recalibrate(*b0, 0.1)
-        w_before = clf.weights.copy()
-        a_before = clf.afam.matrix.copy()
-        update(clf, *random_batch(rng, 9, 5, range(2, 4)))
-        assert np.array_equal(clf.weights, w_before)
-        assert np.array_equal(clf.afam.matrix, a_before)
+        for e in (5, 130):  # E=130 spans several tiles of the in-place kernels
+            b0 = random_batch(rng, 12, e, range(2))
+            clf = recalibrate(*b0, 0.1)
+            w_before = clf.weights.copy()
+            a_before = clf.afam.matrix.copy()
+            update(clf, *random_batch(rng, 9, e, range(2, 4)))
+            assert np.array_equal(clf.weights, w_before)
+            assert np.array_equal(clf.afam.matrix, a_before)
+
+    def test_afam_exactly_symmetric_after_chain(self):
+        rng = np.random.default_rng(9)
+        out = recalibrate(*random_batch(rng, 40, 130, range(2)), 0.1)
+        for t in range(1, 6):
+            out = update(out, *random_batch(rng, 7, 130, range(2 * t, 2 * t + 2)))
+        assert np.array_equal(out.afam.matrix, out.afam.matrix.T)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("e", [1, 63, 64, 65, 130, 257])
+    def test_symmetrize_bit_identical_to_whole_matrix_form(self, e):
+        x = np.random.default_rng(e).standard_normal((e, e))
+        assert np.array_equal(_symmetrize(x.copy()), (x + x.T) / 2.0)
+
+    def test_materialize_inverse_symmetric_and_accurate(self):
+        rng = np.random.default_rng(10)
+        s = rng.standard_normal((150, 130))
+        gram = s.T @ s + 0.1 * np.eye(130)
+        inv = _materialize_inverse(_spd_factor(gram))
+        assert np.array_equal(inv, inv.T)
+        assert relative_frobenius(inv, np.linalg.inv(gram)) < 1e-12
+
+    def test_materialize_inverse_rejects_singular_factor(self):
+        with pytest.raises(DataError):
+            _materialize_inverse((np.zeros((3, 3), order="F"), True))
 
 
 class TestJointSolve:

@@ -111,6 +111,31 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "extractor.lr" in capsys.readouterr().err
 
+    def test_non_integer_manifest_id_is_a_reported_error(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("gen", "--classes", 4, "--per-class", 5, "--out", data) == 0
+        doc = json.loads((data / "manifest.json").read_text())
+        results = {}
+        for case in ("missing_key", "string_id"):
+            bad = json.loads(json.dumps(doc))
+            if case == "missing_key":
+                del bad["tasks"][1]["test"]
+            else:
+                bad["tasks"][1]["id"] = "x"
+            manifest = data / f"{case}.json"
+            manifest.write_text(json.dumps(bad))
+            cfg = tmp_path / f"{case}.cfg.json"
+            cfg.write_text(json.dumps({"data": {"kind": "manifest", "path": str(manifest)}}))
+            results[case] = subprocess.run(
+                [sys.executable, "-m", "akws.cli", "run", "--config", str(cfg), "--out", str(tmp_path / case)],
+                capture_output=True,
+                text=True,
+            )
+        got = results["string_id"]
+        assert "Traceback" not in got.stderr
+        assert got.stderr.startswith("error: task 1 ")
+        assert got.returncode == results["missing_key"].returncode != 0
+
     def test_missing_manifest_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"data": {"kind": "manifest", "path": "nowhere.json"}}')

@@ -152,6 +152,31 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"id": "x"},
+            {"id": True},
+            {"classes": ["1"]},
+            {"classes": [1.5]},
+            {"classes": 3},
+            {"train": 7},
+        ],
+    )
+    def test_non_integer_id_or_class_rejected(self, tmp_path, task):
+        path = tmp_path / "manifest.json"
+        good = {"id": 0, "classes": [0], "train": "t0.csv", "test": "e0.csv"}
+        write_manifest(path, [good, {**good, **task}])
+        with pytest.raises(ParseError, match="task 1 "):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("text", ['{"tasks": {"id": 0}}', '{"tasks": [5]}'])
+    def test_tasks_must_be_a_list_of_objects(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_manifest(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{nope")

@@ -302,3 +302,12 @@ class TestTimeTrend:
     def test_needs_three_points(self):
         with pytest.raises(MetricUndefinedError):
             time_trend([1.0, 2.0])
+
+    @pytest.mark.parametrize("seed,n,drift", [(1, 50, 0.0), (2, 3, 1e-6), (3, 20, 2e-7), (4, 200, -5e-8)])
+    def test_p_value_matches_student_t_tail(self, seed, n, drift):
+        from scipy import stats
+
+        rng = np.random.default_rng(seed)
+        times = 1e-3 + drift * np.arange(n) + 1e-6 * rng.standard_normal(n)
+        _, t_stat, p = time_trend(times)
+        assert p == pytest.approx(2.0 * stats.t.sf(abs(t_stat), df=n - 2), rel=1e-12, abs=0.0)

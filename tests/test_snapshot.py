@@ -108,3 +108,48 @@ def test_identity_activation_code(tmp_path):
     blob = dump_snapshot(clf, meta)
     _, back_meta = load_snapshot(blob)
     assert back_meta.activation == "identity"
+
+
+def crafted_blob(registry, gamma=1.0):
+    from akws.classifier import Afam, AnalyticClassifier
+
+    clf = AnalyticClassifier(
+        weights=0.5 * np.eye(2),
+        afam=Afam(matrix=0.5 * np.eye(2), gamma=gamma),
+        class_registry=registry,
+        tasks_seen=1,
+    )
+    return dump_snapshot(clf, SnapshotMeta(dim=2, seed=42, activation="relu"))
+
+
+def test_truncated_header_rejected():
+    blob = crafted_blob({3: 0, 9: 1})
+    header = len(blob) - 8 * (2 * 2 + 2 * 2)
+    for truncated in [b"AKWS\x01\x00", *(blob[:cut] for cut in range(header))]:
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(truncated)
+
+
+def test_registry_count_must_equal_class_count():
+    with pytest.raises(SnapshotFormatError, match="registry entries"):
+        load_snapshot(crafted_blob({3: 0}))
+
+
+@pytest.mark.parametrize("registry", [{3: 0, 9: 2}, {3: 1, 9: 1}])
+def test_registry_columns_must_be_a_permutation(registry):
+    with pytest.raises(SnapshotFormatError, match="registry must map"):
+        load_snapshot(crafted_blob(registry))
+
+
+def test_duplicate_registry_class_id_rejected():
+    blob = bytearray(crafted_blob({3: 0, 9: 1}))
+    entry = blob.index(struct.pack("<II", 9, 1))
+    blob[entry : entry + 4] = struct.pack("<I", 3)
+    with pytest.raises(SnapshotFormatError, match="registry must map"):
+        load_snapshot(bytes(blob))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+def test_gamma_must_be_finite_and_positive(gamma):
+    with pytest.raises(SnapshotFormatError, match="ridge parameter"):
+        load_snapshot(crafted_blob({3: 0, 9: 1}, gamma=gamma))
