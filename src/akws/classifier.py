@@ -31,6 +31,15 @@ refresh. Wherever ``A`` is formed directly from a Cholesky factor ``L`` of
 the regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
 ``L`` in place, and the triangle it fills is mirrored onto the other.
 
+The per-task path (``update`` and ``predict``) runs on numpy's BLAS and
+LAPACK only: ``update`` checks ``K`` with a Cholesky factorization and
+solves ``K^-1 S' A_{t-1}`` with ``numpy.linalg``. scipy's LAPACK (Cholesky
+solve and ``potri``) runs only in the first fit and in the joint oracle.
+numpy and scipy each ship their own OpenBLAS with its own thread pool;
+after a scipy call its workers keep spinning, so the numpy GEMMs after it
+compete with them for the same cores. A scipy call in every task would
+make per-task times bimodal and slow every numpy call that follows it.
+
 Column order follows class registration order: classes are assigned
 columns in the order their batches first present them.
 """
@@ -178,7 +187,10 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
 
 
 def _spd_factor(g: np.ndarray):
-    return cho_factor(g, lower=True)
+    try:
+        return cho_factor(g, lower=True)
+    except np.linalg.LinAlgError:
+        raise DataError("the regularized Gram matrix is not positive definite") from None
 
 
 def _materialize_inverse(factor) -> np.ndarray:
@@ -257,7 +269,12 @@ def update(
 
     a_prev = c.afam.matrix
     sa = s @ a_prev  # n x E
-    ksa = cho_solve(_spd_factor(np.eye(n) + sa @ s.T), sa)  # K^-1 S A_{t-1}
+    k = np.eye(n) + sa @ s.T
+    try:
+        np.linalg.cholesky(k)  # positive-definiteness guard; n^3/3 flops
+    except np.linalg.LinAlgError:
+        raise DataError("the Woodbury kernel I + S A S^T is not positive definite") from None
+    ksa = np.linalg.solve(k, sa)  # K^-1 S A_{t-1}
     a_new = sa.T @ ksa
     np.subtract(a_prev, a_new, out=a_new)
     _symmetrize(a_new)  # bound asymmetry drift over long runs

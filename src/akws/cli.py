@@ -9,7 +9,11 @@ Commands:
     metrics       recompute the accuracy metrics from a grid CSV
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
-input. No command mutates its inputs.
+input. A config that breaks the schema, or a manifest or feature CSV that
+does not parse, is invalid input; a data file that cannot be opened under
+``run`` or ``oracle-check``, or a numerical failure such as a Woodbury
+kernel that is not positive definite, is a runtime failure. No command
+mutates its inputs.
 """
 
 import argparse
@@ -206,9 +210,12 @@ def main(argv=None) -> int:
         "oracle-check": _cmd_oracle_check,
         "metrics": _cmd_metrics,
     }
-    validation = (ConfigError, InvalidSplitError, ValueError) if args.command == "gen" else (ConfigError,)
-    if args.command == "metrics":
-        validation = (ConfigError, ParseError, OSError)
+    validation = {
+        "gen": (ConfigError, InvalidSplitError, ValueError),
+        "run": (ConfigError, ParseError),
+        "oracle-check": (ConfigError, ParseError),
+        "metrics": (ConfigError, ParseError, OSError),
+    }[args.command]
     try:
         return handlers[args.command](args)
     except validation as exc:

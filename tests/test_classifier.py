@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from akws import (
     relative_frobenius,
     update,
 )
+from akws import classifier
 from akws.classifier import _materialize_inverse, _spd_factor, _symmetrize
 from akws.errors import (
     ClassCollisionError,
@@ -166,6 +169,31 @@ class TestUpdate:
             out = update(out, *random_batch(rng, 7, 130, range(2 * t, 2 * t + 2)))
         assert np.array_equal(out.afam.matrix, out.afam.matrix.T)
 
+    def test_kernel_not_positive_definite_is_a_data_error(self):
+        rng = np.random.default_rng(11)
+        clf = recalibrate(*random_batch(rng, 12, 6, range(2)), 0.1)
+        broken = replace(clf, afam=replace(clf.afam, matrix=-np.eye(6)))
+        with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
+            update(broken, *random_batch(rng, 5, 6, range(2, 4)))
+
+    def test_chain_runs_without_scipy(self, monkeypatch):
+        # every update stays on numpy's LAPACK, so it never enters scipy's BLAS pool
+        rng = np.random.default_rng(12)
+        batches = [random_batch(rng, 30, 40, range(2))]
+        batches += [random_batch(rng, 9, 40, range(2 * t, 2 * t + 2)) for t in range(1, 6)]
+        joint = joint_solve(batches, 0.1)
+        out = recalibrate(*batches[0], 0.1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy LAPACK called from update")
+
+        for name in ("cho_factor", "cho_solve", "dpotri"):
+            monkeypatch.setattr(classifier, name, forbidden)
+        for s, y in batches[1:]:
+            out = update(out, s, y)
+        assert relative_frobenius(out.weights, joint.weights) < 1e-9
+        assert out.class_registry == joint.class_registry
+
 
 class TestKernels:
     @pytest.mark.parametrize("e", [1, 63, 64, 65, 130, 257])
@@ -180,6 +208,19 @@ class TestKernels:
         inv = _materialize_inverse(_spd_factor(gram))
         assert np.array_equal(inv, inv.T)
         assert relative_frobenius(inv, np.linalg.inv(gram)) < 1e-12
+
+    @pytest.mark.parametrize("fit", ["recalibrate", "joint_solve", "afam_direct"])
+    def test_gram_not_positive_definite_is_a_data_error(self, fit):
+        # rank-one Gram of magnitude 1e16: a ridge of 1e-10 is below its rounding
+        s = np.full((2, 3), 1e8)
+        y = LabelMatrix.from_labels([0, 1])
+        calls = {
+            "recalibrate": lambda: recalibrate(s, y, 1e-10),
+            "joint_solve": lambda: joint_solve([(s, y)], 1e-10),
+            "afam_direct": lambda: afam_direct([s], 1e-10),
+        }
+        with pytest.raises(DataError, match="Gram matrix is not positive definite"):
+            calls[fit]()
 
     def test_materialize_inverse_rejects_singular_factor(self):
         with pytest.raises(DataError):

@@ -136,10 +136,69 @@ class TestRun:
         assert got.stderr.startswith("error: task 1 ")
         assert got.returncode == results["missing_key"].returncode != 0
 
+    def test_kernel_not_positive_definite_is_one_error_line(self, tmp_path):
+        # a first fit whose carried A is -I makes the first update's kernel indefinite
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "import akws.harness as h\n"
+            "from akws.cli import main\n"
+            "fit = h.recalibrate\n"
+            "def broken(*args):\n"
+            "    clf = fit(*args)\n"
+            "    return replace(clf, afam=replace(clf.afam, matrix=-np.eye(clf.expansion_size)))\n"
+            "h.recalibrate = broken\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        got = subprocess.run(
+            [sys.executable, "-c", script, "run", "--expansion", "48", "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+        )
+        assert got.returncode == 1
+        assert "Traceback" not in got.stderr
+        lines = got.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "not positive definite" in lines[0]
+
     def test_missing_manifest_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"data": {"kind": "manifest", "path": "nowhere.json"}}')
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+class TestMalformedInputExits2:
+    def _config(self, tmp_path, manifest):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"kind": "manifest", "path": str(manifest)}}))
+        return cfg
+
+    def _args(self, command, tmp_path, cfg):
+        extra = ("--out", tmp_path / "o") if command == "run" else ()
+        return (command, "--config", cfg, *extra)
+
+    def test_malformed_manifest(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"tasks": [')
+        cfg = self._config(tmp_path, manifest)
+        assert run_cli(*self._args(command, tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: manifest is not valid JSON")
+
+    def test_malformed_feature_csv(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert run_cli("gen", "--classes", 4, "--per-class", 5, "--dim", 3, "--out", data) == 0
+        doc = json.loads((data / "manifest.json").read_text())
+        train = data / doc["tasks"][1]["train"]
+        lines = train.read_text().split("\n")
+        lines[2] = lines[2].replace(",", ",x", 1)
+        train.write_text("\n".join(lines))
+        capsys.readouterr()
+        cfg = self._config(tmp_path, data / "manifest.json")
+        assert run_cli(*self._args(command, tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == "error: line 3: unparseable feature value\n"
 
 
 class TestOracleCheck:
