@@ -21,24 +21,43 @@ identical to re-solving the joint ridge problem over every batch seen so
 far, without retaining any past rows; ``joint_solve`` computes that joint
 solution directly and serves as the oracle in tests.
 
-The weight step needs no product with ``A_t`` itself. With
-``K = I + S' A_{t-1} S'T``,
+``update`` evaluates this in square-root form. With the Cholesky factor
+``K = I + S' A_{t-1} S'T = L L^T`` and
 
-    A_t S'T = A_{t-1} S'T K^-1,
+    Z = L^-1 [S' A_{t-1} | S' W | Y] = [Z_a | Z_w | Z_y],
 
-the transpose of the ``K^-1 S' A_{t-1}`` already solved for the ``A``
-refresh. Wherever ``A`` is formed directly from a Cholesky factor ``L`` of
-the regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
+the refresh is ``A_t = A_{t-1} - Z_a^T Z_a``, and since
+``A_t S'T = Z_a^T L^-1`` the weight step is ``W - Z_a^T Z_w`` with new
+columns ``Z_a^T Z_y``. ``Z_a^T Z_a`` is symmetric by construction, so only
+its upper triangle is computed, one GEMM per row panel of ``_PANEL`` rows
+(about half the flops of the whole product), and then mirrored onto the
+lower triangle. No averaging ``(A + A^T) / 2`` is needed: the rounding
+error in ``Z_a`` enters both factors of ``Z_a^T Z_a`` alike, so its
+triangles differ only by GEMM summation order. In the one-sided product
+``(S'A)^T (K^-1 S'A)`` the solve's error enters one factor only;
+averaging its triangles halved the antisymmetric part, and mirroring it
+instead lost accuracy. The left operand of each panel GEMM is a copy, because numpy
+sends ``X.T @ X`` on one buffer to a syrk path that is slower here.
+
+``Z`` is ``inv(L)`` times the right-hand side, refined once as
+``Z += inv(L) (R - L Z)``. numpy has no triangular solve, and its general
+``solve`` costs far more per right-hand column than a GEMM: at n=40 about
+1.3 us per column, so with ``S W`` among the columns the update would
+grow with the class count C. The product alone loses accuracy against a
+solve; the refinement step recovers it.
+
+Wherever ``A`` is formed directly from a Cholesky factor ``L`` of the
+regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
 ``L`` in place, and the triangle it fills is mirrored onto the other.
+The Gram matrix is factored in place too.
 
 The per-task path (``update`` and ``predict``) runs on numpy's BLAS and
-LAPACK only: ``update`` checks ``K`` with a Cholesky factorization and
-solves ``K^-1 S' A_{t-1}`` with ``numpy.linalg``. scipy's LAPACK (Cholesky
-solve and ``potri``) runs only in the first fit and in the joint oracle.
-numpy and scipy each ship their own OpenBLAS with its own thread pool;
-after a scipy call its workers keep spinning, so the numpy GEMMs after it
-compete with them for the same cores. A scipy call in every task would
-make per-task times bimodal and slow every numpy call that follows it.
+LAPACK only. scipy's LAPACK (Cholesky solve and ``potri``) runs only in
+the first fit and in the joint oracle. numpy and scipy each ship their
+own OpenBLAS with its own thread pool; after a scipy call its workers
+keep spinning, so the numpy GEMMs after it compete with them for the
+same cores. A scipy call in every task would make per-task times bimodal
+and slow every numpy call that follows it.
 
 Column order follows class registration order: classes are assigned
 columns in the order their batches first present them.
@@ -164,31 +183,39 @@ def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
     return s
 
 
-# Edge of the square blocks the E x E kernels below work on: a pair of
-# 64 x 64 float64 blocks (64 KiB) stays in cache while one is read transposed.
+# Edge of the square tiles ``_mirror_upper`` copies: a pair of 64 x 64 float64
+# tiles (64 KiB) stays in cache while one is read transposed.
 _TILE = 64
+_BELOW_DIAGONAL = np.tri(_TILE, k=-1, dtype=bool)
+# Height of the row panels in which ``update`` computes the upper triangle of
+# the refreshed state. Each panel costs one GEMM; together they do about
+# n * E * _PANEL / 2 multiply-adds more than half the full product.
+_PANEL = 256
 
 
-def _symmetrize(x: np.ndarray) -> np.ndarray:
-    """Replace square ``x`` in place by ``(x + x.T) / 2`` and return it.
+def _mirror_upper(x: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of square ``x`` onto its lower one, in place.
 
-    Bit-identical to the whole-matrix expression, without its two E x E
-    temporaries or its cache-hostile transposed walk.
+    Tile by tile, so the transposed walk stays in cache; the diagonal and
+    the upper triangle are left untouched. Returns ``x``.
     """
     n = x.shape[0]
     for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            up = x[i : i + _TILE, j : j + _TILE]
-            lo = x[j : j + _TILE, i : i + _TILE]
-            up += lo.T if i != j else lo.T.copy()  # a diagonal block is its own mirror
-            up *= 0.5
-            lo[...] = up.T
+        d = x[i : i + _TILE, i : i + _TILE]
+        np.copyto(d, d.T, where=_BELOW_DIAGONAL[: len(d), : len(d)])
+        for j in range(i + _TILE, n, _TILE):
+            x[j : j + _TILE, i : i + _TILE] = x[i : i + _TILE, j : j + _TILE].T
     return x
 
 
 def _spd_factor(g: np.ndarray):
+    """Lower Cholesky factor of symmetric ``g``, computed in place.
+
+    Consumes ``g``: ``g.T`` is Fortran-ordered, so LAPACK factors it
+    without a copy, and the factor overwrites it.
+    """
     try:
-        return cho_factor(g, lower=True)
+        return cho_factor(g.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
         raise DataError("the regularized Gram matrix is not positive definite") from None
 
@@ -196,20 +223,14 @@ def _spd_factor(g: np.ndarray):
 def _materialize_inverse(factor) -> np.ndarray:
     """Explicit inverse of ``L L^T`` from its lower Cholesky factor.
 
-    ``potri`` fills the lower triangle, which is then copied onto the upper
-    one tile by tile. Consumes ``factor``: ``potri`` overwrites it.
+    ``potri`` fills the lower triangle of the Fortran-ordered factor, which
+    is the upper triangle of its C-ordered transpose; that is then mirrored.
+    Consumes ``factor``: ``potri`` overwrites it.
     """
     inv, info = dpotri(factor[0], lower=1, overwrite_c=1)
     if info != 0:
         raise DataError(f"cannot invert the regularized Gram matrix (LAPACK potri info={info})")
-    n = inv.shape[0]
-    for i in range(0, n, _TILE):
-        d = inv[i : i + _TILE, i : i + _TILE]
-        d[...] = np.tril(d) + np.tril(d, -1).T
-        for j in range(i + _TILE, n, _TILE):
-            inv[i : i + _TILE, j : j + _TILE] = inv[j : j + _TILE, i : i + _TILE].T
-    # Exactly symmetric now, so the transpose is the same matrix in C order.
-    return inv.T
+    return _mirror_upper(inv.T)
 
 
 def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> AnalyticClassifier:
@@ -225,7 +246,9 @@ def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> Analy
     if s.shape[0] < 1:
         raise ShapeError("recalibration needs at least one sample")
     e = s.shape[1]
-    factor = _spd_factor(s.T @ s + gamma * np.eye(e))
+    g = s.T @ s
+    g.flat[:: e + 1] += gamma
+    factor = _spd_factor(g)
     weights = cho_solve(factor, s.T @ y0.onehot)
     afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
     registry = {cid: j for j, cid in enumerate(y0.class_ids)}
@@ -268,30 +291,43 @@ def update(
         return replace(c, weights=weights, class_registry=registry, tasks_seen=c.tasks_seen + 1)
 
     a_prev = c.afam.matrix
-    sa = s @ a_prev  # n x E
-    k = np.eye(n) + sa @ s.T
+    n_cols = c.n_classes
+    rhs = np.empty((n, e + n_cols + y_t.onehot.shape[1]))  # [S A_{t-1} | S W | Y]
+    np.matmul(s, a_prev, out=rhs[:, :e])
+    np.matmul(s, c.weights, out=rhs[:, e : e + n_cols])
+    rhs[:, e + n_cols :] = y_t.onehot
+    k = np.eye(n) + rhs[:, :e] @ s.T
     try:
-        np.linalg.cholesky(k)  # positive-definiteness guard; n^3/3 flops
+        chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         raise DataError("the Woodbury kernel I + S A S^T is not positive definite") from None
-    ksa = np.linalg.solve(k, sa)  # K^-1 S A_{t-1}
-    a_new = sa.T @ ksa
-    np.subtract(a_prev, a_new, out=a_new)
-    _symmetrize(a_new)  # bound asymmetry drift over long runs
+    # Z = L^-1 [S A_{t-1} | S W | Y]: a product with inv(L), then one step of
+    # iterative refinement, which recovers the accuracy of a solve
+    linv = np.linalg.inv(chol)
+    z = linv @ rhs
+    np.subtract(rhs, chol @ z, out=rhs)
+    z += linv @ rhs
+    za = z[:, :e]
 
-    ast = ksa.T  # E x n: A_t S'T = A_{t-1} S'T K^-1
-    weights = c.weights - ast @ (s @ c.weights)
-    correlations = ast @ y_t.onehot  # E x k, columns ordered as y_t.class_ids
+    a_new = np.empty((e, e))
+    for i in range(0, e, _PANEL):
+        panel = a_new[i : i + _PANEL, i:]
+        # a copied left operand keeps numpy off its slower syrk path
+        np.matmul(za[:, i : i + _PANEL].T.copy(), za[:, i:], out=panel)
+        np.subtract(a_prev[i : i + _PANEL, i:], panel, out=panel)
+    _mirror_upper(a_new)
+
+    step = za.T @ z[:, e:]  # A_t S'T [S W | Y] = Z_a^T L^-1 [S W | Y]
+    weights = np.empty((e, n_cols + len(new_ids)))
+    np.subtract(c.weights, step[:, :n_cols], out=weights[:, :n_cols])
+    correlations = step[:, n_cols:]  # E x k, columns ordered as y_t.class_ids
     registry = dict(c.class_registry)
-    new_cols = []
     for j, cid in enumerate(y_t.class_ids):
         if cid in registry:
             weights[:, registry[cid]] += correlations[:, j]
         else:
             registry[cid] = len(registry)
-            new_cols.append(correlations[:, j])
-    if new_cols:
-        weights = np.hstack([weights, np.column_stack(new_cols)])
+            weights[:, registry[cid]] = correlations[:, j]
     return AnalyticClassifier(
         weights=weights,
         afam=Afam(matrix=a_new, gamma=c.afam.gamma),

@@ -179,10 +179,11 @@ def load_features(path) -> LabeledDataset:
             row = [float(c) for c in cells[1:]]
         except ValueError:
             raise ParseError("unparseable feature value", line=idx) from None
-        if not all(np.isfinite(row)):
-            raise DataError(f"non-finite feature value at line {idx}")
         labels[idx - 2] = lab
         feats[idx - 2] = row
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise ParseError("non-finite feature value", line=int(np.argmax(bad)) + 2)
     return LabeledDataset(feats, labels)
 
 

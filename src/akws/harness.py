@@ -246,16 +246,15 @@ def run_experiment(tasks: list[TaskData], config: HarnessConfig) -> ExperimentRe
     test_sizes = np.array([t.test.n for t in tasks], dtype=np.int64)
 
     t0 = time.perf_counter()
-    s0, y0 = pipe.train_batch(0)
-    clf = recalibrate(s0, y0, config.gamma)
+    # The base batch is dropped once fit: no update needs it.
+    clf = recalibrate(*pipe.train_batch(0), config.gamma)
     recal_time = time.perf_counter() - t0
     pipe.grid_row(clf, 0, grid)
 
     tt = []
     for t in range(1, n_tasks):
         t0 = time.perf_counter()
-        s, y = pipe.train_batch(t)
-        clf = update(clf, s, y)
+        clf = update(clf, *pipe.train_batch(t))
         tt.append(time.perf_counter() - t0)
         pipe.grid_row(clf, t, grid)
 

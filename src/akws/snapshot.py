@@ -44,27 +44,31 @@ class SnapshotMeta:
     activation: str
 
 
-def dump_snapshot(c: AnalyticClassifier, meta: SnapshotMeta) -> bytes:
+def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
+    """The snapshot's byte runs in file order; the two matrices are not copied."""
     e, n_classes = c.weights.shape
-    parts = [
-        MAGIC,
-        _HEADER.pack(
-            FORMAT_VERSION,
-            e,
-            n_classes,
-            meta.dim,
-            meta.seed & 0xFFFFFFFFFFFFFFFF,
-            _ACTIVATION_CODE[meta.activation],
-            c.afam.gamma,
-            c.tasks_seen,
-            len(c.class_registry),
-        ),
+    header = MAGIC + _HEADER.pack(
+        FORMAT_VERSION,
+        e,
+        n_classes,
+        meta.dim,
+        meta.seed & 0xFFFFFFFFFFFFFFFF,
+        _ACTIVATION_CODE[meta.activation],
+        c.afam.gamma,
+        c.tasks_seen,
+        len(c.class_registry),
+    )
+    registry = b"".join(struct.pack("<II", cid, col) for cid, col in c.class_registry.items())
+    return [
+        header,
+        registry,
+        np.ascontiguousarray(c.weights, dtype="<f8"),
+        np.ascontiguousarray(c.afam.matrix, dtype="<f8"),
     ]
-    for cid, col in c.class_registry.items():
-        parts.append(struct.pack("<II", cid, col))
-    parts.append(np.ascontiguousarray(c.weights, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(c.afam.matrix, dtype="<f8").tobytes())
-    return b"".join(parts)
+
+
+def dump_snapshot(c: AnalyticClassifier, meta: SnapshotMeta) -> bytes:
+    return b"".join(_snapshot_parts(c, meta))
 
 
 def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
@@ -110,8 +114,10 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
 
 
 def save_snapshot(path, c: AnalyticClassifier, meta: SnapshotMeta) -> None:
+    """Write the snapshot to ``path`` without building it in memory first."""
     with open(path, "wb") as fh:
-        fh.write(dump_snapshot(c, meta))
+        for part in _snapshot_parts(c, meta):
+            fh.write(part)
 
 
 def read_snapshot(path) -> tuple[AnalyticClassifier, SnapshotMeta]:

@@ -13,7 +13,7 @@ from akws import (
     update,
 )
 from akws import classifier
-from akws.classifier import _materialize_inverse, _spd_factor, _symmetrize
+from akws.classifier import _materialize_inverse, _mirror_upper, _spd_factor
 from akws.errors import (
     ClassCollisionError,
     DataError,
@@ -153,7 +153,8 @@ class TestUpdate:
 
     def test_does_not_mutate_input_classifier(self):
         rng = np.random.default_rng(6)
-        for e in (5, 130):  # E=130 spans several tiles of the in-place kernels
+        # E=130 spans several mirror tiles, E=600 three refresh panels
+        for e in (5, 130, 600):
             b0 = random_batch(rng, 12, e, range(2))
             clf = recalibrate(*b0, 0.1)
             w_before = clf.weights.copy()
@@ -164,10 +165,23 @@ class TestUpdate:
 
     def test_afam_exactly_symmetric_after_chain(self):
         rng = np.random.default_rng(9)
-        out = recalibrate(*random_batch(rng, 40, 130, range(2)), 0.1)
-        for t in range(1, 6):
-            out = update(out, *random_batch(rng, 7, 130, range(2 * t, 2 * t + 2)))
-        assert np.array_equal(out.afam.matrix, out.afam.matrix.T)
+        for e in (130, 600):
+            out = recalibrate(*random_batch(rng, 40, e, range(2)), 0.1)
+            for t in range(1, 6):
+                out = update(out, *random_batch(rng, 7, e, range(2 * t, 2 * t + 2)))
+            assert np.array_equal(out.afam.matrix, out.afam.matrix.T)
+
+    def test_panelled_refresh_matches_full_form(self):
+        # E=600 spans three row panels of the upper-triangle refresh
+        rng = np.random.default_rng(13)
+        clf = recalibrate(*random_batch(rng, 40, 600, range(2)), 0.1)
+        s, y = random_batch(rng, 9, 600, range(2, 4))
+        a = clf.afam.matrix
+        sa = s @ a
+        z = np.linalg.solve(np.linalg.cholesky(np.eye(9) + sa @ s.T), sa)
+        full = a - z.T @ z.copy()  # the whole product, both triangles
+        out = update(clf, s, y)
+        assert relative_frobenius(out.afam.matrix, full) < 1e-14
 
     def test_kernel_not_positive_definite_is_a_data_error(self):
         rng = np.random.default_rng(11)
@@ -197,15 +211,15 @@ class TestUpdate:
 
 class TestKernels:
     @pytest.mark.parametrize("e", [1, 63, 64, 65, 130, 257])
-    def test_symmetrize_bit_identical_to_whole_matrix_form(self, e):
+    def test_mirror_upper_bit_identical_to_whole_matrix_form(self, e):
         x = np.random.default_rng(e).standard_normal((e, e))
-        assert np.array_equal(_symmetrize(x.copy()), (x + x.T) / 2.0)
+        assert np.array_equal(_mirror_upper(x.copy()), np.triu(x) + np.triu(x, 1).T)
 
     def test_materialize_inverse_symmetric_and_accurate(self):
         rng = np.random.default_rng(10)
         s = rng.standard_normal((150, 130))
         gram = s.T @ s + 0.1 * np.eye(130)
-        inv = _materialize_inverse(_spd_factor(gram))
+        inv = _materialize_inverse(_spd_factor(gram.copy()))
         assert np.array_equal(inv, inv.T)
         assert relative_frobenius(inv, np.linalg.inv(gram)) < 1e-12
 

@@ -187,18 +187,30 @@ class TestMalformedInputExits2:
         assert run_cli(*self._args(command, tmp_path, cfg)) == 2
         assert capsys.readouterr().err.startswith("error: manifest is not valid JSON")
 
-    def test_malformed_feature_csv(self, tmp_path, capsys, command):
+    def _run_with_bad_cell(self, tmp_path, capsys, command, cell):
+        """Run on generated data whose task-1 CSV has ``cell`` at line 3, column 2."""
         data = tmp_path / "data"
         assert run_cli("gen", "--classes", 4, "--per-class", 5, "--dim", 3, "--out", data) == 0
         doc = json.loads((data / "manifest.json").read_text())
         train = data / doc["tasks"][1]["train"]
         lines = train.read_text().split("\n")
-        lines[2] = lines[2].replace(",", ",x", 1)
+        cells = lines[2].split(",")
+        cells[1] = cell(cells[1])
+        lines[2] = ",".join(cells)
         train.write_text("\n".join(lines))
         capsys.readouterr()
         cfg = self._config(tmp_path, data / "manifest.json")
-        assert run_cli(*self._args(command, tmp_path, cfg)) == 2
-        assert capsys.readouterr().err == "error: line 3: unparseable feature value\n"
+        return run_cli(*self._args(command, tmp_path, cfg)), capsys.readouterr().err
+
+    def test_malformed_feature_csv(self, tmp_path, capsys, command):
+        code, err = self._run_with_bad_cell(tmp_path, capsys, command, lambda v: "x" + v)
+        assert code == 2
+        assert err == "error: line 3: unparseable feature value\n"
+
+    def test_non_finite_feature_csv(self, tmp_path, capsys, command):
+        code, err = self._run_with_bad_cell(tmp_path, capsys, command, lambda v: "-inf")
+        assert code == 2
+        assert err == "error: line 3: non-finite feature value\n"
 
 
 class TestOracleCheck:

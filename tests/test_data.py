@@ -12,7 +12,7 @@ from akws import (
     save_features,
     write_manifest,
 )
-from akws.errors import DataError, ParseError
+from akws.errors import ParseError
 
 from oracles import nearest_centroid_fit, nearest_centroid_predict
 
@@ -110,9 +110,10 @@ class TestFeatureCsv:
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
-        path.write_text("label,f0\n0,nan\n")
-        with pytest.raises(DataError):
+        path.write_text("label,f0\n0,1.0\n1,nan\n0,inf\n")
+        with pytest.raises(ParseError) as exc:
             load_features(path)
+        assert exc.value.line == 3
 
     def test_bad_label_and_header(self, tmp_path):
         path = tmp_path / "lab.csv"

@@ -1,12 +1,17 @@
 """Property tests for the invariants the recursive classifier must keep."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akws import (
     LabelMatrix,
+    SynthSpec,
     afam_direct,
+    build_expansion,
+    expand,
+    gen_synth,
     joint_solve,
     recalibrate,
     relative_frobenius,
@@ -146,7 +151,34 @@ def test_update_asymmetry_before_correction_is_bounded(seed):
         a_prev = clf.afam.matrix
         n = s.shape[0]
         sa = s @ a_prev
-        raw = a_prev - sa.T @ np.linalg.solve(np.eye(n) + sa @ s.T, sa)  # as update solves it
+        z = np.linalg.solve(np.linalg.cholesky(np.eye(n) + sa @ s.T), sa)
+        raw = a_prev - z.T @ z.copy()  # both triangles by GEMM; update forms the upper one
         drift = np.linalg.norm(raw - raw.T) / np.linalg.norm(raw)
         assert drift <= 1e-10
         clf = update(clf, s, y)
+
+
+# Median over seeds 0-3 of the final weights' relative deviation from the
+# joint solution. Measured on 2 cores, OpenBLAS: at gamma=1e-3 the square-root
+# update gives 2.2e-10 and the averaged (S A)^T K^-1 S A form 3.1e-10, against
+# 2.3e-9 when that form is mirrored instead of averaged; at gamma=1e-6, 1.9e-7,
+# 3.6e-7 and 3.8e-6.
+HARD_REGIME_BOUND = {1e-3: 1e-9, 1e-6: 1.5e-6}
+
+
+@pytest.mark.parametrize("gamma", sorted(HARD_REGIME_BOUND))
+def test_many_small_tasks_track_joint_solution(gamma):
+    # 100 one-class tasks of 8 rows after a one-class base, ReLU expansion,
+    # E=128: the first steps run with n << E, where A_0 = I / gamma carries
+    # 1/gamma in every direction no batch has reached yet
+    devs = []
+    for seed in range(4):
+        ds = gen_synth(SynthSpec(101, 8, 16, cluster_separation=6.0, noise_sigma=1.0, seed=seed))
+        s = expand(ds.features, build_expansion(16, 128, seed, "relu"))
+        batches = [
+            (s[ds.labels == c], LabelMatrix.from_labels(ds.labels[ds.labels == c], class_ids=[c]))
+            for c in range(101)
+        ]
+        chained = run_chain(batches, gamma)
+        devs.append(relative_frobenius(chained.weights, joint_solve(batches, gamma).weights))
+    assert np.median(devs) < HARD_REGIME_BOUND[gamma]

@@ -153,3 +153,14 @@ def test_duplicate_registry_class_id_rejected():
 def test_gamma_must_be_finite_and_positive(gamma):
     with pytest.raises(SnapshotFormatError, match="ridge parameter"):
         load_snapshot(crafted_blob({3: 0, 9: 1}, gamma=gamma))
+
+
+def test_saved_file_equals_dump(tmp_path):
+    # E=40: the 12.8 kB state matrix is larger than the file's write buffer
+    rng = np.random.default_rng(3)
+    clf = recalibrate(rng.standard_normal((50, 40)), LabelMatrix.from_labels([3, 9] * 25), 0.1)
+    clf = update(clf, rng.standard_normal((5, 40)), LabelMatrix.from_labels([11, 12, 11, 12, 12]))
+    meta = SnapshotMeta(dim=8, seed=7, activation="identity")
+    path = tmp_path / "clf.bin"
+    save_snapshot(path, clf, meta)
+    assert path.read_bytes() == dump_snapshot(clf, meta)
