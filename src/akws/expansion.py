@@ -56,14 +56,17 @@ def build_expansion(dim: int, expansion_size: int, seed: int, activation: str = 
     return ExpansionMap(matrix=matrix, seed=seed, expansion_size=expansion_size, activation=activation)
 
 
-def expand(x: np.ndarray, m: ExpansionMap) -> np.ndarray:
-    """Project an n x d feature matrix to n x E and apply the activation."""
+def expand(x: np.ndarray, m: ExpansionMap, out: np.ndarray | None = None) -> np.ndarray:
+    """Project an n x d feature matrix to n x E and apply the activation.
+
+    The result is written to ``out`` (n x E, float64) when one is given.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.dim:
         raise ShapeError(f"expected n x {m.dim} features, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError("feature matrix contains non-finite entries")
-    out = x @ m.matrix
+    out = np.matmul(x, m.matrix, out=out)
     if m.activation == "relu":
         np.maximum(out, 0.0, out=out)
     return out

@@ -206,12 +206,17 @@ class _Pipeline:
         self.expansion = build_expansion(
             feature_dim, config.expansion_size, config.seed, config.activation
         )
-        self._test_cache: dict[int, np.ndarray] = {}
+        # Every task's expanded test rows live in one buffer, in task order,
+        # so evaluating tasks 0..t is one product over a prefix of it.
+        self.test_offsets = np.cumsum([0] + [task.test.n for task in tasks])
+        self.test_labels = np.concatenate([task.test.labels for task in tasks])
+        self._test_x = np.empty((int(self.test_offsets[-1]), config.expansion_size))
+        self._test_filled = 0
 
-    def features(self, x: np.ndarray) -> np.ndarray:
+    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.extractor is not None:
             x = extract(self.extractor, x)
-        return expand(x, self.expansion)
+        return expand(x, self.expansion, out=out)
 
     def train_batch(self, t: int) -> tuple[np.ndarray, LabelMatrix]:
         task = self.tasks[t]
@@ -219,19 +224,26 @@ class _Pipeline:
         y = LabelMatrix.from_labels(task.train.labels, class_ids=task.classes)
         return s, y
 
-    def test_features(self, t: int) -> np.ndarray:
-        if t not in self._test_cache:
-            self._test_cache[t] = self.features(self.tasks[t].test.features)
-        return self._test_cache[t]
+    def test_features(self, upto: int) -> np.ndarray:
+        """Expanded test rows of tasks 0..upto, expanding each task once."""
+        off = self.test_offsets
+        for t in range(self._test_filled, upto + 1):
+            self.features(self.tasks[t].test.features, out=self._test_x[off[t] : off[t + 1]])
+        self._test_filled = max(self._test_filled, upto + 1)
+        return self._test_x[: off[upto + 1]]
 
-    def grid_row(self, clf: AnalyticClassifier, upto: int, grid: np.ndarray) -> None:
-        for j in range(upto + 1):
-            labels = self.tasks[j].test.labels
-            if labels.size == 0:
-                grid[upto, j] = 0.0
-                continue
-            pred = predict(clf, self.test_features(j))
-            grid[upto, j] = float(np.mean(pred == labels))
+    def grid_row(self, clf: AnalyticClassifier, upto: int, grid: np.ndarray) -> np.ndarray:
+        """Fill row ``upto`` of the grid; returns the predictions on tasks 0..upto.
+
+        A task with no test rows scores 0.0.
+        """
+        pred = predict(clf, self.test_features(upto))
+        hits = np.concatenate([[0], np.cumsum(pred == self.test_labels[: pred.size])])
+        off = self.test_offsets[: upto + 2]
+        sizes = np.diff(off)
+        correct = hits[off[1:]] - hits[off[:-1]]
+        grid[upto, : upto + 1] = np.where(sizes > 0, correct / np.maximum(sizes, 1), 0.0)
+        return pred
 
 
 def run_experiment(tasks: list[TaskData], config: HarnessConfig) -> ExperimentResult:
@@ -347,14 +359,9 @@ def oracle_check(tasks: list[TaskData], config: HarnessConfig, inject_noise: flo
             )
         joint = joint_solve(batches, config.gamma)
         deviations.append(relative_frobenius(clf.weights, joint.weights))
-        x_all = np.vstack([pipe.test_features(j) for j in range(t + 1)])
-        if x_all.shape[0]:
-            agree = float(np.mean(predict(clf, x_all) == predict(joint, x_all)))
-        else:
-            agree = 1.0
-        agreements.append(agree)
-        pipe.grid_row(clf, t, grid_rec)
-        pipe.grid_row(joint, t, grid_joint)
+        pred_rec = pipe.grid_row(clf, t, grid_rec)
+        pred_joint = pipe.grid_row(joint, t, grid_joint)
+        agreements.append(float(np.mean(pred_rec == pred_joint)) if pred_rec.size else 1.0)
 
     def _matrix(grid):
         a = np.array([_weighted_row_accuracy(grid[t], test_sizes, t) for t in range(n_tasks)])
@@ -396,6 +403,8 @@ def read_grid_csv(path) -> AccuracyMatrix:
             sizes = np.array([int(v) for v in lines[0].split(",")[1:]], dtype=np.int64)
         except ValueError:
             raise ParseError("bad test_sizes comment", line=1) from None
+        if np.any(sizes < 0):
+            raise ParseError("negative test size", line=1)
         lines = lines[1:]
     if not lines or not lines[0].startswith("step,"):
         raise ParseError("expected 'step,task_0,...' header", line=1)
@@ -412,7 +421,14 @@ def read_grid_csv(path) -> AccuracyMatrix:
             if j <= t:
                 if cell == "":
                     raise ParseError(f"missing cell for task {j}", line=t + 2)
-                grid[t, j] = float(cell)
+                try:
+                    grid[t, j] = float(cell)
+                except ValueError:
+                    raise ParseError(f"non-numeric cell for task {j}", line=t + 2) from None
+                if not np.isfinite(grid[t, j]):
+                    raise ParseError(f"non-finite cell for task {j}", line=t + 2)
+                if not 0.0 <= grid[t, j] <= 1.0:
+                    raise ParseError(f"accuracy outside [0, 1] for task {j}", line=t + 2)
             elif cell != "":
                 raise ParseError("unexpected value above the diagonal", line=t + 2)
     if sizes is None:

@@ -312,6 +312,16 @@ class TestPredict:
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (10, 20)), 1.0)
         assert predict(clf, np.array([[0.5, 0.5]]))[0] == 10
 
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 20])
+    def test_row_blocks_match_one_product(self, monkeypatch, rows):
+        rng = np.random.default_rng(5)
+        clf = recalibrate(*random_batch(rng, 30, 8, range(3)), 0.5)
+        x = rng.standard_normal((rows, 8))
+        ids = np.asarray(clf.column_classes())
+        want = ids[np.argmax(x @ clf.weights, axis=1)]
+        monkeypatch.setattr(classifier, "_SCORE_BLOCK", 3 * 7)  # blocks of 7 rows
+        assert np.array_equal(predict(clf, x), want)
+
     def test_untrained_rejected(self):
         from akws.classifier import Afam, AnalyticClassifier
 

@@ -270,6 +270,23 @@ class TestMetricsCmd:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("metrics", tmp_path / "missing.csv") == 2
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("step,task_0\n0,abc\n", "line 2: non-numeric cell for task 0"),
+            ("step,task_0\n0,nan\n", "line 2: non-finite cell for task 0"),
+            ("step,task_0\n0,5.0\n", "line 2: accuracy outside [0, 1] for task 0"),
+            ("# test_sizes,-3\nstep,task_0\n0,1.0\n", "line 1: negative test size"),
+        ],
+    )
+    def test_malformed_cell_exits_2(self, tmp_path, capsys, text, error):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        assert run_cli("metrics", grid) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {error}" in captured.err
+
 
 def test_module_entry_point(tmp_path):
     result = subprocess.run(

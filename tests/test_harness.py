@@ -149,6 +149,26 @@ class TestRunExperiment:
             assert result.accuracy.a_vector[t] == pytest.approx(direct, abs=1e-12)
         assert np.all(np.isnan(grid[np.triu_indices(len(tasks), k=1)]))
 
+    def test_grid_cells_match_per_task_prediction(self):
+        from akws import expand, extract, predict
+
+        tasks = synth_tasks(separation=2.0)
+        hollow = tasks[2]
+        tasks[2] = TaskData(2, hollow.classes, hollow.train, hollow.test.restrict([]))
+        result = run_experiment(tasks, FAST)
+        grid = result.accuracy.grid
+        last = len(tasks) - 1
+        for j, task in enumerate(tasks):
+            if task.test.n == 0:
+                assert np.all(grid[j:, j] == 0.0)
+                continue
+            x = expand(extract(result.extractor, task.test.features), result.expansion)
+            hits = predict(result.classifier, x) == task.test.labels
+            assert grid[last, j] == float(np.mean(hits))
+        report = oracle_check(tasks, FAST)
+        assert report.min_agreement == 1.0
+        assert np.all(report.recursive_accuracy.grid[2:, 2] == 0.0)
+
     def test_memory_accounting(self):
         tasks = synth_tasks()
         result = run_experiment(tasks, FAST)
@@ -236,6 +256,23 @@ class TestGridCsv:
         path.write_text("step,task_0,task_1\n0,1.0,0.5\n1,1.0,1.0\n")
         with pytest.raises(ParseError):
             read_grid_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("step,task_0,task_1\n0,1.0,\n1,abc,1.0\n", 3, "non-numeric cell for task 0"),
+            ("step,task_0,task_1\n0,nan,\n1,1.0,1.0\n", 2, "non-finite cell for task 0"),
+            ("step,task_0,task_1\n0,1.0,\n1,1.0,inf\n", 3, "non-finite cell for task 1"),
+            ("step,task_0,task_1\n0,1.0,\n1,-0.5,1.0\n", 3, r"accuracy outside \[0, 1\] for task 0"),
+            ("# test_sizes,4,-1\nstep,task_0,task_1\n0,1.0,\n1,1.0,1.0\n", 1, "negative test size"),
+        ],
+    )
+    def test_bad_cell_names_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as exc:
+            read_grid_csv(path)
+        assert exc.value.line == line
 
 
 class TestManifestTasks:
