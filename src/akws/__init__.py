@@ -47,7 +47,6 @@ from .harness import (
     run_experiment,
     split_tasks,
     tasks_from_manifest,
-    time_trend,
     write_grid_csv,
 )
 from .snapshot import (
@@ -101,7 +100,6 @@ __all__ = [
     "run_experiment",
     "split_tasks",
     "tasks_from_manifest",
-    "time_trend",
     "write_grid_csv",
     "SnapshotMeta",
     "dump_snapshot",

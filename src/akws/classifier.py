@@ -39,25 +39,23 @@ averaging its triangles halved the antisymmetric part, and mirroring it
 instead lost accuracy. The left operand of each panel GEMM is a copy, because numpy
 sends ``X.T @ X`` on one buffer to a syrk path that is slower here.
 
-``Z`` is ``inv(L)`` times the right-hand side, refined once as
-``Z += inv(L) (R - L Z)``. numpy has no triangular solve, and its general
-``solve`` costs far more per right-hand column than a GEMM: at n=40 about
-1.3 us per column, so with ``S W`` among the columns the update would
-grow with the class count C. The product alone loses accuracy against a
-solve; the refinement step recovers it.
+``Z`` comes from one in-place triangular solve (BLAS ``trsm``) on the
+buffer that holds ``[S' A_{t-1} | S' W | Y]``. Its cost per right-hand
+column is that of a GEMM column, so with ``S W`` among the columns the
+update does not grow with the class count C beyond the GEMMs themselves.
 
 Wherever ``A`` is formed directly from a Cholesky factor ``L`` of the
 regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
 ``L`` in place, and the triangle it fills is mirrored onto the other.
-The Gram matrix is factored in place too.
+The Gram matrix is factored in place too (``potrf``), and the first-fit
+weights are solved in place (``potrs``).
 
-The per-task path (``update`` and ``predict``) runs on numpy's BLAS and
-LAPACK only. scipy's LAPACK (Cholesky solve and ``potri``) runs only in
-the first fit and in the joint oracle. numpy and scipy each ship their
-own OpenBLAS with its own thread pool; after a scipy call its workers
-keep spinning, so the numpy GEMMs after it compete with them for the
-same cores. A scipy call in every task would make per-task times bimodal
-and slow every numpy call that follows it.
+All of this runs on one LAPACK: numpy's own OpenBLAS. numpy exposes no
+triangular solve, Cholesky solve or Cholesky inverse, so ``lapack`` binds
+those few routines from the library numpy already loaded. A second
+LAPACK (scipy's, for instance) would bring its own OpenBLAS and its own
+thread pool; after a call into it those workers keep spinning, so numpy's
+GEMMs right after it compete with them for the same cores.
 
 Column order follows class registration order: classes are assigned
 columns in the order their batches first present them.
@@ -66,9 +64,8 @@ columns in the order their batches first present them.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
 
+from . import lapack
 from .errors import (
     ClassCollisionError,
     DataError,
@@ -114,16 +111,12 @@ class LabelMatrix:
         no samples); by default columns follow sorted unique labels.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        if class_ids is None:
-            class_ids = sorted(set(labels.tolist()))
-        class_ids = [int(c) for c in class_ids]
-        col = {c: j for j, c in enumerate(class_ids)}
-        y = np.zeros((labels.shape[0], len(class_ids)))
-        for i, lab in enumerate(labels.tolist()):
-            if lab not in col:
-                raise DataError(f"label {lab} not among declared class ids")
-            y[i, col[lab]] = 1.0
-        return cls(onehot=y, class_ids=tuple(class_ids))
+        ids = np.unique(labels) if class_ids is None else np.asarray(list(class_ids), dtype=np.int64)
+        hits = labels[:, None] == ids  # the one-hot pattern, one lookup per column
+        missing = ~hits.any(axis=1)
+        if missing.any():
+            raise DataError(f"label {labels[missing][0]} not among declared class ids")
+        return cls(onehot=hits.astype(np.float64), class_ids=tuple(ids.tolist()))
 
     @property
     def rows(self) -> int:
@@ -213,29 +206,30 @@ def _mirror_upper(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _spd_factor(g: np.ndarray):
+def _spd_factor(g: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of symmetric ``g``, computed in place.
 
-    Consumes ``g``: ``g.T`` is Fortran-ordered, so LAPACK factors it
-    without a copy, and the factor overwrites it.
+    Consumes ``g``: LAPACK factors its Fortran-ordered transpose ``g.T``
+    without a copy, and returns that view, whose lower triangle now holds
+    the factor.
     """
-    try:
-        return cho_factor(g.T, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError:
-        raise DataError("the regularized Gram matrix is not positive definite") from None
+    factor = g.T
+    if lapack.potrf("L", factor) != 0:
+        raise DataError("the regularized Gram matrix is not positive definite")
+    return factor
 
 
-def _materialize_inverse(factor) -> np.ndarray:
+def _materialize_inverse(factor: np.ndarray) -> np.ndarray:
     """Explicit inverse of ``L L^T`` from its lower Cholesky factor.
 
     ``potri`` fills the lower triangle of the Fortran-ordered factor, which
     is the upper triangle of its C-ordered transpose; that is then mirrored.
     Consumes ``factor``: ``potri`` overwrites it.
     """
-    inv, info = dpotri(factor[0], lower=1, overwrite_c=1)
+    info = lapack.potri("L", factor)
     if info != 0:
         raise DataError(f"cannot invert the regularized Gram matrix (LAPACK potri info={info})")
-    return _mirror_upper(inv.T)
+    return _mirror_upper(factor.T)
 
 
 def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> AnalyticClassifier:
@@ -254,7 +248,8 @@ def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> Analy
     g = s.T @ s
     g.flat[:: e + 1] += gamma
     factor = _spd_factor(g)
-    weights = cho_solve(factor, s.T @ y0.onehot)
+    weights = (y0.onehot.T @ s).T  # S'T Y, Fortran-ordered for the in-place solve
+    lapack.potrs("L", factor, weights)
     afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
     registry = {cid: j for j, cid in enumerate(y0.class_ids)}
     return AnalyticClassifier(weights=weights, afam=afam, class_registry=registry, tasks_seen=1)
@@ -306,12 +301,10 @@ def update(
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         raise DataError("the Woodbury kernel I + S A S^T is not positive definite") from None
-    # Z = L^-1 [S A_{t-1} | S W | Y]: a product with inv(L), then one step of
-    # iterative refinement, which recovers the accuracy of a solve
-    linv = np.linalg.inv(chol)
-    z = linv @ rhs
-    np.subtract(rhs, chol @ z, out=rhs)
-    z += linv @ rhs
+    # Z = L^-1 [S A_{t-1} | S W | Y] in place: as Fortran-ordered matrices,
+    # rhs.T is its transpose and chol.T is L^T, so Z^T = rhs.T (L^T)^-1
+    lapack.trsm("R", "U", "N", "N", 1.0, chol.T, rhs.T)
+    z = rhs
     za = z[:, :e]
 
     a_new = np.empty((e, e))
@@ -367,16 +360,16 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
             registry[cid] = len(registry)
         checked.append((s, y))
     gram = gamma * np.eye(e)
-    rhs = np.zeros((e, len(registry)))
+    rhs = np.zeros((e, len(registry)), order="F")  # solved in place
     for s, y in checked:
         gram += s.T @ s
         cols = [registry[cid] for cid in y.class_ids]
         rhs[:, cols] += s.T @ y.onehot
     factor = _spd_factor(gram)
-    weights = cho_solve(factor, rhs)
+    lapack.potrs("L", factor, rhs)
     afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
     return AnalyticClassifier(
-        weights=weights, afam=afam, class_registry=registry, tasks_seen=len(checked)
+        weights=rhs, afam=afam, class_registry=registry, tasks_seen=len(checked)
     )
 
 
@@ -395,6 +388,9 @@ def afam_direct(batches, gamma: float, expansion_size: int | None = None) -> Afa
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 2:
             raise ShapeError("feature matrix must be 2-D")
+        if not np.all(np.isfinite(s)):
+            # potrf does not flag NaN, so the inverse would come back NaN
+            raise DataError("feature matrix contains non-finite entries")
         if e is None:
             e = s.shape[1]
         elif s.shape[1] != e:

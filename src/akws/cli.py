@@ -9,11 +9,12 @@ Commands:
     metrics       recompute the accuracy metrics from a grid CSV
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
-input. A config that breaks the schema, or a manifest or feature CSV that
-does not parse, is invalid input; a data file that cannot be opened under
-``run`` or ``oracle-check``, or a numerical failure such as a Woodbury
-kernel that is not positive definite, is a runtime failure. No command
-mutates its inputs.
+input. A config that breaks the schema, a manifest or feature CSV that
+does not parse, or data whose first task has no test rows (so its
+accuracy, and ACC, are undefined) is invalid input; a data file that
+cannot be opened under ``run`` or ``oracle-check``, or a numerical
+failure such as a Woodbury kernel that is not positive definite, is a
+runtime failure. No command mutates its inputs.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import sys
 
 from .config import ManifestDataConfig, RunConfig, load_config, parse_config
 from .data import SynthSpec, gen_synth_split, save_features, write_manifest
-from .errors import AkwsError, ConfigError, InvalidSplitError, ParseError
+from .errors import AkwsError, ConfigError, InvalidSplitError, MetricUndefinedError, ParseError
 from .harness import (
     HarnessConfig,
     acc_metric,
@@ -212,9 +213,9 @@ def main(argv=None) -> int:
     }
     validation = {
         "gen": (ConfigError, InvalidSplitError, ValueError),
-        "run": (ConfigError, ParseError),
-        "oracle-check": (ConfigError, ParseError),
-        "metrics": (ConfigError, ParseError, OSError),
+        "run": (ConfigError, ParseError, MetricUndefinedError),
+        "oracle-check": (ConfigError, ParseError, MetricUndefinedError),
+        "metrics": (ConfigError, ParseError, MetricUndefinedError, OSError),
     }[args.command]
     try:
         return handlers[args.command](args)

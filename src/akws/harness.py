@@ -174,6 +174,8 @@ def bwt_metric(a: AccuracyMatrix) -> float:
 
 def _weighted_row_accuracy(grid_row: np.ndarray, sizes: np.ndarray, upto: int) -> float:
     w = sizes[: upto + 1].astype(np.float64)
+    if not np.any(w):
+        raise MetricUndefinedError(f"step {upto}: tasks 0..{upto} have no test rows")
     return float(np.sum(grid_row[: upto + 1] * w) / np.sum(w))
 
 
@@ -186,6 +188,9 @@ class _Pipeline:
         for task in tasks:
             if task.train.n == 0:
                 raise EmptyTaskError(f"task {task.task_id} has an empty training set")
+        if tasks[0].test.n == 0:
+            # checked before any fit: step 0's accuracy would be 0/0
+            raise MetricUndefinedError("step 0: tasks 0..0 have no test rows")
         self.tasks = tasks
         self.config = config
         self.extractor: ExtractorModel | None = None
@@ -454,27 +459,3 @@ def results_dict(result: ExperimentResult, config_echo: dict) -> dict:
         "A": [float(v) for v in result.accuracy.a_vector],
         "task_classes": result.task_classes,
     }
-
-
-def time_trend(times) -> tuple[float, float, float]:
-    """OLS slope of time against task index with its t statistic.
-
-    Returns (slope, t_stat, two_sided_p). Used to check that per-task
-    adaptation cost stays flat as tasks accumulate.
-    """
-    from scipy.special import stdtr
-
-    y = np.asarray(times, dtype=np.float64)
-    n = y.size
-    if n < 3:
-        raise MetricUndefinedError("trend test needs at least 3 timings")
-    x = np.arange(n, dtype=np.float64)
-    xc = x - x.mean()
-    slope = float(np.sum(xc * (y - y.mean())) / np.sum(xc**2))
-    resid = y - (y.mean() + slope * xc)
-    se = float(np.sqrt(np.sum(resid**2) / (n - 2) / np.sum(xc**2)))
-    if se == 0.0:
-        return slope, 0.0, 1.0
-    t_stat = slope / se
-    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
-    return slope, t_stat, p

@@ -1,0 +1,154 @@
+"""The few LAPACK and BLAS routines numpy does not expose, from numpy's own OpenBLAS.
+
+numpy's wheels bundle an OpenBLAS built with 64-bit integers (ILP64)
+whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix, such as
+``scipy_dpotrf_64_``. Binding them through ``ctypes`` gives the package a
+Cholesky solve, a Cholesky inverse and a triangular solve on the very
+library, and so the very thread pool, that runs numpy's ``matmul`` and
+``cholesky``. Symbols are looked up through the handle of numpy's linalg
+extension module, which resolves them in the library that module links.
+
+Calls follow the Fortran convention: every argument is passed by
+reference, integers are int64, and after the last regular argument each
+character argument gets a hidden ``size_t`` length. Matrices are
+column-major, so a C-ordered array is passed as its transpose ``a.T``,
+which is Fortran-ordered and needs no copy.
+
+Supported installs are numpy's own wheels. A numpy built against another
+BLAS (a distribution or conda package) lacks these symbols; the first
+call then raises ``AkwsError`` naming the symbol and the library searched.
+"""
+
+import ctypes
+import functools
+
+import numpy as np
+
+from .errors import AkwsError, ShapeError
+
+_PREFIX = "scipy_d"
+_SUFFIX = "_64_"
+
+_INT = ctypes.POINTER(ctypes.c_int64)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_CHAR = ctypes.c_char_p
+_LEN = ctypes.c_size_t
+
+_SIGNATURES = {
+    "potrf": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
+    "potrs": (_CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT, _LEN),
+    "potri": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
+    "trsm": (
+        _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT,
+        _LEN, _LEN, _LEN, _LEN,
+    ),
+}
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    """Handle of numpy's linalg extension, opened once on first use."""
+    from numpy.linalg import _umath_linalg
+
+    return ctypes.CDLL(_umath_linalg.__file__)
+
+
+@functools.cache
+def _routine(name: str):
+    lib = _library()
+    symbol = f"{_PREFIX}{name}{_SUFFIX}"
+    try:
+        fn = getattr(lib, symbol)
+    except AttributeError:
+        raise AkwsError(
+            f"LAPACK symbol {symbol} not found in {lib._name} or the libraries it links; "
+            "akws needs numpy's own wheels, which bundle OpenBLAS"
+        ) from None
+    fn.argtypes = _SIGNATURES[name]
+    fn.restype = None
+    return fn
+
+
+def _matrix(x: np.ndarray, square: bool = False) -> np.ndarray:
+    if not (
+        isinstance(x, np.ndarray)
+        and x.ndim == 2
+        and x.dtype == np.float64
+        and x.flags.f_contiguous
+        and x.flags.writeable
+    ):
+        raise ShapeError("LAPACK operands must be writeable 2-D Fortran-ordered float64 arrays")
+    if square and x.shape[0] != x.shape[1]:
+        raise ShapeError(f"expected a square matrix, got {x.shape}")
+    return x
+
+
+def _int(v: int):
+    return ctypes.byref(ctypes.c_int64(v))
+
+
+def _ptr(x: np.ndarray):
+    return x.ctypes.data_as(_DOUBLE)
+
+
+def _ld(x: np.ndarray):
+    return _int(max(1, x.shape[0]))
+
+
+def _info(name: str, info: ctypes.c_int64) -> int:
+    if info.value < 0:
+        raise ValueError(f"LAPACK {name}: argument {-info.value} is invalid")
+    return info.value
+
+
+def potrf(uplo: str, a: np.ndarray) -> int:
+    """Cholesky factor of symmetric ``a``, written over its ``uplo`` triangle.
+
+    Returns LAPACK's ``info``: 0 on success, ``k > 0`` if the leading
+    minor of order k is not positive definite.
+    """
+    _matrix(a, square=True)
+    info = ctypes.c_int64()
+    _routine("potrf")(uplo.encode(), _int(a.shape[0]), _ptr(a), _ld(a), ctypes.byref(info), 1)
+    return _info("potrf", info)
+
+
+def potrs(uplo: str, factor: np.ndarray, b: np.ndarray) -> None:
+    """Solve ``A X = b`` in place on ``b``, given ``potrf``'s factor of ``A``."""
+    _matrix(factor, square=True)
+    _matrix(b)
+    if b.shape[0] != factor.shape[0]:
+        raise ShapeError(f"factor is {factor.shape}, right-hand side {b.shape}")
+    info = ctypes.c_int64()
+    _routine("potrs")(
+        uplo.encode(), _int(b.shape[0]), _int(b.shape[1]), _ptr(factor), _ld(factor),
+        _ptr(b), _ld(b), ctypes.byref(info), 1,
+    )
+    _info("potrs", info)
+
+
+def potri(uplo: str, factor: np.ndarray) -> int:
+    """Inverse of ``A`` from ``potrf``'s factor, written over the ``uplo`` triangle.
+
+    Returns LAPACK's ``info``: ``k > 0`` if the factor's k-th diagonal
+    entry is zero.
+    """
+    _matrix(factor, square=True)
+    info = ctypes.c_int64()
+    _routine("potri")(
+        uplo.encode(), _int(factor.shape[0]), _ptr(factor), _ld(factor), ctypes.byref(info), 1
+    )
+    return _info("potri", info)
+
+
+def trsm(side: str, uplo: str, transa: str, diag: str, alpha: float, a: np.ndarray, b: np.ndarray) -> None:
+    """Triangular solve in place on ``b``: ``alpha op(a)^-1 b`` (side "L") or ``alpha b op(a)^-1`` ("R")."""
+    _matrix(a, square=True)
+    _matrix(b)
+    if a.shape[0] != b.shape[0 if side == "L" else 1]:
+        raise ShapeError(f"triangle is {a.shape}, right-hand side {b.shape} (side {side})")
+    _routine("trsm")(
+        side.encode(), uplo.encode(), transa.encode(), diag.encode(),
+        _int(b.shape[0]), _int(b.shape[1]), ctypes.byref(ctypes.c_double(alpha)),
+        _ptr(a), _ld(a), _ptr(b), _ld(b), 1, 1, 1, 1,
+    )

@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own linear-algebra paths (and
 numpy's solvers where the point is to check a solve), so that agreement
-between the package and an oracle is meaningful evidence.
+between the package and an oracle is meaningful evidence. ``time_trend``
+is the slope test the timing gates use.
 """
 
 import numpy as np
+
+from akws.errors import MetricUndefinedError
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,3 +64,27 @@ def nearest_centroid_fit(x: np.ndarray, labels: np.ndarray):
 def nearest_centroid_predict(classes: np.ndarray, centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     d = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return classes[np.argmin(d, axis=1)]
+
+
+def time_trend(times) -> tuple[float, float, float]:
+    """OLS slope of time against task index with its t statistic.
+
+    Returns (slope, t_stat, two_sided_p). Used to check that per-task
+    adaptation cost stays flat as tasks accumulate.
+    """
+    from scipy.special import stdtr
+
+    y = np.asarray(times, dtype=np.float64)
+    n = y.size
+    if n < 3:
+        raise MetricUndefinedError("trend test needs at least 3 timings")
+    x = np.arange(n, dtype=np.float64)
+    xc = x - x.mean()
+    slope = float(np.sum(xc * (y - y.mean())) / np.sum(xc**2))
+    resid = y - (y.mean() + slope * xc)
+    se = float(np.sqrt(np.sum(resid**2) / (n - 2) / np.sum(xc**2)))
+    if se == 0.0:
+        return slope, 0.0, 1.0
+    t_stat = slope / se
+    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
+    return slope, t_stat, p

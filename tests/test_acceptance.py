@@ -39,10 +39,9 @@ from akws import (
 )
 from akws.cli import main as cli_main
 from akws.extractor import batch_loss, loss_and_grads
-from akws.harness import time_trend
 from akws.snapshot import read_snapshot
 
-from oracles import ridge_normal_equations
+from oracles import ridge_normal_equations, time_trend
 
 SWEEP_EXPANSIONS = (16, 64, 128)
 SWEEP_GAMMAS = (1e-3, 0.1, 1.0, 10.0)

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +53,43 @@ class TestLabelMatrix:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ClassCollisionError):
             LabelMatrix(np.eye(2), (4, 4))
+
+    @staticmethod
+    def loop_onehot(labels, class_ids):
+        col = {c: j for j, c in enumerate(class_ids)}
+        y = np.zeros((len(labels), len(class_ids)))
+        for i, lab in enumerate(labels):
+            y[i, col[lab]] = 1.0
+        return y
+
+    @pytest.mark.parametrize(
+        "labels, class_ids",
+        [
+            ([9, 2, 5, 2, 9, 9], [9, 2, 5]),  # unsorted ids
+            ([4, 4, 1], [7, 4, 0, 1, 3]),  # declared classes without rows
+            ([], [3, 1]),  # no rows
+            ([], []),
+            (list(np.random.default_rng(0).integers(0, 50, 1000)), list(range(49, -1, -1))),
+        ],
+    )
+    def test_from_labels_matches_loop_reference(self, labels, class_ids):
+        y = LabelMatrix.from_labels(labels, class_ids=class_ids)
+        assert y.class_ids == tuple(class_ids)
+        assert np.array_equal(y.onehot, self.loop_onehot(labels, class_ids))
+
+    def test_from_labels_default_ids_are_sorted_unique(self):
+        y = LabelMatrix.from_labels([8, 3, 8, 5])
+        assert y.class_ids == (3, 5, 8)
+        assert np.array_equal(y.onehot, self.loop_onehot([8, 3, 8, 5], [3, 5, 8]))
+
+    @pytest.mark.parametrize(
+        "labels, class_ids, bad",
+        [([1, 5, 2, 6], [1, 2], 5), ([0, 2, 7, 1], [2, 1, 0], 7), ([3], [9], 3), ([4, 4], [], 4)],
+    )
+    def test_undeclared_label_rejected(self, labels, class_ids, bad):
+        # the error names the first undeclared label in row order
+        with pytest.raises(DataError, match=f"label {bad} not among declared class ids"):
+            LabelMatrix.from_labels(labels, class_ids=class_ids)
 
 
 class TestRecalibrate:
@@ -190,23 +229,27 @@ class TestUpdate:
         with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
             update(broken, *random_batch(rng, 5, 6, range(2, 4)))
 
-    def test_chain_runs_without_scipy(self, monkeypatch):
-        # every update stays on numpy's LAPACK, so it never enters scipy's BLAS pool
-        rng = np.random.default_rng(12)
-        batches = [random_batch(rng, 30, 40, range(2))]
-        batches += [random_batch(rng, 9, 40, range(2 * t, 2 * t + 2)) for t in range(1, 6)]
-        joint = joint_solve(batches, 0.1)
-        out = recalibrate(*batches[0], 0.1)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("scipy LAPACK called from update")
-
-        for name in ("cho_factor", "cho_solve", "dpotri"):
-            monkeypatch.setattr(classifier, name, forbidden)
-        for s, y in batches[1:]:
-            out = update(out, s, y)
-        assert relative_frobenius(out.weights, joint.weights) < 1e-9
-        assert out.class_registry == joint.class_registry
+    def test_chain_runs_without_scipy(self):
+        # with scipy unimportable, a chain of updates still matches the joint solve
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from akws import LabelMatrix, joint_solve, recalibrate, relative_frobenius, update\n"
+            "rng = np.random.default_rng(12)\n"
+            "def batch(n, ids):\n"
+            "    return rng.standard_normal((n, 40)), LabelMatrix.from_labels(rng.choice(ids, n), ids)\n"
+            "batches = [batch(30, [0, 1])] + [batch(9, [2 * t, 2 * t + 1]) for t in range(1, 6)]\n"
+            "out = recalibrate(*batches[0], 0.1)\n"
+            "for s, y in batches[1:]:\n"
+            "    out = update(out, s, y)\n"
+            "joint = joint_solve(batches, 0.1)\n"
+            "assert out.class_registry == joint.class_registry\n"
+            "print(relative_frobenius(out.weights, joint.weights))\n"
+        )
+        got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert got.returncode == 0, got.stderr
+        assert float(got.stdout) < 1e-9
 
 
 class TestKernels:
@@ -237,8 +280,8 @@ class TestKernels:
             calls[fit]()
 
     def test_materialize_inverse_rejects_singular_factor(self):
-        with pytest.raises(DataError):
-            _materialize_inverse((np.zeros((3, 3), order="F"), True))
+        with pytest.raises(DataError, match="potri info=1"):
+            _materialize_inverse(np.zeros((3, 3), order="F"))
 
 
 class TestJointSolve:
@@ -291,6 +334,13 @@ class TestAfamDirect:
     def test_identity_batch(self):
         out = afam_direct([np.eye(2)], 1.0)
         assert np.allclose(out.matrix, 0.5 * np.eye(2), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_batch_is_a_data_error(self, bad):
+        s = np.ones((4, 3))
+        s[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            afam_direct([s], 0.1)
 
     def test_matches_chained_woodbury(self):
         rng = np.random.default_rng(12)

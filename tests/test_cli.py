@@ -163,6 +163,20 @@ class TestRun:
         assert lines[0].startswith("error: ")
         assert "not positive definite" in lines[0]
 
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
+    def test_empty_first_test_set_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert run_cli("gen", "--classes", 4, "--per-class", 5, "--dim", 3, "--out", data) == 0
+        doc = json.loads((data / "manifest.json").read_text())
+        test0 = data / doc["tasks"][0]["test"]
+        test0.write_text(test0.read_text().split("\n")[0] + "\n")  # header only
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"kind": "manifest", "path": str(data / "manifest.json")}}))
+        capsys.readouterr()
+        extra = ("--out", tmp_path / "o") if command == "run" else ()
+        assert run_cli(command, "--config", cfg, *extra) == 2
+        assert capsys.readouterr().err == "error: step 0: tasks 0..0 have no test rows\n"
+
     def test_missing_manifest_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"data": {"kind": "manifest", "path": "nowhere.json"}}')
@@ -269,6 +283,14 @@ class TestMetricsCmd:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("metrics", tmp_path / "missing.csv") == 2
+
+    def test_empty_first_test_set_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("# test_sizes,0,5\nstep,task_0,task_1\n0,0.0,\n1,0.0,1.0\n")
+        assert run_cli("metrics", grid) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step 0: tasks 0..0 have no test rows\n"
 
     @pytest.mark.parametrize(
         "text, error",

@@ -22,7 +22,9 @@ from akws.errors import (
     MetricUndefinedError,
     ParseError,
 )
-from akws.harness import TaskData, results_dict, time_trend
+from akws.harness import TaskData, results_dict
+
+from oracles import time_trend
 
 
 def make_accuracy(a_values):
@@ -186,6 +188,19 @@ class TestRunExperiment:
         with pytest.raises(EmptyTaskError):
             run_experiment([tasks[0], hollow], FAST)
 
+    @pytest.mark.parametrize("entry", [run_experiment, oracle_check])
+    def test_empty_first_test_set_fails_before_the_first_fit(self, entry, monkeypatch):
+        import akws.harness
+
+        def no_fit(*args):
+            raise AssertionError("fit reached")
+
+        monkeypatch.setattr(akws.harness, "recalibrate", no_fit)
+        tasks = synth_tasks()
+        tasks[0] = TaskData(0, tasks[0].classes, tasks[0].train, tasks[0].test.restrict([]))
+        with pytest.raises(MetricUndefinedError, match="step 0: tasks 0..0 have no test rows"):
+            entry(tasks, FAST)
+
     def test_accuracies_within_unit_interval(self):
         tasks = synth_tasks(separation=2.0)
         result = run_experiment(tasks, FAST)
@@ -250,6 +265,17 @@ class TestGridCsv:
         path.write_text("")
         with pytest.raises(ParseError):
             read_grid_csv(path)
+
+    def test_empty_first_test_set_is_undefined(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("# test_sizes,0,5\nstep,task_0,task_1\n0,0.0,\n1,0.0,1.0\n")
+        with pytest.raises(MetricUndefinedError, match="step 0: tasks 0..0 have no test rows"):
+            read_grid_csv(path)
+
+    def test_empty_later_test_set_is_defined(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("# test_sizes,4,0\nstep,task_0,task_1\n0,0.5,\n1,0.75,0.0\n")
+        assert read_grid_csv(path).a_vector.tolist() == [0.5, 0.75]
 
     def test_value_above_diagonal_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"

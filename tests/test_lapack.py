@@ -1,0 +1,120 @@
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from akws import lapack
+from akws.classifier import _spd_factor
+from akws.cli import main
+from akws.errors import AkwsError, DataError
+
+
+def spd(e, seed=0):
+    s = np.random.default_rng(seed).standard_normal((e + 3, e))
+    return s.T @ s + 0.1 * np.eye(e)
+
+
+def lower_factor(g):
+    """``potrf``'s factor of C-ordered ``g``, read as a Fortran-ordered view."""
+    factor = g.copy().T
+    assert lapack.potrf("L", factor) == 0
+    return factor
+
+
+@pytest.mark.parametrize("e", [1, 7, 130])
+class TestRoutines:
+    def test_potrf_matches_cholesky(self, e):
+        g = spd(e)
+        got = np.tril(lower_factor(g))
+        assert np.allclose(got, np.linalg.cholesky(g), rtol=0, atol=1e-12 * np.abs(g).max())
+
+    def test_potrs_matches_solve(self, e):
+        g = spd(e)
+        b = np.random.default_rng(1).standard_normal((e, 5))
+        x = b.copy(order="F")
+        lapack.potrs("L", lower_factor(g), x)
+        want = np.linalg.solve(g, b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_potri_matches_inv(self, e):
+        g = spd(e)
+        factor = lower_factor(g)
+        assert lapack.potri("L", factor) == 0
+        want = np.linalg.inv(g)
+        got = np.tril(factor)
+        assert np.linalg.norm(got - np.tril(want)) <= 1e-12 * np.linalg.norm(want)
+
+    def test_trsm_matches_solve(self, e):
+        chol = np.linalg.cholesky(spd(e))
+        r = np.random.default_rng(2).standard_normal((e, 9))
+        z = r.copy()
+        # C-ordered z is the Fortran matrix z^T, and chol.T is L^T: z^T (L^T)^-1
+        lapack.trsm("R", "U", "N", "N", 1.0, chol.T, z.T)
+        want = np.linalg.solve(chol, r)
+        assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_not_positive_definite_is_a_data_error(self, e):
+        g = spd(e)
+        g[e - 1, e - 1] = -1.0
+        assert lapack.potrf("L", g.copy().T) == e
+        with pytest.raises(DataError, match="not positive definite"):
+            _spd_factor(g)
+
+
+def test_operands_must_be_fortran_ordered():
+    with pytest.raises(ValueError, match="Fortran-ordered float64"):
+        lapack.potrf("L", np.eye(3)[:, :2].copy())  # C-ordered 3 x 2
+    with pytest.raises(ValueError, match="square"):
+        lapack.potrf("L", np.zeros((3, 2), order="F"))
+
+
+@pytest.fixture
+def missing_symbol(monkeypatch):
+    monkeypatch.setattr(lapack, "_SUFFIX", "_absent_")
+    lapack._routine.cache_clear()
+    yield "scipy_dpotrf_absent_"
+    lapack._routine.cache_clear()
+
+
+def test_missing_symbol_names_symbol_and_library(missing_symbol):
+    with pytest.raises(AkwsError) as info:
+        lapack.potrf("L", np.eye(2, order="F"))
+    message = str(info.value)
+    assert missing_symbol in message
+    assert "_umath_linalg" in message
+
+
+def test_missing_symbol_run_exits_1_with_one_error_line(missing_symbol, tmp_path, capsys):
+    assert main(["run", "--expansion", "48", "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: LAPACK symbol {missing_symbol} not found in ")
+
+
+def _python(script, *args):
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    got = _python(
+        "import sys\n"
+        "import akws.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+def test_cli_runs_with_scipy_blocked(command, tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from akws.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+    got = _python(script, command, "--expansion", "48", *extra)
+    assert got.returncode == 0, got.stderr
+    assert got.stderr == ""

@@ -160,9 +160,10 @@ def test_update_asymmetry_before_correction_is_bounded(seed):
 
 # Median over seeds 0-3 of the final weights' relative deviation from the
 # joint solution. Measured on 2 cores, OpenBLAS: at gamma=1e-3 the square-root
-# update gives 2.2e-10 and the averaged (S A)^T K^-1 S A form 3.1e-10, against
-# 2.3e-9 when that form is mirrored instead of averaged; at gamma=1e-6, 1.9e-7,
-# 3.6e-7 and 3.8e-6.
+# update gives 2.0e-10 with Z from one trsm (2.2e-10 with inv(L) refined once)
+# and the averaged (S A)^T K^-1 S A form 3.1e-10, against 2.3e-9 when that form
+# is mirrored instead of averaged; at gamma=1e-6, 2.3e-7 (1.9e-7), 3.6e-7 and
+# 3.8e-6.
 HARD_REGIME_BOUND = {1e-3: 1e-9, 1e-6: 1.5e-6}
 
 
