@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from akws import (
+    AccuracyMatrix,
     HarnessConfig,
     LabelMatrix,
     SynthSpec,
@@ -31,7 +32,6 @@ from akws import (
     split_tasks,
     update,
 )
-from akws.harness import AccuracyMatrix
 
 EXPANSIONS = (0, 64, 128, 256, 512)
 GAMMAS = (1000.0, 1e-6)  # strong ridge vs effectively none
@@ -69,10 +69,7 @@ def run_no_expansion(tasks, gamma: float) -> float:
         for j in range(t + 1):
             pred = predict(clf, tasks[j].test.features)
             grid[t, j] = float(np.mean(pred == tasks[j].test.labels))
-    a = np.array(
-        [np.sum(grid[t, : t + 1] * sizes[: t + 1]) / np.sum(sizes[: t + 1]) for t in range(len(tasks))]
-    )
-    return acc_metric(AccuracyMatrix(a_vector=a, grid=grid, test_sizes=sizes))
+    return acc_metric(AccuracyMatrix.from_grid(grid, sizes))
 
 
 def run_cell(expansion: int, gamma: float, seed: int) -> float:
@@ -97,7 +94,8 @@ def main(argv=None) -> int:
         for expansion in EXPANSIONS:
             accs = [run_cell(expansion, gamma, seed) for seed in range(args.seeds)]
             mean = float(np.mean(accs))
-            se = float(np.std(accs, ddof=1) / np.sqrt(len(accs)))
+            # one seed has no spread to estimate: report nan, without numpy's warning
+            se = float(np.std(accs, ddof=1) / np.sqrt(len(accs))) if len(accs) > 1 else float("nan")
             rows.append({"expansion": expansion, "gamma": gamma, "mean_acc": mean, "stderr": se})
             print(f"{expansion:>9}  {gamma:>8g}  {mean:8.4f}  {se:8.4f}")
     if args.csv:

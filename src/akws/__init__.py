@@ -10,12 +10,12 @@ from .classifier import (
     Afam,
     AnalyticClassifier,
     LabelMatrix,
-    afam_direct,
     joint_solve,
     predict,
     recalibrate,
     update,
 )
+from .config import HarnessConfig
 from .data import (
     LabeledDataset,
     SynthSpec,
@@ -32,7 +32,6 @@ from .extractor import ExtractorModel, extract, pretrain_extractor
 from .harness import (
     AccuracyMatrix,
     ExperimentResult,
-    HarnessConfig,
     MetricsReport,
     OracleReport,
     TaskData,
@@ -63,7 +62,6 @@ __all__ = [
     "Afam",
     "AnalyticClassifier",
     "LabelMatrix",
-    "afam_direct",
     "joint_solve",
     "predict",
     "recalibrate",

@@ -71,7 +71,6 @@ from .errors import (
     DataError,
     InvalidRegularizerError,
     ShapeError,
-    UntrainedClassifierError,
 )
 
 
@@ -373,37 +372,6 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
     )
 
 
-def afam_direct(batches, gamma: float, expansion_size: int | None = None) -> Afam:
-    """Regularized inverse Gram over the given batches, computed directly.
-
-    With no batches the expansion size must be given and the result is
-    ``(1/gamma) I``. This is the reference the recursive updates are
-    checked against.
-    """
-    if gamma <= 0:
-        raise InvalidRegularizerError(f"ridge parameter must be > 0, got {gamma}")
-    e = expansion_size
-    mats = []
-    for s in batches:
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 2:
-            raise ShapeError("feature matrix must be 2-D")
-        if not np.all(np.isfinite(s)):
-            # potrf does not flag NaN, so the inverse would come back NaN
-            raise DataError("feature matrix contains non-finite entries")
-        if e is None:
-            e = s.shape[1]
-        elif s.shape[1] != e:
-            raise ShapeError(f"inconsistent expanded widths: {e} vs {s.shape[1]}")
-        mats.append(s)
-    if e is None:
-        raise ShapeError("expansion size required when no batches are given")
-    gram = gamma * np.eye(e)
-    for s in mats:
-        gram += s.T @ s
-    return Afam(matrix=_materialize_inverse(_spd_factor(gram)), gamma=float(gamma))
-
-
 def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:
     """Global class id of the best-scoring column per row.
 
@@ -411,7 +379,7 @@ def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:
     class, so predictions are deterministic.
     """
     if c.n_classes < 1:
-        raise UntrainedClassifierError("classifier has no registered classes")
+        raise ShapeError("classifier has no registered classes")
     x = np.asarray(x_expanded, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != c.expansion_size:
         raise ShapeError(f"expected n x {c.expansion_size} features, got {x.shape}")

@@ -4,12 +4,14 @@ Commands:
     gen           write synthetic per-task feature CSVs plus a manifest
     run           execute an experiment; emits results JSON, grid CSV,
                   classifier snapshot, and a one-line summary on stdout
-    oracle-check  compare the recursive pipeline against the joint
-                  solution on the same data
+    oracle-check  run the same task loop as ``run`` and compare it with
+                  the joint solution after every task
     metrics       recompute the accuracy metrics from a grid CSV
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
-input. A config that breaks the schema, a manifest or feature CSV that
+input. A config that breaks the schema (a negative seed, a zero data
+dimension, a split that does not cover the classes, an expansion no
+wider than the features it expands), a manifest or feature CSV that
 does not parse, or data whose first task has no test rows (so its
 accuracy, and ACC, are undefined) is invalid input; a data file that
 cannot be opened under ``run`` or ``oracle-check``, or a numerical
@@ -26,7 +28,6 @@ from .config import ManifestDataConfig, RunConfig, load_config, parse_config
 from .data import SynthSpec, gen_synth_split, save_features, write_manifest
 from .errors import AkwsError, ConfigError, InvalidSplitError, MetricUndefinedError, ParseError
 from .harness import (
-    HarnessConfig,
     acc_metric,
     build_tasks,
     bwt_metric,
@@ -87,39 +88,33 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _assemble_tasks(cfg: RunConfig):
-    if isinstance(cfg.data, ManifestDataConfig):
-        return tasks_from_manifest(cfg.data.path)
     d = cfg.data
-    spec = SynthSpec(
-        n_classes=d.classes,
-        samples_per_class=d.per_class,
-        raw_dim=d.dim,
-        cluster_separation=d.separation,
-        noise_sigma=d.noise_sigma,
-        seed=d.seed,
-    )
-    train, test = gen_synth_split(spec, d.test_per_class)
-    split = split_tasks(
-        range(d.classes),
-        cfg.split.base_count,
-        cfg.split.step_count,
-        cfg.split.classes_per_step,
-        cfg.split.seed,
-    )
-    return build_tasks(train, test, split)
-
-
-def _harness_config(cfg: RunConfig) -> HarnessConfig:
-    return HarnessConfig(
-        gamma=cfg.gamma,
-        expansion_size=cfg.expansion,
-        activation=cfg.activation,
-        seed=cfg.seed,
-        use_extractor=cfg.extractor.enabled,
-        extractor_hidden=cfg.extractor.hidden,
-        extractor_epochs=cfg.extractor.epochs,
-        extractor_lr=cfg.extractor.lr,
-    )
+    if isinstance(d, ManifestDataConfig):
+        tasks = tasks_from_manifest(d.path)
+    else:
+        spec = SynthSpec(
+            n_classes=d.classes,
+            samples_per_class=d.per_class,
+            raw_dim=d.dim,
+            cluster_separation=d.separation,
+            noise_sigma=d.noise_sigma,
+            seed=d.seed,
+        )
+        train, test = gen_synth_split(spec, d.test_per_class)
+        split = split_tasks(
+            range(d.classes),
+            cfg.split.base_count,
+            cfg.split.step_count,
+            cfg.split.classes_per_step,
+            cfg.split.seed,
+        )
+        tasks = build_tasks(train, test, split)
+    h = cfg.harness
+    if tasks:  # an empty manifest fails in the harness
+        width = h.extractor_hidden if h.use_extractor else tasks[0].train.dim
+        if h.expansion_size <= width:
+            raise ConfigError(f"must exceed the width of the features it expands ({width})", field="expansion")
+    return tasks
 
 
 def _cmd_gen(args) -> int:
@@ -164,7 +159,7 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     tasks = _assemble_tasks(cfg)
-    result = run_experiment(tasks, _harness_config(cfg))
+    result = run_experiment(tasks, cfg.harness)
     os.makedirs(args.out, exist_ok=True)
     doc = results_dict(result, cfg.to_dict())
     with open(os.path.join(args.out, "results.json"), "w", encoding="utf-8", newline="\n") as fh:
@@ -179,7 +174,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle_check(args) -> int:
     cfg = _resolve_config(args)
     tasks = _assemble_tasks(cfg)
-    report = oracle_check(tasks, _harness_config(cfg), inject_noise=args.inject_noise)
+    report = oracle_check(tasks, cfg.harness, inject_noise=args.inject_noise)
     for t, (dev, agree) in enumerate(zip(report.weight_deviation, report.argmax_agreement)):
         print(f"prefix {t}: deviation={dev:.3e} agreement={agree:.6f}")
     ok = report.max_deviation <= ORACLE_TOLERANCE and report.min_agreement == 1.0
@@ -213,8 +208,8 @@ def main(argv=None) -> int:
     }
     validation = {
         "gen": (ConfigError, InvalidSplitError, ValueError),
-        "run": (ConfigError, ParseError, MetricUndefinedError),
-        "oracle-check": (ConfigError, ParseError, MetricUndefinedError),
+        "run": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
+        "oracle-check": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
         "metrics": (ConfigError, ParseError, MetricUndefinedError, OSError),
     }[args.command]
     try:

@@ -51,32 +51,44 @@ class SplitConfig:
 
 
 @dataclass(frozen=True)
-class ExtractorConfig:
-    enabled: bool = True
-    hidden: int = 32
-    epochs: int = 20
-    lr: float = 0.05
+class HarnessConfig:
+    """Hyperparameters of one experiment run."""
+
+    gamma: float = 0.1
+    expansion_size: int = 128
+    activation: str = "relu"
+    seed: int = 42
+    use_extractor: bool = True
+    extractor_hidden: int = 32
+    extractor_epochs: int = 20
+    extractor_lr: float = 0.05
+
+
+_DEFAULTS = HarnessConfig()
+# The JSON key of each HarnessConfig field: top-level keys, then the keys
+# of the "extractor" object.
+_TOP_KEYS = {"gamma": "gamma", "expansion": "expansion_size", "activation": "activation", "seed": "seed"}
+_EXTRACTOR_KEYS = {
+    "enabled": "use_extractor",
+    "hidden": "extractor_hidden",
+    "epochs": "extractor_epochs",
+    "lr": "extractor_lr",
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated config document: where the tasks come from, and how to run them."""
+
     data: SynthDataConfig | ManifestDataConfig
     split: SplitConfig | None
-    gamma: float = 0.1
-    expansion: int = 128
-    activation: str = "relu"
-    seed: int = 42
-    extractor: ExtractorConfig = ExtractorConfig()
+    harness: HarnessConfig
 
     def to_dict(self) -> dict:
-        doc = {
-            "data": asdict(self.data),
-            "gamma": self.gamma,
-            "expansion": self.expansion,
-            "activation": self.activation,
-            "seed": self.seed,
-            "extractor": asdict(self.extractor),
-        }
+        h = self.harness
+        doc = {key: getattr(h, name) for key, name in _TOP_KEYS.items()}
+        doc["extractor"] = {key: getattr(h, name) for key, name in _EXTRACTOR_KEYS.items()}
+        doc["data"] = asdict(self.data)
         doc["data"]["kind"] = "synth" if isinstance(self.data, SynthDataConfig) else "manifest"
         if self.split is not None:
             doc["split"] = asdict(self.split)
@@ -126,10 +138,14 @@ def _parse_data(doc, path="data"):
             raise ConfigError("must be >= 1", field=f"{path}.per_class")
         if cfg.test_per_class < 1:
             raise ConfigError("must be >= 1", field=f"{path}.test_per_class")
+        if cfg.dim < 1:
+            raise ConfigError("must be >= 1", field=f"{path}.dim")
         if cfg.separation <= 0:
             raise ConfigError("must be > 0", field=f"{path}.separation")
         if cfg.noise_sigma < 0:
             raise ConfigError("must be >= 0", field=f"{path}.noise_sigma")
+        if cfg.seed < 0:
+            raise ConfigError("must be >= 0", field=f"{path}.seed")
         return cfg
     if kind == "manifest":
         _require(doc, {"kind", "path"}, path)
@@ -141,30 +157,37 @@ def _parse_split(doc, path="split"):
     if not isinstance(doc, dict):
         raise ConfigError("expected an object", field=path)
     _require(doc, {"base_count", "step_count", "classes_per_step", "seed"}, path)
-    return SplitConfig(
+    cfg = SplitConfig(
         base_count=_typed(doc, "base_count", int, path, required=True),
         step_count=_typed(doc, "step_count", int, path, required=True),
         classes_per_step=_typed(doc, "classes_per_step", int, path, required=True),
         seed=_typed(doc, "seed", int, path, default=0),
     )
+    if cfg.seed < 0:
+        raise ConfigError("must be >= 0", field=f"{path}.seed")
+    return cfg
+
+
+def _harness_fields(doc: dict, keys: dict, path: str) -> dict:
+    """HarnessConfig arguments read from ``doc``, typed and defaulted as the dataclass is."""
+    out = {}
+    for key, name in keys.items():
+        default = getattr(_DEFAULTS, name)
+        out[name] = _typed(doc, key, type(default), path, default=default)
+    return out
 
 
 def _parse_extractor(doc, path="extractor"):
     if not isinstance(doc, dict):
         raise ConfigError("expected an object", field=path)
-    _require(doc, {"enabled", "hidden", "epochs", "lr"}, path)
-    cfg = ExtractorConfig(
-        enabled=_typed(doc, "enabled", bool, path, default=True),
-        hidden=_typed(doc, "hidden", int, path, default=32),
-        epochs=_typed(doc, "epochs", int, path, default=20),
-        lr=_typed(doc, "lr", float, path, default=0.05),
-    )
-    if cfg.enabled:
-        if cfg.hidden < 1:
+    _require(doc, set(_EXTRACTOR_KEYS), path)
+    cfg = _harness_fields(doc, _EXTRACTOR_KEYS, path)
+    if cfg["use_extractor"]:
+        if cfg["extractor_hidden"] < 1:
             raise ConfigError("must be >= 1", field=f"{path}.hidden")
-        if cfg.epochs < 1:
+        if cfg["extractor_epochs"] < 1:
             raise ConfigError("must be >= 1", field=f"{path}.epochs")
-        if cfg.lr <= 0:
+        if cfg["extractor_lr"] <= 0:
             raise ConfigError("must be > 0", field=f"{path}.lr")
     return cfg
 
@@ -173,39 +196,30 @@ def parse_config(doc: dict) -> RunConfig:
     """Validate a config document; unknown keys anywhere are rejected."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _require(doc, {"data", "split", "gamma", "expansion", "activation", "seed", "extractor"}, "")
+    _require(doc, {"data", "split", "extractor", *_TOP_KEYS}, "")
     data = _parse_data(doc.get("data", {}))
     split = _parse_split(doc["split"]) if "split" in doc else None
     if split is not None and isinstance(data, ManifestDataConfig):
         raise ConfigError("not applicable to manifest data", field="split")
-    gamma = _typed(doc, "gamma", float, "", default=0.1)
-    if gamma <= 0:
+    cfg = _harness_fields(doc, _TOP_KEYS, "")
+    if cfg["gamma"] <= 0:
         raise ConfigError("must be > 0", field="gamma")
-    expansion = _typed(doc, "expansion", int, "", default=128)
-    if expansion < 2:
+    if cfg["expansion_size"] < 2:
         raise ConfigError("must be >= 2", field="expansion")
-    activation = _typed(doc, "activation", str, "", default="relu")
-    if activation not in _ACTIVATIONS:
+    if cfg["activation"] not in _ACTIVATIONS:
         raise ConfigError(f"must be one of {_ACTIVATIONS}", field="activation")
-    seed = _typed(doc, "seed", int, "", default=42)
-    extractor = _parse_extractor(doc["extractor"]) if "extractor" in doc else ExtractorConfig()
+    if cfg["seed"] < 0:
+        raise ConfigError("must be >= 0", field="seed")
+    cfg.update(_parse_extractor(doc.get("extractor", {})))
     if isinstance(data, SynthDataConfig) and split is None:
         base = data.classes // 2
         split = SplitConfig(
             base_count=base,
             step_count=data.classes - base,
             classes_per_step=1,
-            seed=seed,
+            seed=cfg["seed"],
         )
-    return RunConfig(
-        data=data,
-        split=split,
-        gamma=gamma,
-        expansion=expansion,
-        activation=activation,
-        seed=seed,
-        extractor=extractor,
-    )
+    return RunConfig(data=data, split=split, harness=HarnessConfig(**cfg))
 
 
 def load_config(path) -> dict:

@@ -27,7 +27,6 @@ class LabeledDataset:
 
     features: np.ndarray  # n x d
     labels: np.ndarray  # n, int64
-    class_names: dict[int, str] | None = None
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
@@ -53,7 +52,7 @@ class LabeledDataset:
     def restrict(self, class_ids) -> "LabeledDataset":
         """Rows whose label is in ``class_ids``, in original order."""
         keep = np.isin(self.labels, np.asarray(sorted(class_ids), dtype=np.int64))
-        return LabeledDataset(self.features[keep], self.labels[keep], self.class_names)
+        return LabeledDataset(self.features[keep], self.labels[keep])
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def rectifier_scramble(ds: LabeledDataset, obs_dim: int, seed: int) -> LabeledDa
     projection = rng.standard_normal((d, obs_dim)) / np.sqrt(d)
     offset = 0.1 * rng.standard_normal(obs_dim)
     obs = np.maximum(ds.features @ projection + offset, 0.0)
-    return LabeledDataset(obs, ds.labels, ds.class_names)
+    return LabeledDataset(obs, ds.labels)
 
 
 def save_features(ds: LabeledDataset, path) -> None:

@@ -11,19 +11,13 @@ class AkwsError(Exception):
 
 
 class ShapeError(AkwsError, ValueError):
-    """Matrix dimensions do not line up for the requested operation."""
+    """Dimensions do not fit the operation (including a width below one,
+    an expansion no wider than its input, or no classes to predict)."""
 
 
 class DataError(AkwsError, ValueError):
-    """Input data violates a value constraint (e.g. NaN/Inf entries)."""
-
-
-class InvalidExpansionSizeError(AkwsError, ValueError):
-    """Expansion size must exceed the input feature dimension."""
-
-
-class InvalidDimensionError(AkwsError, ValueError):
-    """Feature dimension must be at least one."""
+    """Data or a training setting violates a value constraint (NaN/Inf
+    entries, an empty task, too few classes, a non-positive learning rate)."""
 
 
 class InvalidRegularizerError(AkwsError, ValueError):
@@ -34,28 +28,8 @@ class ClassCollisionError(AkwsError, ValueError):
     """A batch declared class ids that are already registered."""
 
 
-class UntrainedClassifierError(AkwsError, ValueError):
-    """Prediction requested from a classifier with no classes."""
-
-
-class ExtractorNotFrozenError(AkwsError, ValueError):
-    """Feature extraction requires a frozen extractor."""
-
-
-class InvalidPretrainSetError(AkwsError, ValueError):
-    """Pretraining data must contain at least two classes."""
-
-
-class InvalidLearningRateError(AkwsError, ValueError):
-    """Learning rate must be strictly positive."""
-
-
 class InvalidSplitError(AkwsError, ValueError):
     """Task split arithmetic does not cover the class set exactly."""
-
-
-class EmptyTaskError(AkwsError, ValueError):
-    """A task in the sequence has an empty training set."""
 
 
 class MetricUndefinedError(AkwsError, ValueError):

@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    InvalidDimensionError,
-    InvalidExpansionSizeError,
-    ShapeError,
-)
+from .errors import DataError, ShapeError
 from .prng import normal_matrix
 
 ACTIVATIONS = ("identity", "relu")
@@ -47,9 +42,9 @@ def build_expansion(dim: int, expansion_size: int, seed: int, activation: str = 
     reproduce bit-identical matrices.
     """
     if dim < 1:
-        raise InvalidDimensionError(f"feature dimension must be >= 1, got {dim}")
+        raise ShapeError(f"feature dimension must be >= 1, got {dim}")
     if expansion_size <= dim:
-        raise InvalidExpansionSizeError(
+        raise ShapeError(
             f"expansion size must exceed the feature dimension ({expansion_size} <= {dim})"
         )
     matrix = normal_matrix(dim, expansion_size, seed)

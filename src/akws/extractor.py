@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import (
-    ExtractorNotFrozenError,
-    InvalidLearningRateError,
-    InvalidPretrainSetError,
-    ShapeError,
-)
+from .errors import DataError, ShapeError
 
 BATCH_SIZE = 32
 
@@ -28,7 +23,6 @@ class ExtractorModel:
     b1: np.ndarray  # H
     w2: np.ndarray  # H x C0
     b2: np.ndarray  # C0
-    frozen: bool = False
 
     @property
     def input_dim(self) -> int:
@@ -81,16 +75,16 @@ def pretrain_extractor(
     loss history.
     """
     if lr <= 0:
-        raise InvalidLearningRateError(f"learning rate must be > 0, got {lr}")
+        raise DataError(f"learning rate must be > 0, got {lr}")
     if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+        raise DataError(f"epochs must be >= 1, got {epochs}")
     if d0.n < 1:
-        raise InvalidPretrainSetError("pretraining set is empty")
+        raise DataError("pretraining set is empty")
     classes = d0.classes()
     if len(classes) < 2:
-        raise InvalidPretrainSetError(f"pretraining needs >= 2 classes, got {len(classes)}")
+        raise DataError(f"pretraining needs >= 2 classes, got {len(classes)}")
     if hidden < 1:
-        raise ValueError(f"hidden width must be >= 1, got {hidden}")
+        raise ShapeError(f"hidden width must be >= 1, got {hidden}")
 
     col = {c: j for j, c in enumerate(classes)}
     y = np.zeros((d0.n, len(classes)))
@@ -117,7 +111,7 @@ def pretrain_extractor(
             w2 = w2 - lr * gw2
             b2 = b2 - lr * gb2
         history.append(epoch_loss / d0.n)
-    model = ExtractorModel(w1=w1, b1=b1, w2=w2, b2=b2, frozen=True)
+    model = ExtractorModel(w1=w1, b1=b1, w2=w2, b2=b2)
     for arr in (model.w1, model.b1, model.w2, model.b2):
         arr.flags.writeable = False
     return model, history
@@ -125,8 +119,6 @@ def pretrain_extractor(
 
 def extract(m: ExtractorModel, x: np.ndarray) -> np.ndarray:
     """Hidden-layer activations (n x H) of a frozen extractor."""
-    if not m.frozen:
-        raise ExtractorNotFrozenError("extractor must be frozen before extraction")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.input_dim:
         raise ShapeError(f"expected n x {m.input_dim} input, got {x.shape}")

@@ -12,6 +12,11 @@ sets 0..t; the average-accuracy metric is the mean of that vector and
 backward transfer compares the final entry against each intermediate one.
 Per-task training wall time covers stage-3 work only (feature extraction,
 expansion, update), never evaluation or I/O.
+
+``run_experiment`` and ``oracle_check`` run the same task loop
+(``_Pipeline.run``). The oracle only watches it, one callback per fitted
+task, so the loop it checks against the joint solution is the one
+``akws run`` executes.
 """
 
 import time
@@ -27,8 +32,9 @@ from .classifier import (
     recalibrate,
     update,
 )
+from .config import HarnessConfig
 from .data import LabeledDataset, load_features, load_manifest
-from .errors import EmptyTaskError, InvalidSplitError, MetricUndefinedError, ParseError
+from .errors import DataError, InvalidSplitError, MetricUndefinedError, ParseError
 from .expansion import ExpansionMap, build_expansion, expand
 from .extractor import ExtractorModel, extract, pretrain_extractor
 from .snapshot import SnapshotMeta
@@ -103,20 +109,6 @@ def tasks_from_manifest(path) -> list[TaskData]:
     return tasks
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Hyperparameters of one experiment run."""
-
-    gamma: float = 0.1
-    expansion_size: int = 128
-    activation: str = "relu"
-    seed: int = 0
-    use_extractor: bool = True
-    extractor_hidden: int = 32
-    extractor_epochs: int = 20
-    extractor_lr: float = 0.05
-
-
 @dataclass
 class AccuracyMatrix:
     """Per-task evaluation record of one run.
@@ -129,6 +121,17 @@ class AccuracyMatrix:
     a_vector: np.ndarray
     grid: np.ndarray
     test_sizes: np.ndarray
+
+    @classmethod
+    def from_grid(cls, grid: np.ndarray, sizes: np.ndarray) -> "AccuracyMatrix":
+        """The record of a filled grid, with ``a_vector`` computed from it."""
+        w = sizes.astype(np.float64)
+        a = np.empty(grid.shape[0])
+        for t in range(a.size):
+            if not np.any(w[: t + 1]):
+                raise MetricUndefinedError(f"step {t}: tasks 0..{t} have no test rows")
+            a[t] = np.sum(grid[t, : t + 1] * w[: t + 1]) / np.sum(w[: t + 1])
+        return cls(a_vector=a, grid=grid, test_sizes=sizes)
 
 
 @dataclass
@@ -172,22 +175,15 @@ def bwt_metric(a: AccuracyMatrix) -> float:
     return float(np.mean(v[t_final] - v[1:]))
 
 
-def _weighted_row_accuracy(grid_row: np.ndarray, sizes: np.ndarray, upto: int) -> float:
-    w = sizes[: upto + 1].astype(np.float64)
-    if not np.any(w):
-        raise MetricUndefinedError(f"step {upto}: tasks 0..{upto} have no test rows")
-    return float(np.sum(grid_row[: upto + 1] * w) / np.sum(w))
-
-
 class _Pipeline:
-    """Shared run logic: extraction, expansion, per-task state."""
+    """The one task loop, with the extraction, expansion and evaluation it runs."""
 
     def __init__(self, tasks: list[TaskData], config: HarnessConfig):
         if not tasks:
-            raise EmptyTaskError("experiment needs at least one task")
+            raise DataError("experiment needs at least one task")
         for task in tasks:
             if task.train.n == 0:
-                raise EmptyTaskError(f"task {task.task_id} has an empty training set")
+                raise DataError(f"task {task.task_id} has an empty training set")
         if tasks[0].test.n == 0:
             # checked before any fit: step 0's accuracy would be 0/0
             raise MetricUndefinedError("step 0: tasks 0..0 have no test rows")
@@ -213,7 +209,8 @@ class _Pipeline:
         )
         # Every task's expanded test rows live in one buffer, in task order,
         # so evaluating tasks 0..t is one product over a prefix of it.
-        self.test_offsets = np.cumsum([0] + [task.test.n for task in tasks])
+        self.test_sizes = np.array([task.test.n for task in tasks], dtype=np.int64)
+        self.test_offsets = np.concatenate([[0], np.cumsum(self.test_sizes)])
         self.test_labels = np.concatenate([task.test.labels for task in tasks])
         self._test_x = np.empty((int(self.test_offsets[-1]), config.expansion_size))
         self._test_filled = 0
@@ -250,6 +247,32 @@ class _Pipeline:
         grid[upto, : upto + 1] = np.where(sizes > 0, correct / np.maximum(sizes, 1), 0.0)
         return pred
 
+    def run(self, on_task=None) -> tuple[AnalyticClassifier, np.ndarray, list[float]]:
+        """Fit task 0 in closed form, absorb each later task by one update.
+
+        Returns the final classifier, the accuracy grid and each fit's wall
+        time (extraction, expansion and the fit; never evaluation). After
+        step t's grid row, ``on_task(t, clf, batch, pred)`` sees the fitted
+        classifier, the task's expanded training batch and the predictions
+        on tasks 0..t. Without it the batch is released as part of the fit,
+        before evaluation, since no later step needs it.
+        """
+        n = len(self.tasks)
+        grid = np.full((n, n), np.nan)
+        fit_times = []
+        clf = None
+        for t in range(n):
+            t0 = time.perf_counter()
+            batch = self.train_batch(t)
+            clf = recalibrate(*batch, self.config.gamma) if t == 0 else update(clf, *batch)
+            if on_task is None:
+                batch = None
+            fit_times.append(time.perf_counter() - t0)
+            pred = self.grid_row(clf, t, grid)
+            if on_task is not None:
+                on_task(t, clf, batch, pred)
+        return clf, grid, fit_times
+
 
 def run_experiment(tasks: list[TaskData], config: HarnessConfig) -> ExperimentResult:
     """Execute the three-stage pipeline over a task sequence.
@@ -258,35 +281,16 @@ def run_experiment(tasks: list[TaskData], config: HarnessConfig) -> ExperimentRe
     form and every incremental task is absorbed by one recursive update.
     """
     pipe = _Pipeline(tasks, config)
-    n_tasks = len(tasks)
-    grid = np.full((n_tasks, n_tasks), np.nan)
-    test_sizes = np.array([t.test.n for t in tasks], dtype=np.int64)
-
-    t0 = time.perf_counter()
-    # The base batch is dropped once fit: no update needs it.
-    clf = recalibrate(*pipe.train_batch(0), config.gamma)
-    recal_time = time.perf_counter() - t0
-    pipe.grid_row(clf, 0, grid)
-
-    tt = []
-    for t in range(1, n_tasks):
-        t0 = time.perf_counter()
-        clf = update(clf, *pipe.train_batch(t))
-        tt.append(time.perf_counter() - t0)
-        pipe.grid_row(clf, t, grid)
-
-    a_vector = np.array(
-        [_weighted_row_accuracy(grid[t], test_sizes, t) for t in range(n_tasks)]
-    )
-    accuracy = AccuracyMatrix(a_vector=a_vector, grid=grid, test_sizes=test_sizes)
-    bwt_undefined = n_tasks < 2
+    clf, grid, fit_times = pipe.run()
+    accuracy = AccuracyMatrix.from_grid(grid, pipe.test_sizes)
+    bwt_undefined = len(tasks) < 2
     metrics = MetricsReport(
         acc=acc_metric(accuracy),
         bwt=0.0 if bwt_undefined else bwt_metric(accuracy),
         bwt_undefined=bwt_undefined,
-        tt_per_task=tt,
+        tt_per_task=fit_times[1:],
         extra_memory_elements=clf.state_elements(),
-        stage_times={"pretrain": pipe.pretrain_time, "recalibrate": recal_time},
+        stage_times={"pretrain": pipe.pretrain_time, "recalibrate": fit_times[0]},
     )
     meta = SnapshotMeta(
         dim=pipe.expansion.dim, seed=config.seed, activation=config.activation
@@ -332,51 +336,38 @@ def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def oracle_check(tasks: list[TaskData], config: HarnessConfig, inject_noise: float = 0.0) -> OracleReport:
-    """Run the recursive pipeline against the joint solution per prefix.
+    """Run the production task loop against the joint solution per prefix.
 
-    Unlike a production run this deliberately retains every expanded
-    batch, since the joint oracle needs them. ``inject_noise`` perturbs
-    the recursive weights (fault injection for testing the checker).
+    Unlike a production run this retains every expanded batch, since the
+    joint oracle needs them. ``inject_noise`` perturbs the recursive
+    weights compared at each prefix (fault injection for testing the
+    checker); the chain that later updates build on is left alone.
     """
     pipe = _Pipeline(tasks, config)
     n_tasks = len(tasks)
-    grid_rec = np.full((n_tasks, n_tasks), np.nan)
     grid_joint = np.full((n_tasks, n_tasks), np.nan)
-    test_sizes = np.array([t.test.n for t in tasks], dtype=np.int64)
     noise_rng = np.random.default_rng(config.seed ^ 0x5EED)
-
     batches = []
     deviations = []
     agreements = []
-    clf = None
-    for t in range(n_tasks):
-        s, y = pipe.train_batch(t)
-        batches.append((s, y))
-        clf = recalibrate(s, y, config.gamma) if t == 0 else update(clf, s, y)
+
+    def compare(t, clf, batch, pred_rec):
+        batches.append(batch)
+        weights = clf.weights
         if inject_noise:
-            scale = inject_noise * max(1.0, float(np.max(np.abs(clf.weights))))
-            noisy = clf.weights + scale * noise_rng.standard_normal(clf.weights.shape)
-            clf = AnalyticClassifier(
-                weights=noisy,
-                afam=clf.afam,
-                class_registry=clf.class_registry,
-                tasks_seen=clf.tasks_seen,
-            )
+            scale = inject_noise * max(1.0, float(np.max(np.abs(weights))))
+            weights = weights + scale * noise_rng.standard_normal(weights.shape)
         joint = joint_solve(batches, config.gamma)
-        deviations.append(relative_frobenius(clf.weights, joint.weights))
-        pred_rec = pipe.grid_row(clf, t, grid_rec)
+        deviations.append(relative_frobenius(weights, joint.weights))
         pred_joint = pipe.grid_row(joint, t, grid_joint)
         agreements.append(float(np.mean(pred_rec == pred_joint)) if pred_rec.size else 1.0)
 
-    def _matrix(grid):
-        a = np.array([_weighted_row_accuracy(grid[t], test_sizes, t) for t in range(n_tasks)])
-        return AccuracyMatrix(a_vector=a, grid=grid, test_sizes=test_sizes)
-
+    _, grid_rec, _ = pipe.run(compare)
     return OracleReport(
         weight_deviation=deviations,
         argmax_agreement=agreements,
-        recursive_accuracy=_matrix(grid_rec),
-        joint_accuracy=_matrix(grid_joint),
+        recursive_accuracy=AccuracyMatrix.from_grid(grid_rec, pipe.test_sizes),
+        joint_accuracy=AccuracyMatrix.from_grid(grid_joint, pipe.test_sizes),
     )
 
 
@@ -440,8 +431,7 @@ def read_grid_csv(path) -> AccuracyMatrix:
         sizes = np.ones(n, dtype=np.int64)
     elif sizes.shape[0] != n:
         raise ParseError("test_sizes length does not match the grid", line=1)
-    a = np.array([_weighted_row_accuracy(grid[t], sizes, t) for t in range(n)])
-    return AccuracyMatrix(a_vector=a, grid=grid, test_sizes=sizes)
+    return AccuracyMatrix.from_grid(grid, sizes)
 
 
 def results_dict(result: ExperimentResult, config_echo: dict) -> dict:

@@ -23,7 +23,6 @@ from akws import (
     HarnessConfig,
     LabelMatrix,
     SynthSpec,
-    afam_direct,
     build_tasks,
     bwt_metric,
     gen_synth_split,
@@ -103,7 +102,7 @@ def test_criterion_02_afam_recursion_matches_direct_form():
     worst = 0.0
     for e, gamma, batches, _ in sweep_instances():
         recursive = chain(batches, gamma)
-        direct = afam_direct([s for s, _ in batches], gamma)
+        direct = joint_solve(batches, gamma).afam
         dev = relative_frobenius(recursive.afam.matrix, direct.matrix)
         worst = max(worst, dev)
         assert dev < 1e-10

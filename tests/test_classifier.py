@@ -7,7 +7,6 @@ import pytest
 
 from akws import (
     LabelMatrix,
-    afam_direct,
     joint_solve,
     predict,
     recalibrate,
@@ -21,7 +20,6 @@ from akws.errors import (
     DataError,
     InvalidRegularizerError,
     ShapeError,
-    UntrainedClassifierError,
 )
 
 from oracles import ridge_normal_equations
@@ -266,7 +264,7 @@ class TestKernels:
         assert np.array_equal(inv, inv.T)
         assert relative_frobenius(inv, np.linalg.inv(gram)) < 1e-12
 
-    @pytest.mark.parametrize("fit", ["recalibrate", "joint_solve", "afam_direct"])
+    @pytest.mark.parametrize("fit", ["recalibrate", "joint_solve"])
     def test_gram_not_positive_definite_is_a_data_error(self, fit):
         # rank-one Gram of magnitude 1e16: a ridge of 1e-10 is below its rounding
         s = np.full((2, 3), 1e8)
@@ -274,7 +272,6 @@ class TestKernels:
         calls = {
             "recalibrate": lambda: recalibrate(s, y, 1e-10),
             "joint_solve": lambda: joint_solve([(s, y)], 1e-10),
-            "afam_direct": lambda: afam_direct([s], 1e-10),
         }
         with pytest.raises(DataError, match="Gram matrix is not positive definite"):
             calls[fit]()
@@ -327,12 +324,14 @@ class TestJointSolve:
 
 
 class TestAfamDirect:
+    """The state formed directly, (S^T S + gamma I)^-1, as joint_solve returns it."""
+
     def test_no_batches_is_scaled_identity(self):
-        out = afam_direct([], 2.0, expansion_size=3)
+        out = joint_solve([(np.zeros((0, 3)), LabelMatrix(np.zeros((0, 0)), ()))], 2.0).afam
         assert np.allclose(out.matrix, 0.5 * np.eye(3), atol=1e-15)
 
     def test_identity_batch(self):
-        out = afam_direct([np.eye(2)], 1.0)
+        out = joint_solve([(np.eye(2), LabelMatrix.from_labels([0, 1]))], 1.0).afam
         assert np.allclose(out.matrix, 0.5 * np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -340,15 +339,16 @@ class TestAfamDirect:
         s = np.ones((4, 3))
         s[2, 1] = bad
         with pytest.raises(DataError, match="non-finite"):
-            afam_direct([s], 0.1)
+            joint_solve([(s, LabelMatrix.from_labels([0, 1, 0, 1]))], 0.1)
 
     def test_matches_chained_woodbury(self):
         rng = np.random.default_rng(12)
         s1 = rng.standard_normal((9, 6))
         s2 = rng.standard_normal((14, 6))
-        clf = recalibrate(s1, LabelMatrix.from_labels(rng.integers(0, 2, 9), class_ids=range(2)), 0.7)
-        clf = update(clf, s2, LabelMatrix.from_labels(rng.integers(2, 4, 14), class_ids=range(2, 4)))
-        direct = afam_direct([s1, s2], 0.7)
+        y1 = LabelMatrix.from_labels(rng.integers(0, 2, 9), class_ids=range(2))
+        y2 = LabelMatrix.from_labels(rng.integers(2, 4, 14), class_ids=range(2, 4))
+        clf = update(recalibrate(s1, y1, 0.7), s2, y2)
+        direct = joint_solve([(s1, y1), (s2, y2)], 0.7).afam
         assert relative_frobenius(clf.afam.matrix, direct.matrix) < 1e-10
 
 
@@ -378,7 +378,7 @@ class TestPredict:
         empty = AnalyticClassifier(
             weights=np.zeros((3, 0)), afam=Afam(np.eye(3), 1.0), class_registry={}, tasks_seen=0
         )
-        with pytest.raises(UntrainedClassifierError):
+        with pytest.raises(ShapeError, match="no registered classes"):
             predict(empty, np.zeros((1, 3)))
 
     def test_separable_clusters_high_accuracy(self):

@@ -49,7 +49,37 @@ class TestGen:
         assert code == 1
 
 
+# README's full config document.
+README_CONFIG = {
+    "data": {"kind": "synth", "classes": 10, "per_class": 100,
+             "test_per_class": 25, "dim": 16, "separation": 6.0,
+             "noise_sigma": 1.0, "seed": 1},
+    "split": {"base_count": 5, "step_count": 5, "classes_per_step": 1, "seed": 0},
+    "gamma": 0.1, "expansion": 128, "activation": "relu", "seed": 42,
+    "extractor": {"enabled": True, "hidden": 32, "epochs": 20, "lr": 0.05},
+}
+# The config echo of results.json, re-serialized with sorted keys; the
+# split seed is the run seed unless the document sets one.
+ECHO = (
+    '{"activation": "relu", "data": {"classes": 10, "dim": 16, "kind": "synth", '
+    '"noise_sigma": 1.0, "per_class": 100, "seed": 1, "separation": 6.0, "test_per_class": 25}, '
+    '"expansion": 128, "extractor": {"enabled": true, "epochs": 20, "hidden": 32, "lr": 0.05}, '
+    '"gamma": 0.1, "seed": 42, "split": {"base_count": 5, "classes_per_step": 1, "seed": SPLIT_SEED, '
+    '"step_count": 5}}'
+)
+
+
 class TestRun:
+    @pytest.mark.parametrize("doc, split_seed", [(None, "42"), (README_CONFIG, "0")], ids=["default", "readme"])
+    def test_config_echo_is_pinned(self, tmp_path, doc, split_seed):
+        args = ["run", "--out", tmp_path / "o"]
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            args += ["--config", tmp_path / "cfg.json"]
+        assert run_cli(*args) == 0
+        echo = json.loads((tmp_path / "o" / "results.json").read_text())["config"]
+        assert json.dumps(echo, sort_keys=True) == ECHO.replace("SPLIT_SEED", split_seed)
+
     def test_default_run_produces_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = run_cli("run", "--out", out, "--expansion", 48)
@@ -225,6 +255,34 @@ class TestMalformedInputExits2:
         code, err = self._run_with_bad_cell(tmp_path, capsys, command, lambda v: "-inf")
         assert code == 2
         assert err == "error: line 3: non-finite feature value\n"
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ({"seed": -1}, "seed: must be >= 0"),
+            ({"data": {"seed": -5}}, "data.seed: must be >= 0"),
+            (
+                {"split": {"base_count": 5, "step_count": 5, "classes_per_step": 1, "seed": -3}},
+                "split.seed: must be >= 0",
+            ),
+            ({"data": {"dim": 0}}, "data.dim: must be >= 1"),
+            (
+                {"split": {"base_count": 3, "step_count": 5, "classes_per_step": 1}},
+                "3 + 5 x 1 != 10 classes",
+            ),
+            ({"expansion": 32}, "expansion: must exceed the width of the features it expands (32)"),
+            (
+                {"expansion": 16, "extractor": {"enabled": False}},
+                "expansion: must exceed the width of the features it expands (16)",
+            ),
+        ],
+        ids=["seed", "data-seed", "split-seed", "data-dim", "split-arithmetic", "hidden", "raw-dim"],
+    )
+    def test_malformed_config(self, tmp_path, capsys, command, doc, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(*self._args(command, tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestOracleCheck:

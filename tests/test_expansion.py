@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from akws import build_expansion, expand
-from akws.errors import (
-    DataError,
-    InvalidDimensionError,
-    InvalidExpansionSizeError,
-    ShapeError,
-)
+from akws.errors import DataError, ShapeError
 
 from oracles import naive_matmul
 
@@ -25,14 +20,14 @@ def test_different_seeds_differ():
 
 
 def test_expansion_must_exceed_input_dim():
-    with pytest.raises(InvalidExpansionSizeError):
+    with pytest.raises(ShapeError, match="must exceed the feature dimension"):
         build_expansion(4, 4, 0)
-    with pytest.raises(InvalidExpansionSizeError):
+    with pytest.raises(ShapeError, match="must exceed the feature dimension"):
         build_expansion(8, 4, 0)
 
 
 def test_zero_dim_rejected():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ShapeError, match="feature dimension must be >= 1"):
         build_expansion(0, 4, 0)
 
 

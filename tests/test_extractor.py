@@ -3,12 +3,7 @@ import pytest
 
 from akws import SynthSpec, extract, gen_synth_split, pretrain_extractor
 from akws.data import LabeledDataset
-from akws.errors import (
-    ExtractorNotFrozenError,
-    InvalidLearningRateError,
-    InvalidPretrainSetError,
-    ShapeError,
-)
+from akws.errors import DataError, ShapeError
 from akws.extractor import ExtractorModel, _softmax, batch_loss, loss_and_grads
 
 
@@ -25,7 +20,7 @@ def separable_data(seed=0, n_classes=3, per_class=60):
 def test_pretrain_reaches_high_holdout_accuracy():
     train, test = separable_data()
     model, history = pretrain_extractor(train, hidden=32, epochs=20, lr=0.05, seed=0)
-    assert model.frozen
+    assert not model.w1.flags.writeable
     pred = model_predict(model, test.features)
     assert np.mean(pred == test.labels) >= 0.95
     assert history[-1] <= history[0]
@@ -34,20 +29,26 @@ def test_pretrain_reaches_high_holdout_accuracy():
 
 def test_zero_learning_rate_rejected():
     train, _ = separable_data()
-    with pytest.raises(InvalidLearningRateError):
+    with pytest.raises(DataError, match="learning rate must be > 0"):
         pretrain_extractor(train, hidden=8, epochs=1, lr=0.0, seed=0)
 
 
 def test_single_class_rejected():
     ds = LabeledDataset(np.random.default_rng(0).standard_normal((10, 4)), np.zeros(10, dtype=np.int64))
-    with pytest.raises(InvalidPretrainSetError):
+    with pytest.raises(DataError, match="pretraining needs >= 2 classes"):
         pretrain_extractor(ds, hidden=8, epochs=1, lr=0.1, seed=0)
 
 
 def test_epoch_count_validated():
     train, _ = separable_data()
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="epochs must be >= 1"):
         pretrain_extractor(train, hidden=8, epochs=0, lr=0.1, seed=0)
+
+
+def test_hidden_width_validated():
+    train, _ = separable_data()
+    with pytest.raises(ShapeError, match="hidden width must be >= 1"):
+        pretrain_extractor(train, hidden=0, epochs=1, lr=0.1, seed=0)
 
 
 def test_gradients_match_finite_differences():
@@ -82,7 +83,7 @@ def test_gradients_match_finite_differences():
 
 def test_extract_zero_input_zero_bias():
     model = ExtractorModel(
-        w1=np.ones((2, 3)), b1=np.zeros(3), w2=np.ones((3, 2)), b2=np.zeros(2), frozen=True
+        w1=np.ones((2, 3)), b1=np.zeros(3), w2=np.ones((3, 2)), b2=np.zeros(2)
     )
     out = extract(model, np.zeros((4, 2)))
     assert np.all(out == 0.0)
@@ -92,7 +93,7 @@ def test_extract_zero_input_zero_bias():
 def test_extract_tiny_model_hand_value():
     model = ExtractorModel(
         w1=np.array([[2.0], [-1.0]]), b1=np.array([0.5]),
-        w2=np.zeros((1, 2)), b2=np.zeros(2), frozen=True,
+        w2=np.zeros((1, 2)), b2=np.zeros(2),
     )
     out = extract(model, np.array([[1.0, 3.0], [3.0, 1.0]]))
     # max(0, 1*2 - 3*1 + 0.5) = 0;  max(0, 3*2 - 1*1 + 0.5) = 5.5
@@ -108,17 +109,9 @@ def test_extract_is_batch_invariant():
     assert np.array_equal(whole, parts)
 
 
-def test_extract_requires_frozen_model():
-    model = ExtractorModel(
-        w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2), frozen=False
-    )
-    with pytest.raises(ExtractorNotFrozenError):
-        extract(model, np.zeros((1, 2)))
-
-
 def test_extract_validates_width():
     model = ExtractorModel(
-        w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2), frozen=True
+        w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2)
     )
     with pytest.raises(ShapeError):
         extract(model, np.zeros((1, 3)))

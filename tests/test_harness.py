@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from akws import (
     write_grid_csv,
 )
 from akws.errors import (
-    EmptyTaskError,
+    DataError,
     InvalidSplitError,
     MetricUndefinedError,
     ParseError,
@@ -185,7 +187,7 @@ class TestRunExperiment:
             train=tasks[1].train.restrict([]),
             test=tasks[1].test,
         )
-        with pytest.raises(EmptyTaskError):
+        with pytest.raises(DataError, match="task 1 has an empty training set"):
             run_experiment([tasks[0], hollow], FAST)
 
     @pytest.mark.parametrize("entry", [run_experiment, oracle_check])
@@ -216,6 +218,37 @@ class TestRunExperiment:
         assert result.extractor is None
         assert result.expansion.dim == tasks[0].train.dim
         assert result.metrics.acc > 0.9
+
+    @pytest.mark.parametrize("use_extractor", [True, False])
+    def test_oracle_runs_the_production_loop(self, use_extractor):
+        tasks = synth_tasks()
+        cfg = replace(FAST, use_extractor=use_extractor)
+        grid = run_experiment(tasks, cfg).accuracy.grid
+        assert np.array_equal(oracle_check(tasks, cfg).recursive_accuracy.grid, grid, equal_nan=True)
+        # injected noise perturbs the compared weights, not the chain
+        noisy = oracle_check(tasks, cfg, inject_noise=1e-3)
+        assert noisy.max_deviation > 1e-9
+        assert np.array_equal(noisy.recursive_accuracy.grid, grid, equal_nan=True)
+
+    @pytest.mark.parametrize("entry", [run_experiment, oracle_check])
+    def test_fits_go_through_the_harness_names(self, entry, monkeypatch):
+        # perfbench times set-up up to the first call of these two names
+        import akws.harness
+
+        calls = []
+
+        def counted(name, fit):
+            def call(*args):
+                calls.append(name)
+                return fit(*args)
+
+            return call
+
+        for name in ("recalibrate", "update"):
+            monkeypatch.setattr(akws.harness, name, counted(name, getattr(akws.harness, name)))
+        tasks = synth_tasks()
+        entry(tasks, FAST)
+        assert calls == ["recalibrate"] + ["update"] * (len(tasks) - 1)
 
     def test_fault_injection_breaks_oracle(self):
         tasks = synth_tasks()

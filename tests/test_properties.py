@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from akws import (
     LabelMatrix,
     SynthSpec,
-    afam_direct,
     build_expansion,
     expand,
     gen_synth,
@@ -73,7 +72,7 @@ def test_afam_tracks_direct_form(seed, n_tasks, e, gamma, degenerate):
     rng = np.random.default_rng(seed)
     batches = make_tasks(rng, n_tasks, e, degenerate=degenerate)
     chained = run_chain(batches, gamma)
-    direct = afam_direct([s for s, _ in batches], gamma)
+    direct = joint_solve(batches, gamma).afam
     assert relative_frobenius(chained.afam.matrix, direct.matrix) < 1e-10
 
 
