@@ -7,7 +7,6 @@ recursive updates coincide with joint training.
 """
 
 from .classifier import (
-    Afam,
     AnalyticClassifier,
     LabelMatrix,
     joint_solve,
@@ -59,7 +58,6 @@ from .snapshot import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Afam",
     "AnalyticClassifier",
     "LabelMatrix",
     "joint_solve",

@@ -218,6 +218,9 @@ def load_manifest(path) -> list[dict]:
         for value in [entry["id"], *entry["classes"]]:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"task {i} id and classes must be integers, got {value!r}")
+        for cid in entry["classes"]:
+            if not 0 <= cid < 2**32:
+                raise ParseError(f"task {i} class id {cid} does not fit in 32 unsigned bits")
         tasks.append(
             {
                 "id": entry["id"],

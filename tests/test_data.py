@@ -171,6 +171,14 @@ class TestManifest:
         with pytest.raises(ParseError, match="task 1 "):
             load_manifest(path)
 
+    @pytest.mark.parametrize("cid", [2**32, -1])
+    def test_class_id_must_fit_u32(self, tmp_path, cid):
+        path = tmp_path / "manifest.json"
+        good = {"id": 0, "classes": [0], "train": "t0.csv", "test": "e0.csv"}
+        write_manifest(path, [good, {**good, "id": 1, "classes": [1, cid]}])
+        with pytest.raises(ParseError, match=f"task 1 class id {cid} does not fit"):
+            load_manifest(path)
+
     @pytest.mark.parametrize("text", ['{"tasks": {"id": 0}}', '{"tasks": [5]}'])
     def test_tasks_must_be_a_list_of_objects(self, tmp_path, text):
         path = tmp_path / "manifest.json"
