@@ -109,7 +109,9 @@ def _from_version_1(weights: np.ndarray, a: np.ndarray, gamma, registry, tasks_s
         raise SnapshotFormatError("version 1 autocorrelation matrix is singular") from None
     factor = gram.T
     if lapack.potrf("U", factor) != 0:
-        raise SnapshotFormatError("inverse of the version 1 autocorrelation matrix is not positive definite")
+        raise SnapshotFormatError(
+            "inverse of the version 1 autocorrelation matrix is not positive definite"
+        )
     targets = np.asfortranarray(np.triu(factor) @ weights)
     return AnalyticClassifier(weights, factor, targets, gamma, registry, tasks_seen)
 

@@ -39,8 +39,10 @@ def version_1_blob(c, a, meta):
     return b"".join(
         [
             b"AKWS",
-            struct.pack("<IIIIQBdII", 1, e, n_classes, meta.dim, meta.seed, 1, c.gamma, c.tasks_seen,
-                        len(c.class_registry)),
+            struct.pack(
+                "<IIIIQBdII", 1, e, n_classes, meta.dim, meta.seed, 1, c.gamma, c.tasks_seen,
+                len(c.class_registry),
+            ),
             *(struct.pack("<II", cid, col) for cid, col in c.class_registry.items()),
             np.ascontiguousarray(c.weights, dtype="<f8").tobytes(),
             np.ascontiguousarray(a, dtype="<f8").tobytes(),
@@ -193,7 +195,8 @@ def test_flipped_byte_fails_the_checksum(where):
 def test_loaded_weights_are_bit_identical():
     rng = np.random.default_rng(4)
     e = 300
-    clf = recalibrate(rng.standard_normal((80, e)), LabelMatrix.from_labels(rng.integers(0, 3, 80)), 0.1)
+    y = LabelMatrix.from_labels(rng.integers(0, 3, 80))
+    clf = recalibrate(rng.standard_normal((80, e)), y, 0.1)
     for t in range(1, 4):
         s = rng.standard_normal((20, e))
         clf = update(clf, s, LabelMatrix.from_labels(rng.integers(3 * t, 3 * t + 3, 20)))
@@ -202,7 +205,8 @@ def test_loaded_weights_are_bit_identical():
 
 
 def test_singular_stored_factor_rejected():
-    clf = AnalyticClassifier(0.5 * np.eye(2), np.zeros((2, 2), order="F"), np.eye(2, order="F"), 1.0, {3: 0, 9: 1}, 1)
+    singular = np.zeros((2, 2), order="F")
+    clf = AnalyticClassifier(0.5 * np.eye(2), singular, np.eye(2, order="F"), 1.0, {3: 0, 9: 1}, 1)
     with pytest.raises(SnapshotFormatError, match="finite weights"):
         load_snapshot(dump_snapshot(clf, SnapshotMeta(dim=2, seed=42, activation="relu")))
 
@@ -233,7 +237,9 @@ def test_version_1_file_loads_and_keeps_its_weights():
     assert relative_frobenius(out.weights, joint_solve(batches, 0.1).weights) < 1e-9
 
 
-@pytest.mark.parametrize("a, error", [(-np.eye(2), "not positive definite"), (np.zeros((2, 2)), "singular")])
+@pytest.mark.parametrize(
+    "a, error", [(-np.eye(2), "not positive definite"), (np.zeros((2, 2)), "singular")]
+)
 def test_version_1_file_without_a_factor_rejected(a, error):
     clf = crafted({3: 0, 9: 1})
     with pytest.raises(SnapshotFormatError, match=error):
