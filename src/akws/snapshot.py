@@ -152,16 +152,18 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
         raise SnapshotFormatError(
             f"payload size mismatch: expected {need} matrix bytes, got {len(blob) - off - tail}"
         )
-    first = np.frombuffer(blob, dtype="<f8", count=e * n_classes, offset=off)
-    rest = np.frombuffer(blob, dtype="<f8", count=state, offset=off + 8 * e * n_classes)
+    # E*C values (W in version 1, B in version 2), then the E x E state
+    per_class = np.frombuffer(blob, dtype="<f8", count=e * n_classes, offset=off)
+    square = np.frombuffer(blob, dtype="<f8", count=state, offset=off + 8 * e * n_classes)
     if version == 1:
         clf = _from_version_1(
-            first.reshape(e, n_classes).copy(), rest.reshape(e, e), gamma, registry, tasks_seen
+            per_class.reshape(e, n_classes).copy(), square.reshape(e, e), gamma, registry,
+            tasks_seen,
         )
     else:
-        targets = first.reshape(n_classes, e).T.copy(order="F")
+        targets = per_class.reshape(n_classes, e).T.copy(order="F")
         clf = AnalyticClassifier.from_state(
-            _unpack_factor(rest, e), targets, gamma, registry, tasks_seen
+            _unpack_factor(square, e), targets, gamma, registry, tasks_seen
         )
     if not np.all(np.isfinite(clf.weights)):
         raise SnapshotFormatError("the stored state does not give finite weights")
