@@ -7,6 +7,7 @@ recursive updates coincide with joint training.
 """
 
 from .classifier import (
+    Afam,
     AnalyticClassifier,
     LabelMatrix,
     joint_solve,
@@ -58,6 +59,7 @@ from .snapshot import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Afam",
     "AnalyticClassifier",
     "LabelMatrix",
     "joint_solve",

@@ -1,67 +1,72 @@
 """Analytic ridge classifier with exemplar-free recursive task updates.
 
-The classifier is fit in closed form on expanded features. Over every
-batch seen so far the weights solve the ridge system
+The classifier is fit in closed form on expanded features. For the first
+batch the weights solve the ridge system
 
-    (S'T S' + gamma I) W = S'T Y,
+    W = (S'T S' + gamma I)^-1 S'T Y
 
-the joint solution, without retaining any past rows. The paper reaches it
-through the Woodbury identity, carrying the inverse
-``A = (S'T S' + gamma I)^-1`` from task to task; the tests keep that
-recursion as an oracle. Here the carried state is its square root
-instead (the square-root information filter): the upper-triangular
-``R`` with
+and the inverse factor itself,
 
-    R^T R = S'T S' + gamma I,
+    A = (S'T S' + gamma I)^-1,
 
-and the projected targets ``B = R^-T S'T Y`` (E x C). The weights follow
-from one triangular solve, ``R W = B`` (BLAS ``trsm``).
+is carried forward as the feature autocorrelation state. Every later
+batch refreshes ``A`` through the Woodbury identity using only that
+batch's rows,
 
-The first fit, ``recalibrate``, is ``joint_solve`` of one batch: the
-regularized Gram matrix is formed and factored in place (LAPACK
-``potrf``), and two triangular solves give ``B`` and ``W``.
+    A_t = A_{t-1} - A_{t-1} S'T (I + S' A_{t-1} S'T)^-1 S' A_{t-1},
 
-``update`` absorbs a batch ``(S, Y)`` by re-triangularizing the stacked
+then rewrites existing weight columns as ``W - A_t S'T S' W`` and appends
+``A_t S'T Y`` for the batch's new classes. The result is algebraically
+identical to re-solving the joint ridge problem over every batch seen so
+far, without retaining any past rows; ``joint_solve`` computes that joint
+solution directly and serves as the oracle in tests.
 
-    [R; S] = Q [R_t; 0]
+``update`` evaluates this in square-root form. With the Cholesky factor
+``K = I + S' A_{t-1} S'T = L L^T`` and
 
-with LAPACK ``tpqrt``, which exploits the triangle on top, and applying
-the same reflectors to the targets, ``[B_t; *] = Q^T [B; Y]`` (``tpmqrt``).
-Then ``R_t^T R_t = R^T R + S^T S`` and ``R_t^T B_t = R^T B + S^T Y``, so
-``R_t W_t = B_t`` is again the joint solution. ``Y`` is scattered into
-one column per registered class, new classes getting zero columns in
-``B`` first, so a batch of new classes and one that re-presents
-registered classes take the same path. Orthogonal steps neither form
-``1 / gamma`` nor subtract nearly equal matrices, so the recursion stays
-as accurate as the joint solve where the Woodbury form loses digits
-(small gamma, many small tasks).
+    Z = L^-1 [S' A_{t-1} | S' W | Y] = [Z_a | Z_w | Z_y],
 
-``update`` advances ``R`` and ``B`` in place and hands them to its
-result, so it consumes its input: the input's weights stay valid for
-``predict``, but a second update of it raises ``AkwsError``. Only the
-upper triangle of ``R``'s Fortran-ordered buffer is ever read; the
-strict lower one holds whatever the first fit left there. ``tpqrt``
-flips the signs of ``R``'s rows from one update to the next, so ``R``
-is defined up to those signs and ``R^T R`` is what is compared.
+the refresh is ``A_t = A_{t-1} - Z_a^T Z_a``, and since
+``A_t S'T = Z_a^T L^-1`` the weight step is ``W - Z_a^T Z_w`` with new
+columns ``Z_a^T Z_y``. ``Z_a^T Z_a`` is symmetric by construction, so only
+its upper triangle is computed, one GEMM per row panel of ``_PANEL`` rows
+(about half the flops of the whole product), and then mirrored onto the
+lower triangle. No averaging ``(A + A^T) / 2`` is needed: the rounding
+error in ``Z_a`` enters both factors of ``Z_a^T Z_a`` alike, so its
+triangles differ only by GEMM summation order. In the one-sided product
+``(S'A)^T (K^-1 S'A)`` the solve's error enters one factor only;
+averaging its triangles halved the antisymmetric part, and mirroring it
+instead lost accuracy. The left operand of each panel GEMM is a copy, because numpy
+sends ``X.T @ X`` on one buffer to a syrk path that is slower here.
 
-All of this runs on one LAPACK: numpy's own OpenBLAS. numpy exposes
-none of these routines, so ``lapack`` binds them from the library numpy
-already loaded. A second LAPACK (scipy's, for instance) would bring its
-own OpenBLAS and its own thread pool; after a call into it those workers
-keep spinning, so numpy's GEMMs right after it compete with them for the
-same cores.
+``Z`` comes from one in-place triangular solve (BLAS ``trsm``) on the
+buffer that holds ``[S' A_{t-1} | S' W | Y]``. Its cost per right-hand
+column is that of a GEMM column, so with ``S W`` among the columns the
+update does not grow with the class count C beyond the GEMMs themselves.
+
+Wherever ``A`` is formed directly from a Cholesky factor ``L`` of the
+regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
+``L`` in place, and the triangle it fills is mirrored onto the other.
+The Gram matrix is factored in place too (``potrf``), and the first-fit
+weights are solved in place (``potrs``).
+
+All of this runs on one LAPACK: numpy's own OpenBLAS. numpy exposes no
+triangular solve, Cholesky solve or Cholesky inverse, so ``lapack`` binds
+those few routines from the library numpy already loaded. A second
+LAPACK (scipy's, for instance) would bring its own OpenBLAS and its own
+thread pool; after a call into it those workers keep spinning, so numpy's
+GEMMs right after it compete with them for the same cores.
 
 Column order follows class registration order: classes are assigned
 columns in the order their batches first present them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lapack
 from .errors import (
-    AkwsError,
     ClassCollisionError,
     DataError,
     InvalidRegularizerError,
@@ -118,27 +123,25 @@ class LabelMatrix:
 
 
 @dataclass(frozen=True)
-class AnalyticClassifier:
-    """Closed-form classifier state: weights, square-root state, registry.
+class Afam:
+    """Feature autocorrelation state: the regularized inverse Gram matrix."""
 
-    ``factor`` is the E x E Fortran-ordered buffer whose upper triangle is
-    ``R`` and ``targets`` the E x C Fortran-ordered ``B``; ``update`` sets
-    both to ``None`` on the classifier it consumes.
-    """
+    matrix: np.ndarray
+    gamma: float
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class AnalyticClassifier:
+    """Closed-form classifier state: weights, autocorrelation, registry."""
 
     weights: np.ndarray  # E x C
-    factor: np.ndarray | None
-    targets: np.ndarray | None
-    gamma: float
+    afam: Afam
     class_registry: dict[int, int] = field(default_factory=dict)
     tasks_seen: int = 0
-
-    @classmethod
-    def from_state(cls, factor, targets, gamma, class_registry, tasks_seen) -> "AnalyticClassifier":
-        """The classifier of ``R`` and ``B``, its weights solved from ``R W = B``."""
-        weights = targets.copy(order="F")
-        lapack.trsm("L", "U", "N", "N", 1.0, factor, weights)
-        return cls(weights, factor, targets, float(gamma), class_registry, tasks_seen)
 
     @property
     def expansion_size(self) -> int:
@@ -156,9 +159,9 @@ class AnalyticClassifier:
         return out
 
     def state_elements(self) -> int:
-        """Persistent cross-task state size: E(E+1)/2 + E*C + registry entries."""
+        """Persistent cross-task state size: E^2 + E*C + registry entries."""
         e, c = self.weights.shape
-        return e * (e + 1) // 2 + e * c + len(self.class_registry)
+        return e * e + e * c + len(self.class_registry)
 
 
 def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
@@ -172,8 +175,14 @@ def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
     return s
 
 
-# LAPACK block size of the ``tpqrt``/``tpmqrt`` pair in ``update``.
-_NB = 32
+# Edge of the square tiles ``_mirror_upper`` copies: a pair of 64 x 64 float64
+# tiles (64 KiB) stays in cache while one is read transposed.
+_TILE = 64
+_BELOW_DIAGONAL = np.tri(_TILE, k=-1, dtype=bool)
+# Height of the row panels in which ``update`` computes the upper triangle of
+# the refreshed state. Each panel costs one GEMM; together they do about
+# n * E * _PANEL / 2 multiply-adds more than half the full product.
+_PANEL = 256
 # Scores ``predict`` computes per block of rows (256 KiB of float64). One
 # product over a whole run's test rows raised the peak RSS of the
 # ``features`` benchmark by about 10 MB; blocks of this size add nothing
@@ -181,24 +190,68 @@ _NB = 32
 _SCORE_BLOCK = 1 << 15
 
 
+def _mirror_upper(x: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of square ``x`` onto its lower one, in place.
+
+    Tile by tile, so the transposed walk stays in cache; the diagonal and
+    the upper triangle are left untouched. Returns ``x``.
+    """
+    n = x.shape[0]
+    for i in range(0, n, _TILE):
+        d = x[i : i + _TILE, i : i + _TILE]
+        np.copyto(d, d.T, where=_BELOW_DIAGONAL[: len(d), : len(d)])
+        for j in range(i + _TILE, n, _TILE):
+            x[j : j + _TILE, i : i + _TILE] = x[i : i + _TILE, j : j + _TILE].T
+    return x
+
+
 def _spd_factor(g: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor ``R`` of symmetric ``g``, computed in place.
+    """Lower Cholesky factor of symmetric ``g``, computed in place.
 
     Consumes ``g``: LAPACK factors its Fortran-ordered transpose ``g.T``
-    without a copy, and returns that view, whose upper triangle now holds
-    ``R``.
+    without a copy, and returns that view, whose lower triangle now holds
+    the factor.
     """
     factor = g.T
-    if lapack.potrf("U", factor) != 0:
+    if lapack.potrf("L", factor) != 0:
         raise DataError("the regularized Gram matrix is not positive definite")
     return factor
 
 
+def _materialize_inverse(factor: np.ndarray) -> np.ndarray:
+    """Explicit inverse of ``L L^T`` from its lower Cholesky factor.
+
+    ``potri`` fills the lower triangle of the Fortran-ordered factor, which
+    is the upper triangle of its C-ordered transpose; that is then mirrored.
+    Consumes ``factor``: ``potri`` overwrites it.
+    """
+    info = lapack.potri("L", factor)
+    if info != 0:
+        raise DataError(f"cannot invert the regularized Gram matrix (LAPACK potri info={info})")
+    return _mirror_upper(factor.T)
+
+
 def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> AnalyticClassifier:
-    """Fit the first-task ridge solution: ``joint_solve`` of one batch."""
-    if y0.rows < 1:
+    """Fit the first-task ridge solution and materialize its inverse factor.
+
+    The weight solve goes through a Cholesky factorization of the
+    regularized Gram matrix; only the carried autocorrelation state is
+    materialized as an explicit inverse.
+    """
+    if gamma <= 0:
+        raise InvalidRegularizerError(f"ridge parameter must be > 0, got {gamma}")
+    s = _check_batch(s0_expanded, y0)
+    if s.shape[0] < 1:
         raise ShapeError("recalibration needs at least one sample")
-    return joint_solve([(s0_expanded, y0)], gamma)
+    e = s.shape[1]
+    g = s.T @ s
+    g.flat[:: e + 1] += gamma
+    factor = _spd_factor(g)
+    weights = (y0.onehot.T @ s).T  # S'T Y, Fortran-ordered for the in-place solve
+    lapack.potrs("L", factor, weights)
+    afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
+    registry = {cid: j for j, cid in enumerate(y0.class_ids)}
+    return AnalyticClassifier(weights=weights, afam=afam, class_registry=registry, tasks_seen=1)
 
 
 def update(
@@ -209,11 +262,11 @@ def update(
 ) -> AnalyticClassifier:
     """Absorb one task's batch; touches no data from earlier tasks.
 
-    Returns a classifier whose weights equal the joint ridge solution over
-    every batch seen so far, and consumes ``c`` (see the module notes). By
-    default the batch's classes must be new; with ``allow_registered`` a
-    batch may re-present registered classes (sample streaming), whose
-    columns then also receive the batch's label correlations.
+    Returns a new classifier whose weights equal the joint ridge solution
+    over every batch seen so far. By default the batch's classes must be
+    new; with ``allow_registered`` a batch may re-present registered
+    classes (sample streaming), whose columns then also receive the
+    batch's label correlations.
     """
     s = _check_batch(s_t_expanded, y_t)
     e = c.expansion_size
@@ -222,28 +275,62 @@ def update(
     seen = [cid for cid in y_t.class_ids if cid in c.class_registry]
     if seen and not allow_registered:
         raise ClassCollisionError(f"class ids already registered: {seen}")
-    r, b = c.factor, c.targets
-    if r is None:
-        raise AkwsError("this classifier was consumed by an earlier update; update its result")
-    if s.shape[0] == 0 and len(seen) == len(y_t.class_ids):
-        return c
-    # the result takes R and B over; they advance in place below
-    object.__setattr__(c, "factor", None)
-    object.__setattr__(c, "targets", None)
+    new_ids = [cid for cid in y_t.class_ids if cid not in c.class_registry]
 
+    n = s.shape[0]
+    if n == 0 and not new_ids:
+        return c
+    if n == 0:
+        # Registration-only batch: no rows, so the autocorrelation and the
+        # existing columns are untouched and new columns are exactly zero.
+        weights = np.hstack([c.weights, np.zeros((e, len(new_ids)))])
+        registry = dict(c.class_registry)
+        for cid in new_ids:
+            registry[cid] = len(registry)
+        return replace(c, weights=weights, class_registry=registry, tasks_seen=c.tasks_seen + 1)
+
+    a_prev = c.afam.matrix
+    n_cols = c.n_classes
+    rhs = np.empty((n, e + n_cols + y_t.onehot.shape[1]))  # [S A_{t-1} | S W | Y]
+    np.matmul(s, a_prev, out=rhs[:, :e])
+    np.matmul(s, c.weights, out=rhs[:, e : e + n_cols])
+    rhs[:, e + n_cols :] = y_t.onehot
+    k = np.eye(n) + rhs[:, :e] @ s.T
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        raise DataError("the Woodbury kernel I + S A S^T is not positive definite") from None
+    # Z = L^-1 [S A_{t-1} | S W | Y] in place: as Fortran-ordered matrices,
+    # rhs.T is its transpose and chol.T is L^T, so Z^T = rhs.T (L^T)^-1
+    lapack.trsm("R", "U", "N", "N", 1.0, chol.T, rhs.T)
+    z = rhs
+    za = z[:, :e]
+
+    a_new = np.empty((e, e))
+    for i in range(0, e, _PANEL):
+        panel = a_new[i : i + _PANEL, i:]
+        # a copied left operand keeps numpy off its slower syrk path
+        np.matmul(za[:, i : i + _PANEL].T.copy(), za[:, i:], out=panel)
+        np.subtract(a_prev[i : i + _PANEL, i:], panel, out=panel)
+    _mirror_upper(a_new)
+
+    step = za.T @ z[:, e:]  # A_t S'T [S W | Y] = Z_a^T L^-1 [S W | Y]
+    weights = np.empty((e, n_cols + len(new_ids)))
+    np.subtract(c.weights, step[:, :n_cols], out=weights[:, :n_cols])
+    correlations = step[:, n_cols:]  # E x k, columns ordered as y_t.class_ids
     registry = dict(c.class_registry)
-    for cid in y_t.class_ids:
-        registry.setdefault(cid, len(registry))
-    if len(registry) > b.shape[1]:
-        padded = np.zeros((e, len(registry)), order="F")
-        padded[:, : b.shape[1]] = b
-        b = padded
-    y = np.zeros((s.shape[0], len(registry)), order="F")
-    y[:, [registry[cid] for cid in y_t.class_ids]] = y_t.onehot
-    v = np.array(s, order="F")  # a copy: tpqrt overwrites it with its reflectors
-    t = lapack.tpqrt(r, v, min(_NB, e))
-    lapack.tpmqrt("T", v, t, b, y)
-    return AnalyticClassifier.from_state(r, b, c.gamma, registry, c.tasks_seen + 1)
+    for j, cid in enumerate(y_t.class_ids):
+        if cid in registry:
+            weights[:, registry[cid]] += correlations[:, j]
+        else:
+            registry[cid] = len(registry)
+            weights[:, registry[cid]] = correlations[:, j]
+    return AnalyticClassifier(
+        weights=weights,
+        afam=Afam(matrix=a_new, gamma=c.afam.gamma),
+        class_registry=registry,
+        tasks_seen=c.tasks_seen + 1,
+    )
 
 
 def joint_solve(batches, gamma: float) -> AnalyticClassifier:
@@ -271,18 +358,18 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
                 raise ClassCollisionError(f"class id {cid} appears in more than one batch")
             registry[cid] = len(registry)
         checked.append((s, y))
-    gram = None
-    targets = np.zeros((e, len(registry)), order="F")  # S'T Y, then B in place
+    gram = gamma * np.eye(e)
+    rhs = np.zeros((e, len(registry)), order="F")  # solved in place
     for s, y in checked:
-        if gram is None:
-            gram = s.T @ s
-        else:
-            gram += s.T @ s
-        targets[:, [registry[cid] for cid in y.class_ids]] += s.T @ y.onehot
-    gram.flat[:: e + 1] += gamma
+        gram += s.T @ s
+        cols = [registry[cid] for cid in y.class_ids]
+        rhs[:, cols] += s.T @ y.onehot
     factor = _spd_factor(gram)
-    lapack.trsm("L", "U", "T", "N", 1.0, factor, targets)
-    return AnalyticClassifier.from_state(factor, targets, gamma, registry, len(checked))
+    lapack.potrs("L", factor, rhs)
+    afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
+    return AnalyticClassifier(
+        weights=rhs, afam=afam, class_registry=registry, tasks_seen=len(checked)
+    )
 
 
 def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:

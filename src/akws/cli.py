@@ -15,8 +15,8 @@ wider than the features it expands), a manifest or feature CSV that
 does not parse, or data whose first task has no test rows (so its
 accuracy, and ACC, are undefined) is invalid input; a data file that
 cannot be opened under ``run`` or ``oracle-check``, or a numerical
-failure such as a regularized Gram matrix that is not positive
-definite, is a runtime failure. No command mutates its inputs.
+failure such as a Woodbury kernel that is not positive definite, is a
+runtime failure. No command mutates its inputs.
 """
 
 import argparse

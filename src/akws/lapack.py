@@ -3,10 +3,9 @@
 numpy's wheels bundle an OpenBLAS built with 64-bit integers (ILP64)
 whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix, such as
 ``scipy_dpotrf_64_``. Binding them through ``ctypes`` gives the package a
-Cholesky factorization, a triangular solve and the structured QR of a
-triangle stacked on a block (``tpqrt``, with ``tpmqrt`` to apply its
-reflectors) on the very library, and so the very thread pool, that runs
-numpy's ``matmul``. Symbols are looked up through the handle of numpy's linalg
+Cholesky solve, a Cholesky inverse and a triangular solve on the very
+library, and so the very thread pool, that runs numpy's ``matmul`` and
+``cholesky``. Symbols are looked up through the handle of numpy's linalg
 extension module, which resolves them in the library that module links.
 
 Calls follow the Fortran convention: every argument is passed by
@@ -37,14 +36,11 @@ _LEN = ctypes.c_size_t
 
 _SIGNATURES = {
     "potrf": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
+    "potrs": (_CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT, _LEN),
+    "potri": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
     "trsm": (
         _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT,
         _LEN, _LEN, _LEN, _LEN,
-    ),
-    "tpqrt": (_INT, _INT, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT),
-    "tpmqrt": (
-        _CHAR, _CHAR, _INT, _INT, _INT, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT,
-        _DOUBLE, _INT, _DOUBLE, _INT, _LEN, _LEN,
     ),
 }
 
@@ -117,6 +113,34 @@ def potrf(uplo: str, a: np.ndarray) -> int:
     return _info("potrf", info)
 
 
+def potrs(uplo: str, factor: np.ndarray, b: np.ndarray) -> None:
+    """Solve ``A X = b`` in place on ``b``, given ``potrf``'s factor of ``A``."""
+    _matrix(factor, square=True)
+    _matrix(b)
+    if b.shape[0] != factor.shape[0]:
+        raise ShapeError(f"factor is {factor.shape}, right-hand side {b.shape}")
+    info = ctypes.c_int64()
+    _routine("potrs")(
+        uplo.encode(), _int(b.shape[0]), _int(b.shape[1]), _ptr(factor), _ld(factor),
+        _ptr(b), _ld(b), ctypes.byref(info), 1,
+    )
+    _info("potrs", info)
+
+
+def potri(uplo: str, factor: np.ndarray) -> int:
+    """Inverse of ``A`` from ``potrf``'s factor, written over the ``uplo`` triangle.
+
+    Returns LAPACK's ``info``: ``k > 0`` if the factor's k-th diagonal
+    entry is zero.
+    """
+    _matrix(factor, square=True)
+    info = ctypes.c_int64()
+    _routine("potri")(
+        uplo.encode(), _int(factor.shape[0]), _ptr(factor), _ld(factor), ctypes.byref(info), 1
+    )
+    return _info("potri", info)
+
+
 def trsm(side: str, uplo: str, transa: str, diag: str, alpha: float, a: np.ndarray, b: np.ndarray) -> None:
     """Triangular solve in place on ``b``: ``alpha op(a)^-1 b`` (side "L") or ``alpha b op(a)^-1`` ("R")."""
     _matrix(a, square=True)
@@ -128,52 +152,3 @@ def trsm(side: str, uplo: str, transa: str, diag: str, alpha: float, a: np.ndarr
         _int(b.shape[0]), _int(b.shape[1]), ctypes.byref(ctypes.c_double(alpha)),
         _ptr(a), _ld(a), _ptr(b), _ld(b), 1, 1, 1, 1,
     )
-
-
-def tpqrt(a: np.ndarray, b: np.ndarray, nb: int) -> np.ndarray:
-    """QR factorization of the stacked ``[a; b]``, in place.
-
-    ``a`` is an N x N upper triangle (its strict lower triangle is never
-    read) and ``b`` a full M x N block. On return ``a`` holds the new
-    triangle ``R`` with ``[a; b] = Q [R; 0]`` and ``b`` the Householder
-    vectors of ``Q``. Returns the block reflector factor ``T`` (nb x N)
-    that ``tpmqrt`` needs with them; ``nb`` is LAPACK's block size.
-    """
-    _matrix(a, square=True)
-    _matrix(b)
-    m, n = b.shape
-    if a.shape[0] != n or not 1 <= nb <= max(1, n):
-        raise ShapeError(f"triangle is {a.shape}, block {b.shape}, block size {nb}")
-    t = np.empty((nb, n), order="F")
-    work = np.empty(nb * n)
-    info = ctypes.c_int64()
-    _routine("tpqrt")(
-        _int(m), _int(n), _int(0), _int(nb), _ptr(a), _ld(a), _ptr(b), _ld(b),
-        _ptr(t), _ld(t), _ptr(work), ctypes.byref(info),
-    )
-    _info("tpqrt", info)
-    return t
-
-
-def tpmqrt(trans: str, v: np.ndarray, t: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Apply ``Q`` (trans "N") or ``Q^T`` ("T") of ``tpqrt`` to ``[a; b]`` from the left, in place.
-
-    ``v`` and ``t`` are the Householder vectors and the factor ``T`` that
-    ``tpqrt`` left; ``a`` has one row per column of ``v`` and ``b`` one row
-    per row of ``v``.
-    """
-    for x in (v, t, a, b):
-        _matrix(x)
-    m, k = v.shape
-    n = a.shape[1]
-    if a.shape[0] != k or b.shape != (m, n) or t.shape[1] != k:
-        raise ShapeError(f"reflectors {v.shape} and {t.shape} do not fit {a.shape} over {b.shape}")
-    nb = t.shape[0]
-    work = np.empty(max(1, nb * n))
-    info = ctypes.c_int64()
-    _routine("tpmqrt")(
-        b"L", trans.encode(), _int(m), _int(n), _int(k), _int(0), _int(nb),
-        _ptr(v), _ld(v), _ptr(t), _ld(t), _ptr(a), _ld(a), _ptr(b), _ld(b),
-        _ptr(work), ctypes.byref(info), 1, 1,
-    )
-    _info("tpmqrt", info)

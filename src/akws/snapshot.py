@@ -1,9 +1,9 @@
 """Binary snapshot of a trained classifier.
 
-Layout of version 2 (all little-endian):
+Layout (all little-endian):
 
     magic   4 bytes  b"AKWS"
-    u32     format version (2)
+    u32     format version (currently 1)
     u32     E   expansion size
     u32     C   registered class count
     u32     d   pre-expansion feature dimension
@@ -12,38 +12,24 @@ Layout of version 2 (all little-endian):
     f64     gamma
     u32     tasks seen
     u32     registry entry count, then per entry: u32 class id, u32 column
-    f64[]   projected targets B, E*C values column by column
-    f64[]   triangular factor R, its upper triangle column by column
-            (LAPACK 'U' packed order), E*(E+1)/2 values
-    u32     CRC-32 (zlib) of every byte before it
-
-The weights are not stored: loading solves ``R W = B`` with the same
-triangular solve that produced them, so they come back bit for bit.
-
-Version 1 files, which end after the registry with the weights (E*C
-values row-major) and the inverse ``A = (S'T S' + gamma I)^-1`` (E*E
-values row-major) and carry no checksum, still load: their stored
-weights are kept, ``R`` is the Cholesky factor of ``A^-1`` and
-``B = R W``.
+    f64[]   weights, E*C values row-major
+    f64[]   autocorrelation matrix, E*E values row-major
 """
 
 import math
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import lapack
-from .classifier import AnalyticClassifier
-from .errors import AkwsError, SnapshotFormatError
+from .classifier import Afam, AnalyticClassifier
+from .errors import SnapshotFormatError
 
 MAGIC = b"AKWS"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 1
 # Fixed header after the magic: version, E, C, d, seed, activation, gamma,
 # tasks seen, registry entry count.
 _HEADER = struct.Struct("<IIIIQBdII")
-_CRC = struct.Struct("<I")
 
 _ACTIVATION_CODE = {"identity": 0, "relu": 1}
 _ACTIVATION_NAME = {v: k for k, v in _ACTIVATION_CODE.items()}
@@ -59,9 +45,7 @@ class SnapshotMeta:
 
 
 def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
-    """The snapshot's byte runs in file order; no matrix is copied."""
-    if c.factor is None:
-        raise AkwsError("this classifier was consumed by an update; snapshot its result")
+    """The snapshot's byte runs in file order; the two matrices are not copied."""
     e, n_classes = c.weights.shape
     header = MAGIC + _HEADER.pack(
         FORMAT_VERSION,
@@ -70,50 +54,21 @@ def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
         meta.dim,
         meta.seed & 0xFFFFFFFFFFFFFFFF,
         _ACTIVATION_CODE[meta.activation],
-        c.gamma,
+        c.afam.gamma,
         c.tasks_seen,
         len(c.class_registry),
     )
     registry = b"".join(struct.pack("<II", cid, col) for cid, col in c.class_registry.items())
-    # column j of the Fortran-ordered factor starts at j * E; rows 0..j are R's
-    columns = np.ravel(c.factor, order="F").astype("<f8", copy=False)
-    parts = [header, registry, np.ascontiguousarray(c.targets.T, dtype="<f8")]
-    parts += [columns[j * e : j * e + j + 1] for j in range(e)]
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    parts.append(_CRC.pack(crc))
-    return parts
+    return [
+        header,
+        registry,
+        np.ascontiguousarray(c.weights, dtype="<f8"),
+        np.ascontiguousarray(c.afam.matrix, dtype="<f8"),
+    ]
 
 
 def dump_snapshot(c: AnalyticClassifier, meta: SnapshotMeta) -> bytes:
     return b"".join(_snapshot_parts(c, meta))
-
-
-def _unpack_factor(packed: np.ndarray, e: int) -> np.ndarray:
-    """Fortran-ordered E x E buffer whose upper triangle is the packed ``R``."""
-    factor = np.zeros((e, e), order="F")
-    columns = np.ravel(factor, order="F")
-    start = 0
-    for j in range(e):
-        columns[j * e : j * e + j + 1] = packed[start : start + j + 1]
-        start += j + 1
-    return factor
-
-
-def _from_version_1(weights: np.ndarray, a: np.ndarray, gamma, registry, tasks_seen):
-    """The square-root state of a version-1 snapshot's inverse ``A``."""
-    try:
-        gram = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        raise SnapshotFormatError("version 1 autocorrelation matrix is singular") from None
-    factor = gram.T
-    if lapack.potrf("U", factor) != 0:
-        raise SnapshotFormatError(
-            "inverse of the version 1 autocorrelation matrix is not positive definite"
-        )
-    targets = np.asfortranarray(np.triu(factor) @ weights)
-    return AnalyticClassifier(weights, factor, targets, gamma, registry, tasks_seen)
 
 
 def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
@@ -124,12 +79,8 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
         version, e, n_classes, dim, seed, act_code, gamma, tasks_seen, reg_count = (
             _HEADER.unpack_from(blob, len(MAGIC))
         )
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        if version == FORMAT_VERSION:
-            (crc,) = _CRC.unpack_from(blob, len(blob) - _CRC.size)
-            if zlib.crc32(memoryview(blob)[: -_CRC.size]) != crc:
-                raise SnapshotFormatError("checksum mismatch; the snapshot is corrupt")
         if reg_count != n_classes:
             raise SnapshotFormatError(f"{reg_count} registry entries for {n_classes} classes")
         entries = struct.unpack_from(f"<{2 * reg_count}I", blob, off)
@@ -145,28 +96,20 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
         raise SnapshotFormatError(
             f"registry must map {n_classes} distinct class ids onto columns 0..{n_classes - 1}"
         )
-    tail = _CRC.size if version == FORMAT_VERSION else 0
-    state = e * e if version == 1 else e * (e + 1) // 2
-    need = 8 * (e * n_classes + state)
-    if len(blob) - off - tail != need:
+    need = 8 * (e * n_classes + e * e)
+    if len(blob) - off != need:
         raise SnapshotFormatError(
-            f"payload size mismatch: expected {need} matrix bytes, got {len(blob) - off - tail}"
+            f"payload size mismatch: expected {need} matrix bytes, got {len(blob) - off}"
         )
-    # E*C values (W in version 1, B in version 2), then the E x E state
-    per_class = np.frombuffer(blob, dtype="<f8", count=e * n_classes, offset=off)
-    square = np.frombuffer(blob, dtype="<f8", count=state, offset=off + 8 * e * n_classes)
-    if version == 1:
-        clf = _from_version_1(
-            per_class.reshape(e, n_classes).copy(), square.reshape(e, e), gamma, registry,
-            tasks_seen,
-        )
-    else:
-        targets = per_class.reshape(n_classes, e).T.copy(order="F")
-        clf = AnalyticClassifier.from_state(
-            _unpack_factor(square, e), targets, gamma, registry, tasks_seen
-        )
-    if not np.all(np.isfinite(clf.weights)):
-        raise SnapshotFormatError("the stored state does not give finite weights")
+    weights = np.frombuffer(blob, dtype="<f8", count=e * n_classes, offset=off).reshape(e, n_classes).copy()
+    off += 8 * e * n_classes
+    afam = np.frombuffer(blob, dtype="<f8", count=e * e, offset=off).reshape(e, e).copy()
+    clf = AnalyticClassifier(
+        weights=weights,
+        afam=Afam(matrix=afam, gamma=gamma),
+        class_registry=registry,
+        tasks_seen=tasks_seen,
+    )
     return clf, SnapshotMeta(dim=dim, seed=seed, activation=_ACTIVATION_NAME[act_code])
 
 

@@ -55,35 +55,6 @@ def ridge_normal_equations(s: np.ndarray, y: np.ndarray, gamma: float) -> np.nda
     return gaussian_solve(gram, s.T @ y)
 
 
-def woodbury_chain(batches, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The paper's recursion over class-disjoint batches, in dense numpy.
-
-    Carries the inverse ``A = (S^T S + gamma I)^-1``: the first batch is
-    solved directly, and every later batch refreshes ``A`` through the
-    Woodbury identity,
-
-        A_t = A - A S^T (I + S A S^T)^-1 S A,
-
-    then rewrites the weights as ``W - A_t S^T S W`` and appends
-    ``A_t S^T Y``. Returns the final weights, columns in registration
-    order, and the final ``A``.
-    """
-    s, y = batches[0]
-    a = np.linalg.inv(s.T @ s + gamma * np.eye(s.shape[1]))
-    w = a @ (s.T @ y.onehot)
-    for s, y in batches[1:]:
-        sa = s @ a
-        a = a - sa.T @ np.linalg.solve(np.eye(s.shape[0]) + sa @ s.T, sa)
-        w = np.hstack([w - a @ (s.T @ (s @ w)), a @ (s.T @ y.onehot)])
-    return w, a
-
-
-def inverse_gram(clf) -> np.ndarray:
-    """``A = R^-1 R^-T``, the inverse regularized Gram matrix of ``clf``'s factor."""
-    r_inv = np.linalg.inv(np.triu(clf.factor))
-    return r_inv @ r_inv.T
-
-
 def nearest_centroid_fit(x: np.ndarray, labels: np.ndarray):
     classes = sorted(set(labels.tolist()))
     centroids = np.stack([x[labels == c].mean(axis=0) for c in classes])

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +14,15 @@ from akws import (
     update,
 )
 from akws import classifier
-from akws.classifier import AnalyticClassifier
+from akws.classifier import _materialize_inverse, _mirror_upper, _spd_factor
 from akws.errors import (
-    AkwsError,
     ClassCollisionError,
     DataError,
     InvalidRegularizerError,
     ShapeError,
 )
 
-from oracles import inverse_gram, ridge_normal_equations, woodbury_chain
+from oracles import ridge_normal_equations
 
 
 def random_batch(rng, n, e, class_ids):
@@ -94,7 +94,7 @@ class TestRecalibrate:
     def test_identity_example(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
         assert np.allclose(clf.weights, 0.5 * np.eye(2), atol=1e-15)
-        assert np.allclose(inverse_gram(clf), 0.5 * np.eye(2), atol=1e-15)
+        assert np.allclose(clf.afam.matrix, 0.5 * np.eye(2), atol=1e-15)
         assert clf.tasks_seen == 1
         assert clf.class_registry == {0: 0, 1: 1}
 
@@ -135,12 +135,10 @@ class TestUpdate:
 
     def test_empty_batch_with_new_classes_registers_zero_columns(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
-        r_before, w_before = np.triu(clf.factor), clf.weights
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 2)), (7, 8)))
         assert out.class_registry == {0: 0, 1: 1, 7: 2, 8: 3}
         assert np.all(out.weights[:, 2:] == 0.0)
-        assert np.array_equal(out.weights[:, :2], w_before)
-        assert np.array_equal(np.triu(out.factor), r_before)
+        assert np.array_equal(out.afam.matrix, clf.afam.matrix)
 
     def test_two_tasks_match_joint(self):
         rng = np.random.default_rng(3)
@@ -188,39 +186,46 @@ class TestUpdate:
         assert relative_frobenius(out.weights, joint.weights) < 1e-9
         assert np.all(out.weights[:, 2] == 0.0)
         # spectrum stays positive definite
-        assert np.all(np.linalg.eigvalsh(inverse_gram(out)) > 0.0)
+        assert np.all(np.linalg.eigvalsh(out.afam.matrix) > 0.0)
 
-    def test_update_consumes_its_input(self):
+    def test_does_not_mutate_input_classifier(self):
         rng = np.random.default_rng(6)
-        # one-row and one-column batches are both C- and Fortran-contiguous
-        for e, n in ((5, 9), (130, 9), (130, 1), (1, 4)):
-            clf = recalibrate(*random_batch(rng, 12, e, range(2)), 0.1)
-            x = rng.standard_normal((7, e))
-            w_before, pred_before = clf.weights.copy(), predict(clf, x)
-            s, y = random_batch(rng, n, e, range(2, 4))
-            s_before = s.copy()
-            out = update(clf, s, y)
-            assert np.array_equal(s, s_before)
-            # the input keeps its weights, but its state moved to the result
+        # E=130 spans several mirror tiles, E=600 three refresh panels
+        for e in (5, 130, 600):
+            b0 = random_batch(rng, 12, e, range(2))
+            clf = recalibrate(*b0, 0.1)
+            w_before = clf.weights.copy()
+            a_before = clf.afam.matrix.copy()
+            update(clf, *random_batch(rng, 9, e, range(2, 4)))
             assert np.array_equal(clf.weights, w_before)
-            assert np.array_equal(predict(clf, x), pred_before)
-            assert clf.factor is None and clf.targets is None
-            with pytest.raises(AkwsError, match="consumed by an earlier update"):
-                update(clf, *random_batch(rng, 3, e, range(4, 6)))
-            update(out, *random_batch(rng, 3, e, range(4, 6)))  # the result is live
+            assert np.array_equal(clf.afam.matrix, a_before)
 
-    def test_chain_matches_woodbury_recursion(self):
-        # the paper's recursion, carried as a dense inverse, over the same batches
-        rng = np.random.default_rng(14)
-        for e, gamma in ((8, 0.1), (40, 1.0), (130, 0.5)):
-            batches = [random_batch(rng, 30, e, range(3))]
-            batches += [random_batch(rng, 9, e, range(3 * t, 3 * t + 3)) for t in range(1, 6)]
-            clf = recalibrate(*batches[0], gamma)
-            for b in batches[1:]:
-                clf = update(clf, *b)
-            weights, a = woodbury_chain(batches, gamma)
-            assert relative_frobenius(clf.weights, weights) < 1e-9
-            assert relative_frobenius(inverse_gram(clf), a) < 1e-10
+    def test_afam_exactly_symmetric_after_chain(self):
+        rng = np.random.default_rng(9)
+        for e in (130, 600):
+            out = recalibrate(*random_batch(rng, 40, e, range(2)), 0.1)
+            for t in range(1, 6):
+                out = update(out, *random_batch(rng, 7, e, range(2 * t, 2 * t + 2)))
+            assert np.array_equal(out.afam.matrix, out.afam.matrix.T)
+
+    def test_panelled_refresh_matches_full_form(self):
+        # E=600 spans three row panels of the upper-triangle refresh
+        rng = np.random.default_rng(13)
+        clf = recalibrate(*random_batch(rng, 40, 600, range(2)), 0.1)
+        s, y = random_batch(rng, 9, 600, range(2, 4))
+        a = clf.afam.matrix
+        sa = s @ a
+        z = np.linalg.solve(np.linalg.cholesky(np.eye(9) + sa @ s.T), sa)
+        full = a - z.T @ z.copy()  # the whole product, both triangles
+        out = update(clf, s, y)
+        assert relative_frobenius(out.afam.matrix, full) < 1e-14
+
+    def test_kernel_not_positive_definite_is_a_data_error(self):
+        rng = np.random.default_rng(11)
+        clf = recalibrate(*random_batch(rng, 12, 6, range(2)), 0.1)
+        broken = replace(clf, afam=replace(clf.afam, matrix=-np.eye(6)))
+        with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
+            update(broken, *random_batch(rng, 5, 6, range(2, 4)))
 
     def test_chain_runs_without_scipy(self):
         # with scipy unimportable, a chain of updates still matches the joint solve
@@ -246,6 +251,19 @@ class TestUpdate:
 
 
 class TestKernels:
+    @pytest.mark.parametrize("e", [1, 63, 64, 65, 130, 257])
+    def test_mirror_upper_bit_identical_to_whole_matrix_form(self, e):
+        x = np.random.default_rng(e).standard_normal((e, e))
+        assert np.array_equal(_mirror_upper(x.copy()), np.triu(x) + np.triu(x, 1).T)
+
+    def test_materialize_inverse_symmetric_and_accurate(self):
+        rng = np.random.default_rng(10)
+        s = rng.standard_normal((150, 130))
+        gram = s.T @ s + 0.1 * np.eye(130)
+        inv = _materialize_inverse(_spd_factor(gram.copy()))
+        assert np.array_equal(inv, inv.T)
+        assert relative_frobenius(inv, np.linalg.inv(gram)) < 1e-12
+
     @pytest.mark.parametrize("fit", ["recalibrate", "joint_solve"])
     def test_gram_not_positive_definite_is_a_data_error(self, fit):
         # rank-one Gram of magnitude 1e16: a ridge of 1e-10 is below its rounding
@@ -258,6 +276,10 @@ class TestKernels:
         with pytest.raises(DataError, match="Gram matrix is not positive definite"):
             calls[fit]()
 
+    def test_materialize_inverse_rejects_singular_factor(self):
+        with pytest.raises(DataError, match="potri info=1"):
+            _materialize_inverse(np.zeros((3, 3), order="F"))
+
 
 class TestJointSolve:
     def test_single_batch_equals_recalibrate(self):
@@ -266,7 +288,7 @@ class TestJointSolve:
         joint = joint_solve([b], 0.2)
         direct = recalibrate(*b, 0.2)
         assert relative_frobenius(joint.weights, direct.weights) < 1e-12
-        assert relative_frobenius(inverse_gram(joint), inverse_gram(direct)) < 1e-12
+        assert relative_frobenius(joint.afam.matrix, direct.afam.matrix) < 1e-12
 
     def test_order_permutes_columns_only(self):
         rng = np.random.default_rng(2)
@@ -305,12 +327,12 @@ class TestAfamDirect:
     """The state formed directly, (S^T S + gamma I)^-1, as joint_solve returns it."""
 
     def test_no_batches_is_scaled_identity(self):
-        out = joint_solve([(np.zeros((0, 3)), LabelMatrix(np.zeros((0, 0)), ()))], 2.0)
-        assert np.allclose(inverse_gram(out), 0.5 * np.eye(3), atol=1e-15)
+        out = joint_solve([(np.zeros((0, 3)), LabelMatrix(np.zeros((0, 0)), ()))], 2.0).afam
+        assert np.allclose(out.matrix, 0.5 * np.eye(3), atol=1e-15)
 
     def test_identity_batch(self):
-        out = joint_solve([(np.eye(2), LabelMatrix.from_labels([0, 1]))], 1.0)
-        assert np.allclose(inverse_gram(out), 0.5 * np.eye(2), atol=1e-15)
+        out = joint_solve([(np.eye(2), LabelMatrix.from_labels([0, 1]))], 1.0).afam
+        assert np.allclose(out.matrix, 0.5 * np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_batch_is_a_data_error(self, bad):
@@ -325,10 +347,9 @@ class TestAfamDirect:
         s2 = rng.standard_normal((14, 6))
         y1 = LabelMatrix.from_labels(rng.integers(0, 2, 9), class_ids=range(2))
         y2 = LabelMatrix.from_labels(rng.integers(2, 4, 14), class_ids=range(2, 4))
-        direct = inverse_gram(joint_solve([(s1, y1), (s2, y2)], 0.7))
-        assert relative_frobenius(woodbury_chain([(s1, y1), (s2, y2)], 0.7)[1], direct) < 1e-10
         clf = update(recalibrate(s1, y1, 0.7), s2, y2)
-        assert relative_frobenius(inverse_gram(clf), direct) < 1e-10
+        direct = joint_solve([(s1, y1), (s2, y2)], 0.7).afam
+        assert relative_frobenius(clf.afam.matrix, direct.matrix) < 1e-10
 
 
 class TestPredict:
@@ -352,8 +373,10 @@ class TestPredict:
         assert np.array_equal(predict(clf, x), want)
 
     def test_untrained_rejected(self):
-        empty = AnalyticClassifier.from_state(
-            np.eye(3, order="F"), np.zeros((3, 0), order="F"), 1.0, {}, 0
+        from akws.classifier import Afam, AnalyticClassifier
+
+        empty = AnalyticClassifier(
+            weights=np.zeros((3, 0)), afam=Afam(np.eye(3), 1.0), class_registry={}, tasks_seen=0
         )
         with pytest.raises(ShapeError, match="no registered classes"):
             predict(empty, np.zeros((1, 3)))

@@ -166,6 +166,33 @@ class TestRun:
         assert got.stderr.startswith("error: task 1 ")
         assert got.returncode == results["missing_key"].returncode != 0
 
+    def test_kernel_not_positive_definite_is_one_error_line(self, tmp_path):
+        # a first fit whose carried A is -I makes the first update's kernel indefinite
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "import akws.harness as h\n"
+            "from akws.cli import main\n"
+            "fit = h.recalibrate\n"
+            "def broken(*args):\n"
+            "    clf = fit(*args)\n"
+            "    return replace(clf, afam=replace(clf.afam, matrix=-np.eye(clf.expansion_size)))\n"
+            "h.recalibrate = broken\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        got = subprocess.run(
+            [sys.executable, "-c", script, "run", "--expansion", "48", "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+        )
+        assert got.returncode == 1
+        assert "Traceback" not in got.stderr
+        lines = got.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "not positive definite" in lines[0]
+
     @pytest.mark.parametrize("command", ["run", "oracle-check"])
     def test_empty_first_test_set_exits_2(self, tmp_path, capsys, command):
         data = tmp_path / "data"

@@ -177,7 +177,7 @@ class TestRunExperiment:
         tasks = synth_tasks()
         result = run_experiment(tasks, FAST)
         e = FAST.expansion_size
-        assert result.metrics.extra_memory_elements == e * (e + 1) // 2 + e * 10 + 10
+        assert result.metrics.extra_memory_elements == e * e + e * 10 + 10
 
     def test_empty_training_task_rejected(self):
         tasks = synth_tasks()

@@ -29,6 +29,22 @@ class TestRoutines:
         got = np.tril(lower_factor(g))
         assert np.allclose(got, np.linalg.cholesky(g), rtol=0, atol=1e-12 * np.abs(g).max())
 
+    def test_potrs_matches_solve(self, e):
+        g = spd(e)
+        b = np.random.default_rng(1).standard_normal((e, 5))
+        x = b.copy(order="F")
+        lapack.potrs("L", lower_factor(g), x)
+        want = np.linalg.solve(g, b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_potri_matches_inv(self, e):
+        g = spd(e)
+        factor = lower_factor(g)
+        assert lapack.potri("L", factor) == 0
+        want = np.linalg.inv(g)
+        got = np.tril(factor)
+        assert np.linalg.norm(got - np.tril(want)) <= 1e-12 * np.linalg.norm(want)
+
     def test_trsm_matches_solve(self, e):
         chol = np.linalg.cholesky(spd(e))
         r = np.random.default_rng(2).standard_normal((e, 9))
@@ -37,26 +53,6 @@ class TestRoutines:
         lapack.trsm("R", "U", "N", "N", 1.0, chol.T, z.T)
         want = np.linalg.solve(chol, r)
         assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("m", [0, 1, 9, 200])
-    def test_tpqrt_and_tpmqrt_match_qr_of_the_stack(self, e, m):
-        rng = np.random.default_rng(3)
-        r = np.triu(rng.standard_normal((e, e))) + 4.0 * np.eye(e)
-        s = rng.standard_normal((m, e))
-        b, y = rng.standard_normal((e, 4)), rng.standard_normal((m, 4))
-        top = np.asfortranarray(r + np.tril(np.full((e, e), np.nan), -1))  # never read
-        v, bt, yt = np.array(s, order="F"), np.array(b, order="F"), np.array(y, order="F")
-        lapack.tpmqrt("T", v, lapack.tpqrt(top, v, min(32, e)), bt, yt)
-        want = np.linalg.qr(np.vstack([r, s]), mode="r")
-        # both triangles are unique up to the signs of their rows
-        signs = np.sign(np.diag(want)) * np.sign(np.diag(top))
-        scale = np.linalg.norm(want)
-        assert np.linalg.norm(signs[:, None] * np.triu(top) - want) <= 1e-13 * scale
-        # Q^T is orthogonal, and R^T (Q^T [B; Y])[:e] = [R; S]^T [B; Y]
-        norm = np.linalg.norm(np.vstack([b, y]))
-        assert abs(np.linalg.norm(np.vstack([bt, yt])) - norm) <= 1e-13 * norm
-        cross = r.T @ b + s.T @ y
-        assert np.linalg.norm(np.triu(top).T @ bt - cross) <= 1e-13 * scale * norm
 
     def test_not_positive_definite_is_a_data_error(self, e):
         g = spd(e)
