@@ -1,7 +1,7 @@
 """Analytic ridge classifier with exemplar-free recursive task updates.
 
-The classifier is fit in closed form on expanded features. For the first
-batch the weights solve the ridge system
+The classifier is fit in closed form on expanded features. The first fit
+is ``joint_solve`` of one batch: the weights solve the ridge system
 
     W = (S'T S' + gamma I)^-1 S'T Y
 
@@ -15,20 +15,22 @@ batch's rows,
 
     A_t = A_{t-1} - A_{t-1} S'T (I + S' A_{t-1} S'T)^-1 S' A_{t-1},
 
-then rewrites existing weight columns as ``W - A_t S'T S' W`` and appends
-``A_t S'T Y`` for the batch's new classes. The result is algebraically
-identical to re-solving the joint ridge problem over every batch seen so
-far, without retaining any past rows; ``joint_solve`` computes that joint
-solution directly and serves as the oracle in tests.
+and moves the weights by ``A_t S'T (Y - S' W)``, with ``W`` padded by a
+zero column for each class the batch registers. The result is
+algebraically identical to re-solving the joint ridge problem over every
+batch seen so far, without retaining any past rows; ``joint_solve``
+computes that joint solution directly and serves as the oracle in tests.
 
 ``update`` evaluates this in square-root form. With the Cholesky factor
 ``K = I + S' A_{t-1} S'T = L L^T`` and
 
-    Z = L^-1 [S' A_{t-1} | S' W | Y] = [Z_a | Z_w | Z_y],
+    Z = L^-1 [S' A_{t-1} | Y - S' W] = [Z_a | Z_r],
 
 the refresh is ``A_t = A_{t-1} - Z_a^T Z_a``, and since
-``A_t S'T = Z_a^T L^-1`` the weight step is ``W - Z_a^T Z_w`` with new
-columns ``Z_a^T Z_y``. ``Z_a^T Z_a`` is symmetric by construction, so only
+``A_t S'T = Z_a^T L^-1`` the new weights are ``W + Z_a^T Z_r``. Every
+batch takes this one step: a batch without rows that registers classes
+has a 0 x 0 kernel, leaves ``A`` as it was and adds zero columns.
+``Z_a^T Z_a`` is symmetric by construction, so only
 its upper triangle is computed, one GEMM per row panel of ``_PANEL`` rows
 (about half the flops of the whole product), and then mirrored onto the
 lower triangle. No averaging ``(A + A^T) / 2`` is needed: the rounding
@@ -40,9 +42,9 @@ instead lost accuracy. The left operand of each panel GEMM is a copy, because nu
 sends ``X.T @ X`` on one buffer to a syrk path that is slower here.
 
 ``Z`` comes from one in-place triangular solve (BLAS ``trsm``) on the
-buffer that holds ``[S' A_{t-1} | S' W | Y]``. Its cost per right-hand
-column is that of a GEMM column, so with ``S W`` among the columns the
-update does not grow with the class count C beyond the GEMMs themselves.
+buffer that holds ``[S' A_{t-1} | Y - S' W]``. Its cost per right-hand
+column is that of a GEMM column, so the C target columns add no more to
+the update than the GEMMs that form them.
 
 Wherever ``A`` is formed directly from a Cholesky factor ``L`` of the
 regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
@@ -57,11 +59,13 @@ LAPACK (scipy's, for instance) would bring its own OpenBLAS and its own
 thread pool; after a call into it those workers keep spinning, so numpy's
 GEMMs right after it compete with them for the same cores.
 
-Column order follows class registration order: classes are assigned
-columns in the order their batches first present them.
+Column order follows class registration order: ``update`` and
+``joint_solve`` alike give a class the next free column when a batch
+first presents it. A class presented again keeps its column, which then
+sums the label correlations of every batch that holds it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,26 +236,10 @@ def _materialize_inverse(factor: np.ndarray) -> np.ndarray:
 
 
 def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> AnalyticClassifier:
-    """Fit the first-task ridge solution and materialize its inverse factor.
-
-    The weight solve goes through a Cholesky factorization of the
-    regularized Gram matrix; only the carried autocorrelation state is
-    materialized as an explicit inverse.
-    """
-    if gamma <= 0:
-        raise InvalidRegularizerError(f"ridge parameter must be > 0, got {gamma}")
-    s = _check_batch(s0_expanded, y0)
-    if s.shape[0] < 1:
+    """Fit the first task in closed form: ``joint_solve`` of its one batch."""
+    if y0.rows < 1:
         raise ShapeError("recalibration needs at least one sample")
-    e = s.shape[1]
-    g = s.T @ s
-    g.flat[:: e + 1] += gamma
-    factor = _spd_factor(g)
-    weights = (y0.onehot.T @ s).T  # S'T Y, Fortran-ordered for the in-place solve
-    lapack.potrs("L", factor, weights)
-    afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
-    registry = {cid: j for j, cid in enumerate(y0.class_ids)}
-    return AnalyticClassifier(weights=weights, afam=afam, class_registry=registry, tasks_seen=1)
+    return joint_solve([(s0_expanded, y0)], gamma)
 
 
 def update(
@@ -275,32 +263,28 @@ def update(
     seen = [cid for cid in y_t.class_ids if cid in c.class_registry]
     if seen and not allow_registered:
         raise ClassCollisionError(f"class ids already registered: {seen}")
-    new_ids = [cid for cid in y_t.class_ids if cid not in c.class_registry]
-
     n = s.shape[0]
-    if n == 0 and not new_ids:
+    if n == 0 and len(seen) == len(y_t.class_ids):
         return c
-    if n == 0:
-        # Registration-only batch: no rows, so the autocorrelation and the
-        # existing columns are untouched and new columns are exactly zero.
-        weights = np.hstack([c.weights, np.zeros((e, len(new_ids)))])
-        registry = dict(c.class_registry)
-        for cid in new_ids:
-            registry[cid] = len(registry)
-        return replace(c, weights=weights, class_registry=registry, tasks_seen=c.tasks_seen + 1)
 
-    a_prev = c.afam.matrix
+    registry = dict(c.class_registry)
+    cols = [registry.setdefault(cid, len(registry)) for cid in y_t.class_ids]
     n_cols = c.n_classes
-    rhs = np.empty((n, e + n_cols + y_t.onehot.shape[1]))  # [S A_{t-1} | S W | Y]
+    a_prev = c.afam.matrix
+    rhs = np.empty((n, e + len(registry)))  # [S A_{t-1} | Y - S W], W padded with zero columns
     np.matmul(s, a_prev, out=rhs[:, :e])
-    np.matmul(s, c.weights, out=rhs[:, e : e + n_cols])
-    rhs[:, e + n_cols :] = y_t.onehot
+    r = rhs[:, e:]
+    np.matmul(s, c.weights, out=r[:, :n_cols])
+    # not np.negative(out=): numpy 2.4 miscomputes it on some strided views
+    r[:, :n_cols] *= -1.0
+    r[:, n_cols:] = 0.0
+    r[:, cols] += y_t.onehot
     k = np.eye(n) + rhs[:, :e] @ s.T
     try:
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         raise DataError("the Woodbury kernel I + S A S^T is not positive definite") from None
-    # Z = L^-1 [S A_{t-1} | S W | Y] in place: as Fortran-ordered matrices,
+    # Z = L^-1 [S A_{t-1} | Y - S W] in place: as Fortran-ordered matrices,
     # rhs.T is its transpose and chol.T is L^T, so Z^T = rhs.T (L^T)^-1
     lapack.trsm("R", "U", "N", "N", 1.0, chol.T, rhs.T)
     z = rhs
@@ -314,17 +298,8 @@ def update(
         np.subtract(a_prev[i : i + _PANEL, i:], panel, out=panel)
     _mirror_upper(a_new)
 
-    step = za.T @ z[:, e:]  # A_t S'T [S W | Y] = Z_a^T L^-1 [S W | Y]
-    weights = np.empty((e, n_cols + len(new_ids)))
-    np.subtract(c.weights, step[:, :n_cols], out=weights[:, :n_cols])
-    correlations = step[:, n_cols:]  # E x k, columns ordered as y_t.class_ids
-    registry = dict(c.class_registry)
-    for j, cid in enumerate(y_t.class_ids):
-        if cid in registry:
-            weights[:, registry[cid]] += correlations[:, j]
-        else:
-            registry[cid] = len(registry)
-            weights[:, registry[cid]] = correlations[:, j]
+    weights = za.T @ z[:, e:]  # A_t S'T (Y - S W) = Z_a^T Z_r
+    weights[:, :n_cols] += c.weights
     return AnalyticClassifier(
         weights=weights,
         afam=Afam(matrix=a_new, gamma=c.afam.gamma),
@@ -336,33 +311,28 @@ def update(
 def joint_solve(batches, gamma: float) -> AnalyticClassifier:
     """Solve the ridge problem over all batches at once (the oracle path).
 
-    Targets stack block-diagonally: each batch's labels occupy its own
-    classes' columns and contribute zero everywhere else, with columns
-    placed by global registration order.
+    Each class owns one target column, placed in registration order. A
+    batch adds its label correlations ``S'T Y`` to its own classes'
+    columns, so a class that several batches present sums them.
     """
     if gamma <= 0:
         raise InvalidRegularizerError(f"ridge parameter must be > 0, got {gamma}")
     if not batches:
         raise ShapeError("joint solve needs at least one batch")
-    checked = []
-    e = None
-    registry: dict[int, int] = {}
-    for s, y in batches:
-        s = _check_batch(s, y)
-        if e is None:
-            e = s.shape[1]
-        elif s.shape[1] != e:
+    checked = [(_check_batch(s, y), y) for s, y in batches]
+    e = checked[0][0].shape[1]
+    for s, _ in checked:
+        if s.shape[1] != e:
             raise ShapeError(f"inconsistent expanded widths: {e} vs {s.shape[1]}")
-        for cid in y.class_ids:
-            if cid in registry:
-                raise ClassCollisionError(f"class id {cid} appears in more than one batch")
-            registry[cid] = len(registry)
-        checked.append((s, y))
-    gram = gamma * np.eye(e)
-    rhs = np.zeros((e, len(registry)), order="F")  # solved in place
-    for s, y in checked:
+    registry: dict[int, int] = {}
+    targets = [[registry.setdefault(cid, len(registry)) for cid in y.class_ids] for _, y in checked]
+    (s0, _), *rest = checked
+    gram = s0.T @ s0
+    gram.flat[:: e + 1] += gamma  # in place: no E x E gamma * I buffer
+    for s, _ in rest:
         gram += s.T @ s
-        cols = [registry[cid] for cid in y.class_ids]
+    rhs = np.zeros((e, len(registry)), order="F")  # solved in place
+    for (s, y), cols in zip(checked, targets):
         rhs[:, cols] += s.T @ y.onehot
     factor = _spd_factor(gram)
     lapack.potrs("L", factor, rhs)

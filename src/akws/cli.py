@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 input. A config that breaks the schema (a negative seed, a zero data
 dimension, a split that does not cover the classes, an expansion no
 wider than the features it expands), a manifest or feature CSV that
-does not parse, or data whose first task has no test rows (so its
-accuracy, and ACC, are undefined) is invalid input; a data file that
+does not parse, manifest contents a run cannot use (a class in two
+tasks, files of different widths, a label outside its task's classes, a
+train file without rows), or data whose first task has no test rows (so
+its accuracy, and ACC, are undefined) is invalid input; a data file that
 cannot be opened under ``run`` or ``oracle-check``, or a numerical
 failure such as a Woodbury kernel that is not positive definite, is a
 runtime failure. No command mutates its inputs.
@@ -136,7 +138,9 @@ def _cmd_gen(args) -> int:
         noise_sigma=args.noise,
         seed=args.seed,
     )
-    test_per_class = args.test_per_class or max(1, args.per_class // 5)
+    test_per_class = args.test_per_class
+    if test_per_class is None:
+        test_per_class = max(1, args.per_class // 5)
     split = split_tasks(range(classes), base, steps, per_step, args.seed)
     train, test = gen_synth_split(spec, test_per_class)
     tasks = build_tasks(train, test, split)

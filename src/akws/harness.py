@@ -95,17 +95,40 @@ def build_tasks(train: LabeledDataset, test: LabeledDataset, split: TaskSplit) -
 
 
 def tasks_from_manifest(path) -> list[TaskData]:
-    """Load per-task train/test feature files listed in a manifest."""
+    """Load per-task train/test feature files listed in a manifest.
+
+    Contents a run cannot use raise ``ParseError`` before any fit: a class
+    declared by two tasks, a file whose width differs from the first train
+    file's, a label outside its task's classes, or a train file without rows.
+    """
     tasks = []
+    owner: dict[int, int] = {}
+    width = None
     for entry in load_manifest(path):
-        tasks.append(
-            TaskData(
-                task_id=entry["id"],
-                classes=tuple(entry["classes"]),
-                train=load_features(entry["train"]),
-                test=load_features(entry["test"]),
-            )
-        )
+        tid, classes = entry["id"], tuple(entry["classes"])
+        for cid in classes:
+            if cid in owner:
+                raise ParseError(
+                    f"manifest {path}: task {tid} declares class {cid}, as task {owner[cid]} does"
+                )
+            owner[cid] = tid
+        loaded = []
+        for kind in ("train", "test"):
+            ds = load_features(entry[kind])
+            where = f"task {tid} {kind} file {entry[kind]}"
+            width = ds.dim if width is None else width
+            if ds.dim != width:
+                raise ParseError(f"{where}: {ds.dim} features, but the first train file has {width}", line=1)
+            outside = ~np.isin(ds.labels, classes)
+            if outside.any():
+                row = int(np.argmax(outside))
+                raise ParseError(
+                    f"{where}: label {ds.labels[row]} is not among the task's classes", line=row + 2
+                )
+            loaded.append(ds)
+        if loaded[0].n == 0:
+            raise ParseError(f"task {tid} train file {entry['train']}: no training rows")
+        tasks.append(TaskData(task_id=tid, classes=classes, train=loaded[0], test=loaded[1]))
     return tasks
 
 
@@ -390,47 +413,50 @@ def write_grid_csv(path, accuracy: AccuracyMatrix) -> None:
 
 def read_grid_csv(path) -> AccuracyMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln != ""]
+        # (physical line number, text) of each non-blank line, so errors name the line
+        lines = [(i, ln) for i, ln in enumerate(fh.read().split("\n"), start=1) if ln != ""]
     if not lines:
         raise ParseError("empty grid file", line=1)
     sizes = None
-    if lines[0].startswith("# test_sizes,"):
+    sizes_line = 0
+    if lines[0][1].startswith("# test_sizes,"):
+        sizes_line, comment = lines.pop(0)
         try:
-            sizes = np.array([int(v) for v in lines[0].split(",")[1:]], dtype=np.int64)
+            sizes = np.array([int(v) for v in comment.split(",")[1:]], dtype=np.int64)
         except ValueError:
-            raise ParseError("bad test_sizes comment", line=1) from None
+            raise ParseError("bad test_sizes comment", line=sizes_line) from None
         if np.any(sizes < 0):
-            raise ParseError("negative test size", line=1)
-        lines = lines[1:]
-    if not lines or not lines[0].startswith("step,"):
-        raise ParseError("expected 'step,task_0,...' header", line=1)
-    n = len(lines[0].split(",")) - 1
-    if n < 1 or len(lines) - 1 != n:
+            raise ParseError("negative test size", line=sizes_line)
+    if not lines or not lines[0][1].startswith("step,"):
+        raise ParseError("expected 'step,task_0,...' header", line=lines[0][0] if lines else sizes_line + 1)
+    (_, header), *rows = lines
+    n = len(header.split(",")) - 1
+    if n < 1 or len(rows) != n:
         raise ParseError(f"grid must be {n} x {n} with one row per step")
     grid = np.full((n, n), np.nan)
-    for t, line in enumerate(lines[1:]):
-        cells = line.split(",")
+    for t, (line, text) in enumerate(rows):
+        cells = text.split(",")
         if len(cells) != n + 1:
-            raise ParseError(f"expected {n + 1} columns", line=t + 2)
+            raise ParseError(f"expected {n + 1} columns", line=line)
         for j in range(n):
             cell = cells[j + 1]
             if j <= t:
                 if cell == "":
-                    raise ParseError(f"missing cell for task {j}", line=t + 2)
+                    raise ParseError(f"missing cell for task {j}", line=line)
                 try:
                     grid[t, j] = float(cell)
                 except ValueError:
-                    raise ParseError(f"non-numeric cell for task {j}", line=t + 2) from None
+                    raise ParseError(f"non-numeric cell for task {j}", line=line) from None
                 if not np.isfinite(grid[t, j]):
-                    raise ParseError(f"non-finite cell for task {j}", line=t + 2)
+                    raise ParseError(f"non-finite cell for task {j}", line=line)
                 if not 0.0 <= grid[t, j] <= 1.0:
-                    raise ParseError(f"accuracy outside [0, 1] for task {j}", line=t + 2)
+                    raise ParseError(f"accuracy outside [0, 1] for task {j}", line=line)
             elif cell != "":
-                raise ParseError("unexpected value above the diagonal", line=t + 2)
+                raise ParseError("unexpected value above the diagonal", line=line)
     if sizes is None:
         sizes = np.ones(n, dtype=np.int64)
     elif sizes.shape[0] != n:
-        raise ParseError("test_sizes length does not match the grid", line=1)
+        raise ParseError("test_sizes length does not match the grid", line=sizes_line)
     return AccuracyMatrix.from_grid(grid, sizes)
 
 

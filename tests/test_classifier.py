@@ -165,6 +165,21 @@ class TestUpdate:
         assert relative_frobenius(second.weights, full.weights) < 1e-9
         assert second.class_registry == full.class_registry
 
+    def test_one_class_base_chain_matches_joint(self):
+        # after a one-class base, S W is an n x 1 strided view of the solve's
+        # buffer, negated in place; at E=6 the first update's rows are 8 wide,
+        # where numpy 2.4's np.negative(out=) miscomputes such a view
+        rng = np.random.default_rng(14)
+        batches = [random_batch(rng, 12, 6, [0])]
+        batches += [random_batch(rng, 9, 6, [t]) for t in range(1, 5)]
+        batches += [random_batch(rng, 11, 6, [5, 6])]
+        clf = recalibrate(*batches[0], 0.1)
+        for b in batches[1:]:
+            clf = update(clf, *b)
+        joint = joint_solve(batches, 0.1)
+        assert clf.class_registry == joint.class_registry
+        assert relative_frobenius(clf.weights, joint.weights) < 1e-9
+
     def test_registered_class_collision(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
         with pytest.raises(ClassCollisionError):
@@ -315,12 +330,19 @@ class TestJointSolve:
         joint = joint_solve(batches, 0.5)
         assert relative_frobenius(clf.weights, joint.weights) < 1e-9
 
-    def test_overlapping_batches_rejected(self):
+    def test_overlapping_batches_equal_one_batch_of_all_rows(self):
+        # class 1 is in both batches: its label correlations sum
         rng = np.random.default_rng(5)
-        a = random_batch(rng, 5, 4, range(2))
-        b = random_batch(rng, 5, 4, range(1, 3))
-        with pytest.raises(ClassCollisionError):
-            joint_solve([a, b], 0.1)
+        s_a, s_b = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        labs_a, labs_b = np.array([0, 1, 1, 0, 1]), np.array([2, 1, 2, 2, 1])
+        a = (s_a, LabelMatrix.from_labels(labs_a, class_ids=range(2)))
+        b = (s_b, LabelMatrix.from_labels(labs_b, class_ids=range(1, 3)))
+        both = (np.vstack([s_a, s_b]), LabelMatrix.from_labels(np.concatenate([labs_a, labs_b])))
+        split = joint_solve([a, b], 0.1)
+        whole = joint_solve([both], 0.1)
+        assert split.class_registry == whole.class_registry == {0: 0, 1: 1, 2: 2}
+        assert relative_frobenius(split.weights, whole.weights) < 1e-12
+        assert relative_frobenius(split.afam.matrix, whole.afam.matrix) < 1e-12
 
 
 class TestAfamDirect:

@@ -42,6 +42,13 @@ class TestGen:
         assert run_cli("gen", "--classes", 1, "--out", tmp_path / "x") == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_test_per_class_below_one_exits_2(self, tmp_path, capsys, count):
+        out = tmp_path / "d"
+        assert run_cli("gen", "--classes", 4, "--per-class", 10, "--test-per-class", count, "--out", out) == 2
+        assert capsys.readouterr().err == "error: test_per_class must be >= 1\n"
+        assert not out.exists()
+
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a dir")
@@ -213,6 +220,40 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
 
 
+# Manifest contents a run cannot use. Each edits generated data (4 classes,
+# dim 3, 2 test rows per class, tasks of 2, 1 and 1 classes) and returns the
+# expected error.
+def _empty_train(data, doc):
+    path = data / doc["tasks"][1]["train"]
+    path.write_text(path.read_text().split("\n")[0] + "\n")  # header only
+    return f"task 1 train file {path}: no training rows"
+
+
+def _foreign_label(kind, task, other):
+    def mutate(data, doc):
+        path = data / doc["tasks"][task][kind]
+        lines = path.read_text().split("\n")
+        label = doc["tasks"][other]["classes"][0]
+        lines[2] = ",".join([str(label), *lines[2].split(",")[1:]])
+        path.write_text("\n".join(lines))
+        return f"line 3: task {task} {kind} file {path}: label {label} is not among the task's classes"
+
+    return mutate
+
+
+def _class_in_two_tasks(data, doc):
+    cid = doc["tasks"][1]["classes"][0]
+    doc["tasks"][2]["classes"].append(cid)
+    return f"manifest {data / 'manifest.json'}: task 2 declares class {cid}, as task 1 does"
+
+
+def _narrow_file(data, doc):
+    path = data / doc["tasks"][1]["test"]
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(ln.rsplit(",", 1)[0] for ln in lines))
+    return f"line 1: task 1 test file {path}: 2 features, but the first train file has 3"
+
+
 @pytest.mark.parametrize("command", ["run", "oracle-check"])
 class TestMalformedInputExits2:
     def _config(self, tmp_path, manifest):
@@ -245,6 +286,36 @@ class TestMalformedInputExits2:
         assert capsys.readouterr().err == (
             f"error: task 1 class id {cid} does not fit in 32 unsigned bits\n"
         )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _empty_train,
+            _foreign_label("train", 1, 0),
+            _foreign_label("test", 2, 1),
+            _class_in_two_tasks,
+            _narrow_file,
+        ],
+        ids=["empty-train", "train-label", "test-label", "class-in-two-tasks", "width"],
+    )
+    def test_unusable_manifest_contents(self, tmp_path, capsys, monkeypatch, command, mutate):
+        # rejected while the tasks load: no extractor is trained and nothing is fit
+        import akws.harness
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("pretraining reached")
+
+        data = tmp_path / "data"
+        gen = ("gen", "--classes", 4, "--per-class", 5, "--test-per-class", 2, "--dim", 3, "--out", data)
+        assert run_cli(*gen) == 0
+        doc = json.loads((data / "manifest.json").read_text())
+        error = mutate(data, doc)
+        (data / "manifest.json").write_text(json.dumps(doc))
+        monkeypatch.setattr(akws.harness, "pretrain_extractor", unreached)
+        capsys.readouterr()
+        assert run_cli(*self._args(command, tmp_path, self._config(tmp_path, data / "manifest.json"))) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "o").exists()
 
     def _run_with_bad_cell(self, tmp_path, capsys, command, cell):

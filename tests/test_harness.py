@@ -324,6 +324,14 @@ class TestGridCsv:
             ("step,task_0,task_1\n0,1.0,\n1,1.0,inf\n", 3, "non-finite cell for task 1"),
             ("step,task_0,task_1\n0,1.0,\n1,-0.5,1.0\n", 3, r"accuracy outside \[0, 1\] for task 0"),
             ("# test_sizes,4,-1\nstep,task_0,task_1\n0,1.0,\n1,1.0,1.0\n", 1, "negative test size"),
+            # numbered by physical line: the comment and blank lines count
+            ("# test_sizes,1,1\nstep,task_0,task_1\n0,1.0,\n1,abc,1.0\n", 4, "non-numeric cell for task 0"),
+            ("# test_sizes,1,1\nstep,task_0,task_1\n0\n1,1.0,1.0\n", 3, "expected 3 columns"),
+            ("step,task_0,task_1\n\n0,1.0,\n1,1.0,inf\n", 4, "non-finite cell for task 1"),
+            ("# test_sizes,1\nstp,task_0\n0,1.0\n", 2, "expected 'step,task_0,...' header"),
+            ("\nstp,task_0\n0,1.0\n", 2, "expected 'step,task_0,...' header"),
+            ("# test_sizes,1\n", 2, "expected 'step,task_0,...' header"),
+            ("\n# test_sizes,1\nstep,task_0,task_1\n0,1.0,\n1,1.0,1.0\n", 2, "test_sizes length"),
         ],
     )
     def test_bad_cell_names_its_line(self, tmp_path, text, line, message):

@@ -37,6 +37,20 @@ def make_tasks(rng, n_tasks, e, degenerate=False):
     return batches
 
 
+def make_stream(rng, n_tasks, e, pool=6):
+    """Batches over a small class pool, so later ones re-present classes.
+
+    A later batch may have no rows; the first always has some.
+    """
+    batches = []
+    for t in range(n_tasks):
+        ids = rng.choice(pool, size=int(rng.integers(1, 4)), replace=False).tolist()
+        n = int(rng.integers(0 if t else 1, 30))
+        s = rng.standard_normal((n, e))
+        batches.append((s, LabelMatrix.from_labels(rng.choice(ids, n), class_ids=ids)))
+    return batches
+
+
 def run_chain(batches, gamma):
     clf = recalibrate(batches[0][0], batches[0][1], gamma)
     for s, y in batches[1:]:
@@ -58,6 +72,25 @@ def test_chained_updates_equal_joint_solution(seed, n_tasks, e, gamma):
     joint = joint_solve(batches, gamma)
     assert chained.class_registry == joint.class_registry
     assert relative_frobenius(chained.weights, joint.weights) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tasks=st.integers(1, 6),
+    e=st.integers(4, 32),
+    gamma=st.sampled_from(GAMMAS),
+)
+def test_streamed_updates_equal_joint_solution(seed, n_tasks, e, gamma):
+    # re-presented classes (allow_registered): the oracle sums their correlations
+    rng = np.random.default_rng(seed)
+    batches = make_stream(rng, n_tasks, e)
+    clf = recalibrate(*batches[0], gamma)
+    for s, y in batches[1:]:
+        clf = update(clf, s, y, allow_registered=True)
+    joint = joint_solve(batches, gamma)
+    assert clf.class_registry == joint.class_registry
+    assert relative_frobenius(clf.weights, joint.weights) < 1e-9
 
 
 @settings(max_examples=30, deadline=None)
