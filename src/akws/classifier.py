@@ -65,6 +65,7 @@ first presents it. A class presented again keeps its column, which then
 sums the label correlations of every batch that holds it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,8 +316,8 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
     batch adds its label correlations ``S'T Y`` to its own classes'
     columns, so a class that several batches present sums them.
     """
-    if gamma <= 0:
-        raise InvalidRegularizerError(f"ridge parameter must be > 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise InvalidRegularizerError(f"ridge parameter must be finite and > 0, got {gamma}")
     if not batches:
         raise ShapeError("joint solve needs at least one batch")
     checked = [(_check_batch(s, y), y) for s, y in batches]

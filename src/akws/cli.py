@@ -26,9 +26,10 @@ import json
 import os
 import sys
 
-from .config import ManifestDataConfig, RunConfig, load_config, parse_config
+from .config import ManifestDataConfig, RunConfig, SplitConfig, SynthDataConfig, load_config, parse_config
 from .data import SynthSpec, gen_synth_split, save_features, write_manifest
-from .errors import AkwsError, ConfigError, InvalidSplitError, MetricUndefinedError, ParseError
+from .errors import AkwsError, ConfigError, DataError, InvalidSplitError, MetricUndefinedError, ParseError
+from .expansion import ACTIVATIONS
 from .harness import (
     acc_metric,
     build_tasks,
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--gamma", type=float, default=None)
         cmd.add_argument("--expansion", type=int, default=None)
-        cmd.add_argument("--activation", choices=("identity", "relu"), default=None)
+        cmd.add_argument("--activation", choices=ACTIVATIONS, default=None)
         if name == "run":
             cmd.add_argument("--out", default="out")
         else:
@@ -89,28 +90,22 @@ def _resolve_config(args) -> RunConfig:
     return parse_config(doc)
 
 
+def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
+    """Draw synthetic train and test sets and slice them into the split's tasks."""
+    spec = SynthSpec(data.classes, data.per_class, data.dim, data.separation, data.noise_sigma, data.seed)
+    order = split_tasks(
+        range(data.classes), split.base_count, split.step_count, split.classes_per_step, split.seed
+    )
+    train, test = gen_synth_split(spec, data.test_per_class)
+    return build_tasks(train, test, order)
+
+
 def _assemble_tasks(cfg: RunConfig):
     d = cfg.data
     if isinstance(d, ManifestDataConfig):
         tasks = tasks_from_manifest(d.path)
     else:
-        spec = SynthSpec(
-            n_classes=d.classes,
-            samples_per_class=d.per_class,
-            raw_dim=d.dim,
-            cluster_separation=d.separation,
-            noise_sigma=d.noise_sigma,
-            seed=d.seed,
-        )
-        train, test = gen_synth_split(spec, d.test_per_class)
-        split = split_tasks(
-            range(d.classes),
-            cfg.split.base_count,
-            cfg.split.step_count,
-            cfg.split.classes_per_step,
-            cfg.split.seed,
-        )
-        tasks = build_tasks(train, test, split)
+        tasks = _synth_tasks(d, cfg.split)
     h = cfg.harness
     if tasks:  # an empty manifest fails in the harness
         width = h.extractor_hidden if h.use_extractor else tasks[0].train.dim
@@ -120,30 +115,26 @@ def _assemble_tasks(cfg: RunConfig):
 
 
 def _cmd_gen(args) -> int:
-    classes = args.classes
-    base = args.base if args.base is not None else classes // 2
-    per_step = args.per_step
-    if args.steps is not None:
-        steps = args.steps
-    else:
-        remaining = classes - base
-        if per_step < 1 or remaining % per_step:
-            raise InvalidSplitError(f"{remaining} leftover classes not divisible by {per_step}")
-        steps = remaining // per_step
-    spec = SynthSpec(
-        n_classes=classes,
-        samples_per_class=args.per_class,
-        raw_dim=args.dim,
-        cluster_separation=args.separation,
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
+    base = args.base if args.base is not None else args.classes // 2
+    steps = args.steps
+    if steps is None:
+        remaining = args.classes - base
+        if args.per_step < 1 or remaining % args.per_step:
+            raise InvalidSplitError(f"{remaining} leftover classes not divisible by {args.per_step}")
+        steps = remaining // args.per_step
     test_per_class = args.test_per_class
     if test_per_class is None:
         test_per_class = max(1, args.per_class // 5)
-    split = split_tasks(range(classes), base, steps, per_step, args.seed)
-    train, test = gen_synth_split(spec, test_per_class)
-    tasks = build_tasks(train, test, split)
+    data = SynthDataConfig(
+        classes=args.classes,
+        per_class=args.per_class,
+        test_per_class=test_per_class,
+        dim=args.dim,
+        separation=args.separation,
+        noise_sigma=args.noise,
+        seed=args.seed,
+    )
+    tasks = _synth_tasks(data, SplitConfig(base, steps, args.per_step, args.seed))
     os.makedirs(args.out, exist_ok=True)
     entries = []
     for task in tasks:
@@ -211,7 +202,7 @@ def main(argv=None) -> int:
         "metrics": _cmd_metrics,
     }
     validation = {
-        "gen": (ConfigError, InvalidSplitError, ValueError),
+        "gen": (DataError, InvalidSplitError),
         "run": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
         "oracle-check": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
         "metrics": (ConfigError, ParseError, MetricUndefinedError, OSError),

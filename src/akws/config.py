@@ -13,17 +13,19 @@ A config document has the shape
       "extractor": {"enabled": true, "hidden": 32, "epochs": 20, "lr": 0.05}
     }
 
-Unknown keys are rejected; every violation names the offending field
-path. ``split`` applies to synth data only (a manifest is already split)
-and defaults to half the classes as base plus one class per step.
+Each section is read off its dataclass: a field gives its key's type and
+default, and a field without a default is required. Unknown keys and
+non-finite numbers (JSON's ``NaN``, ``Infinity``) are rejected, naming the
+field path. ``split`` applies to synth data only (a manifest is already
+split) and defaults to half the classes as base plus one class per step.
 """
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import ConfigError
-
-_ACTIVATIONS = ("identity", "relu")
+from .expansion import ACTIVATIONS
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class SynthDataConfig:
 
 @dataclass(frozen=True)
 class ManifestDataConfig:
-    path: str = ""
+    path: str
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class SplitConfig:
     base_count: int
     step_count: int
     classes_per_step: int
-    seed: int
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class HarnessConfig:
     extractor_lr: float = 0.05
 
 
-_DEFAULTS = HarnessConfig()
 # The JSON key of each HarnessConfig field: top-level keys, then the keys
 # of the "extractor" object.
 _TOP_KEYS = {"gamma": "gamma", "expansion": "expansion_size", "activation": "activation", "seed": "seed"}
@@ -95,100 +96,68 @@ class RunConfig:
         return doc
 
 
-def _require(doc: dict, allowed: set[str], path: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)}", field=path)
-
-
-def _typed(doc: dict, key: str, kind, path: str, default=None, required=False):
+def _typed(doc: dict, key: str, kind, path: str, default=MISSING):
+    where = f"{path}.{key}" if path else key
     if key not in doc:
-        if required:
-            raise ConfigError("missing required key", field=f"{path}.{key}" if path else key)
+        if default is MISSING:
+            raise ConfigError("missing required key", field=where)
         return default
     val = doc[key]
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # an integer beyond the float range
+            val = math.inf if val > 0 else -math.inf
     if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        raise ConfigError(
-            f"expected {kind.__name__}, got {type(val).__name__}",
-            field=f"{path}.{key}" if path else key,
-        )
+        raise ConfigError(f"expected {kind.__name__}, got {type(val).__name__}", field=where)
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"must be finite, got {val}", field=where)
     return val
+
+
+def _read(doc, cls, path: str, keys: dict | None = None, also=()) -> dict:
+    """Fields of ``cls`` read from the object ``doc``, typed and defaulted as ``cls`` declares them.
+
+    ``keys`` maps JSON keys to field names (by default each field is its
+    own key); keys in ``also`` are allowed and left to the caller. The
+    field annotations are the types checked, so this module must not
+    defer them (no ``from __future__ import annotations``).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("expected an object", field=path)
+    declared = {f.name: f for f in fields(cls)}
+    keys = keys or {name: name for name in declared}
+    unknown = set(doc) - set(keys) - set(also)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)}", field=path)
+    return {
+        name: _typed(doc, key, declared[name].type, path, declared[name].default) for key, name in keys.items()
+    }
 
 
 def _parse_data(doc, path="data"):
     if not isinstance(doc, dict):
         raise ConfigError("expected an object", field=path)
     kind = _typed(doc, "kind", str, path, default="synth")
-    if kind == "synth":
-        _require(doc, {"kind", "classes", "per_class", "test_per_class", "dim", "separation", "noise_sigma", "seed"}, path)
-        cfg = SynthDataConfig(
-            classes=_typed(doc, "classes", int, path, default=10),
-            per_class=_typed(doc, "per_class", int, path, default=100),
-            test_per_class=_typed(doc, "test_per_class", int, path, default=25),
-            dim=_typed(doc, "dim", int, path, default=16),
-            separation=_typed(doc, "separation", float, path, default=6.0),
-            noise_sigma=_typed(doc, "noise_sigma", float, path, default=1.0),
-            seed=_typed(doc, "seed", int, path, default=1),
-        )
-        if cfg.classes < 2:
-            raise ConfigError("need at least 2 classes", field=f"{path}.classes")
-        if cfg.per_class < 1:
-            raise ConfigError("must be >= 1", field=f"{path}.per_class")
-        if cfg.test_per_class < 1:
-            raise ConfigError("must be >= 1", field=f"{path}.test_per_class")
-        if cfg.dim < 1:
-            raise ConfigError("must be >= 1", field=f"{path}.dim")
-        if cfg.separation <= 0:
-            raise ConfigError("must be > 0", field=f"{path}.separation")
-        if cfg.noise_sigma < 0:
-            raise ConfigError("must be >= 0", field=f"{path}.noise_sigma")
-        if cfg.seed < 0:
-            raise ConfigError("must be >= 0", field=f"{path}.seed")
-        return cfg
     if kind == "manifest":
-        _require(doc, {"kind", "path"}, path)
-        return ManifestDataConfig(path=_typed(doc, "path", str, path, required=True))
-    raise ConfigError(f"unknown data kind {kind!r}", field=f"{path}.kind")
-
-
-def _parse_split(doc, path="split"):
-    if not isinstance(doc, dict):
-        raise ConfigError("expected an object", field=path)
-    _require(doc, {"base_count", "step_count", "classes_per_step", "seed"}, path)
-    cfg = SplitConfig(
-        base_count=_typed(doc, "base_count", int, path, required=True),
-        step_count=_typed(doc, "step_count", int, path, required=True),
-        classes_per_step=_typed(doc, "classes_per_step", int, path, required=True),
-        seed=_typed(doc, "seed", int, path, default=0),
-    )
+        return ManifestDataConfig(**_read(doc, ManifestDataConfig, path, also=("kind",)))
+    if kind != "synth":
+        raise ConfigError(f"unknown data kind {kind!r}", field=f"{path}.kind")
+    cfg = SynthDataConfig(**_read(doc, SynthDataConfig, path, also=("kind",)))
+    if cfg.classes < 2:
+        raise ConfigError("need at least 2 classes", field=f"{path}.classes")
+    if cfg.per_class < 1:
+        raise ConfigError("must be >= 1", field=f"{path}.per_class")
+    if cfg.test_per_class < 1:
+        raise ConfigError("must be >= 1", field=f"{path}.test_per_class")
+    if cfg.dim < 1:
+        raise ConfigError("must be >= 1", field=f"{path}.dim")
+    if cfg.separation <= 0:
+        raise ConfigError("must be > 0", field=f"{path}.separation")
+    if cfg.noise_sigma < 0:
+        raise ConfigError("must be >= 0", field=f"{path}.noise_sigma")
     if cfg.seed < 0:
         raise ConfigError("must be >= 0", field=f"{path}.seed")
-    return cfg
-
-
-def _harness_fields(doc: dict, keys: dict, path: str) -> dict:
-    """HarnessConfig arguments read from ``doc``, typed and defaulted as the dataclass is."""
-    out = {}
-    for key, name in keys.items():
-        default = getattr(_DEFAULTS, name)
-        out[name] = _typed(doc, key, type(default), path, default=default)
-    return out
-
-
-def _parse_extractor(doc, path="extractor"):
-    if not isinstance(doc, dict):
-        raise ConfigError("expected an object", field=path)
-    _require(doc, set(_EXTRACTOR_KEYS), path)
-    cfg = _harness_fields(doc, _EXTRACTOR_KEYS, path)
-    if cfg["use_extractor"]:
-        if cfg["extractor_hidden"] < 1:
-            raise ConfigError("must be >= 1", field=f"{path}.hidden")
-        if cfg["extractor_epochs"] < 1:
-            raise ConfigError("must be >= 1", field=f"{path}.epochs")
-        if cfg["extractor_lr"] <= 0:
-            raise ConfigError("must be > 0", field=f"{path}.lr")
     return cfg
 
 
@@ -196,21 +165,29 @@ def parse_config(doc: dict) -> RunConfig:
     """Validate a config document; unknown keys anywhere are rejected."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _require(doc, {"data", "split", "extractor", *_TOP_KEYS}, "")
+    cfg = _read(doc, HarnessConfig, "", _TOP_KEYS, also=("data", "split", "extractor"))
     data = _parse_data(doc.get("data", {}))
-    split = _parse_split(doc["split"]) if "split" in doc else None
+    split = SplitConfig(**_read(doc["split"], SplitConfig, "split")) if "split" in doc else None
+    if split is not None and split.seed < 0:
+        raise ConfigError("must be >= 0", field="split.seed")
     if split is not None and isinstance(data, ManifestDataConfig):
         raise ConfigError("not applicable to manifest data", field="split")
-    cfg = _harness_fields(doc, _TOP_KEYS, "")
     if cfg["gamma"] <= 0:
         raise ConfigError("must be > 0", field="gamma")
     if cfg["expansion_size"] < 2:
         raise ConfigError("must be >= 2", field="expansion")
-    if cfg["activation"] not in _ACTIVATIONS:
-        raise ConfigError(f"must be one of {_ACTIVATIONS}", field="activation")
+    if cfg["activation"] not in ACTIVATIONS:
+        raise ConfigError(f"must be one of {ACTIVATIONS}", field="activation")
     if cfg["seed"] < 0:
         raise ConfigError("must be >= 0", field="seed")
-    cfg.update(_parse_extractor(doc.get("extractor", {})))
+    cfg.update(_read(doc.get("extractor", {}), HarnessConfig, "extractor", _EXTRACTOR_KEYS))
+    if cfg["use_extractor"]:
+        if cfg["extractor_hidden"] < 1:
+            raise ConfigError("must be >= 1", field="extractor.hidden")
+        if cfg["extractor_epochs"] < 1:
+            raise ConfigError("must be >= 1", field="extractor.epochs")
+        if cfg["extractor_lr"] <= 0:
+            raise ConfigError("must be > 0", field="extractor.lr")
     if isinstance(data, SynthDataConfig) and split is None:
         base = data.classes // 2
         split = SplitConfig(

@@ -11,6 +11,7 @@ relative to the manifest's directory.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -68,15 +69,21 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.n_classes}")
+            raise DataError(f"need at least 2 classes, got {self.n_classes}")
         if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
+            raise DataError("samples_per_class must be >= 1")
         if self.raw_dim < 1:
-            raise ValueError("raw_dim must be >= 1")
+            raise DataError("raw_dim must be >= 1")
         if self.cluster_separation <= 0:
-            raise ValueError("cluster_separation must be > 0")
+            raise DataError("cluster_separation must be > 0")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise DataError("noise_sigma must be >= 0")
+        if not math.isfinite(self.cluster_separation):
+            raise DataError("cluster_separation must be finite")
+        if not math.isfinite(self.noise_sigma):
+            raise DataError("noise_sigma must be finite")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 def _anchors(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
@@ -119,7 +126,7 @@ def gen_synth_split(spec: SynthSpec, test_per_class: int) -> tuple[LabeledDatase
     further draws from the same stream.
     """
     if test_per_class < 1:
-        raise ValueError("test_per_class must be >= 1")
+        raise DataError("test_per_class must be >= 1")
     rng = np.random.default_rng(spec.seed)
     anchors = _anchors(spec, rng)
     train = _draw(spec, anchors, spec.samples_per_class, rng)
@@ -156,33 +163,34 @@ def load_features(path) -> LabeledDataset:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    where = f"feature file {path}"
     if not lines:
-        raise ParseError("empty feature file", line=1)
+        raise ParseError(f"{where}: empty", line=1)
     header = lines[0].split(",")
     if header[0] != "label" or len(header) < 2:
-        raise ParseError("expected header 'label,f0,...'", line=1)
+        raise ParseError(f"{where}: expected header 'label,f0,...'", line=1)
     dim = len(header) - 1
     feats = np.empty((len(lines) - 1, dim))
     labels = np.empty(len(lines) - 1, dtype=np.int64)
     for idx, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != dim + 1:
-            raise ParseError(f"expected {dim + 1} columns, got {len(cells)}", line=idx)
+            raise ParseError(f"{where}: expected {dim + 1} columns, got {len(cells)}", line=idx)
         try:
             lab = int(cells[0])
         except ValueError:
-            raise ParseError(f"bad label {cells[0]!r}", line=idx) from None
+            raise ParseError(f"{where}: bad label {cells[0]!r}", line=idx) from None
         if lab < 0:
-            raise ParseError(f"negative class id {lab}", line=idx)
+            raise ParseError(f"{where}: negative class id {lab}", line=idx)
         try:
             row = [float(c) for c in cells[1:]]
         except ValueError:
-            raise ParseError("unparseable feature value", line=idx) from None
+            raise ParseError(f"{where}: unparseable feature value", line=idx) from None
         labels[idx - 2] = lab
         feats[idx - 2] = row
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
-        raise ParseError("non-finite feature value", line=int(np.argmax(bad)) + 2)
+        raise ParseError(f"{where}: non-finite feature value", line=int(np.argmax(bad)) + 2)
     return LabeledDataset(feats, labels)
 
 

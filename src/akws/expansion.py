@@ -29,7 +29,7 @@ class ExpansionMap:
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise DataError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "dim", int(self.matrix.shape[0]))
         self.matrix.flags.writeable = False
 

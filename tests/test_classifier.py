@@ -118,6 +118,14 @@ class TestRecalibrate:
         with pytest.raises(InvalidRegularizerError):
             recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), -1.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma(self, gamma):
+        y = LabelMatrix(np.eye(2), (0, 1))
+        with pytest.raises(InvalidRegularizerError, match="must be finite and > 0"):
+            recalibrate(np.eye(2), y, gamma)
+        with pytest.raises(InvalidRegularizerError, match="must be finite and > 0"):
+            joint_solve([(np.eye(2), y)], gamma)
+
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             recalibrate(np.zeros((3, 2)), LabelMatrix(np.eye(2), (0, 1)), 1.0)

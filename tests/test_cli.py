@@ -49,6 +49,21 @@ class TestGen:
         assert capsys.readouterr().err == "error: test_per_class must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (("--seed", -1), "seed must be >= 0"),
+            (("--separation", "nan"), "cluster_separation must be finite"),
+            (("--noise", "inf"), "noise_sigma must be finite"),
+        ],
+        ids=["negative-seed", "nan-separation", "inf-noise"],
+    )
+    def test_bad_synth_flag_exits_2(self, tmp_path, capsys, flags, error):
+        out = tmp_path / "d"
+        assert run_cli("gen", "--classes", 4, "--per-class", 10, *flags, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a dir")
@@ -135,6 +150,30 @@ class TestRun:
         assert run_cli("run", "--config", cfg, "--out", out) == 0
         doc = json.loads((out / "results.json").read_text())
         assert len(doc["A"]) == 4
+
+    def test_gen_writes_the_tasks_run_builds(self, tmp_path):
+        data = tmp_path / "data"
+        gen = ("gen", "--classes", 6, "--per-class", 30, "--test-per-class", 8, "--dim", 5,
+               "--separation", 1.5, "--noise", 1.0, "--seed", 7, "--base", 2, "--steps", 2, "--per-step", 2)
+        assert run_cli(*gen, "--out", data) == 0
+        common = {"expansion": 64, "seed": 3, "extractor": {"hidden": 8, "epochs": 3}}
+        docs = {
+            "manifest": {"data": {"kind": "manifest", "path": str(data / "manifest.json")}},
+            "synth": {
+                "data": {"kind": "synth", "classes": 6, "per_class": 30, "test_per_class": 8, "dim": 5,
+                         "separation": 1.5, "noise_sigma": 1.0, "seed": 7},
+                "split": {"base_count": 2, "step_count": 2, "classes_per_step": 2, "seed": 7},
+            },
+        }
+        outputs = {}
+        for name, doc in docs.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**doc, **common}))
+            assert run_cli("run", "--config", cfg, "--out", tmp_path / name) == 0
+            outputs[name] = [(tmp_path / name / f).read_bytes() for f in ("grid.csv", "snapshot.bin")]
+        assert outputs["manifest"] == outputs["synth"]
+        acc = json.loads((tmp_path / "synth" / "results.json").read_text())["acc"]
+        assert acc < 1.0  # a task is misclassified somewhere, so the grids carry information
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -319,7 +358,10 @@ class TestMalformedInputExits2:
         assert not (tmp_path / "o").exists()
 
     def _run_with_bad_cell(self, tmp_path, capsys, command, cell):
-        """Run on generated data whose task-1 CSV has ``cell`` at line 3, column 2."""
+        """Run on generated data whose task-1 train CSV has ``cell`` at line 3, column 2.
+
+        Returns the exit code, stderr and the edited file's path.
+        """
         data = tmp_path / "data"
         assert run_cli("gen", "--classes", 4, "--per-class", 5, "--dim", 3, "--out", data) == 0
         doc = json.loads((data / "manifest.json").read_text())
@@ -331,17 +373,17 @@ class TestMalformedInputExits2:
         train.write_text("\n".join(lines))
         capsys.readouterr()
         cfg = self._config(tmp_path, data / "manifest.json")
-        return run_cli(*self._args(command, tmp_path, cfg)), capsys.readouterr().err
+        return run_cli(*self._args(command, tmp_path, cfg)), capsys.readouterr().err, train
 
     def test_malformed_feature_csv(self, tmp_path, capsys, command):
-        code, err = self._run_with_bad_cell(tmp_path, capsys, command, lambda v: "x" + v)
+        code, err, path = self._run_with_bad_cell(tmp_path, capsys, command, lambda v: "x" + v)
         assert code == 2
-        assert err == "error: line 3: unparseable feature value\n"
+        assert err == f"error: line 3: feature file {path}: unparseable feature value\n"
 
     def test_non_finite_feature_csv(self, tmp_path, capsys, command):
-        code, err = self._run_with_bad_cell(tmp_path, capsys, command, lambda v: "-inf")
+        code, err, path = self._run_with_bad_cell(tmp_path, capsys, command, lambda v: "-inf")
         assert code == 2
-        assert err == "error: line 3: non-finite feature value\n"
+        assert err == f"error: line 3: feature file {path}: non-finite feature value\n"
 
     @pytest.mark.parametrize(
         "doc, error",
@@ -370,6 +412,37 @@ class TestMalformedInputExits2:
         cfg.write_text(json.dumps(doc))
         assert run_cli(*self._args(command, tmp_path, cfg)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+@pytest.mark.parametrize(
+    "flags, text, error",
+    [
+        (("--gamma", "nan"), None, "gamma: must be finite, got nan"),
+        (("--gamma", "inf"), None, "gamma: must be finite, got inf"),
+        ((), '{"gamma": NaN}', "gamma: must be finite, got nan"),
+        ((), '{"extractor": {"lr": NaN}}', "extractor.lr: must be finite, got nan"),
+        ((), '{"data": {"noise_sigma": NaN}}', "data.noise_sigma: must be finite, got nan"),
+        ((), '{"data": {"separation": Infinity}}', "data.separation: must be finite, got inf"),
+    ],
+    ids=["gamma-flag-nan", "gamma-flag-inf", "gamma-nan", "extractor-lr-nan", "noise-nan", "separation-inf"],
+)
+def test_non_finite_value_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, flags, text, error):
+    import akws.cli
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("task data built")
+
+    monkeypatch.setattr(akws.cli, "gen_synth_split", unreached)
+    args = [command, *flags]
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+        args += ["--config", tmp_path / "cfg.json"]
+    if command == "run":
+        args += ["--out", tmp_path / "o"]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestOracleCheck:

@@ -1,0 +1,103 @@
+"""Config parsing: every document parses to finite, typed values or raises ConfigError."""
+
+import math
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from akws.config import RunConfig, SplitConfig, SynthDataConfig, parse_config
+from akws.errors import ConfigError
+
+TOP_KEYS = ["data", "split", "extractor", "gamma", "expansion", "activation", "seed"]
+DATA_KEYS = ["kind", "classes", "per_class", "test_per_class", "dim", "separation", "noise_sigma", "seed", "path"]
+SPLIT_KEYS = ["base_count", "step_count", "classes_per_step", "seed"]
+EXTRACTOR_KEYS = ["enabled", "hidden", "epochs", "lr"]
+
+# JSON leaves, weighted towards values a field could hold: small and huge
+# integers, floats with NaN and infinities, bools, and the schema's strings.
+LEAVES = st.one_of(
+    st.integers(-3, 40),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["synth", "manifest", "relu", "identity", "m.json", ""]),
+)
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def section(keys, values):
+    """Objects over ``keys`` plus one unknown key, each value drawn from ``values``."""
+    return st.lists(st.tuples(st.sampled_from([*keys, "bogus"]), values), max_size=len(keys) + 1).map(dict)
+
+
+DOCUMENTS = section(
+    TOP_KEYS,
+    st.one_of(
+        LEAVES,
+        section(DATA_KEYS, LEAVES),
+        section(SPLIT_KEYS, LEAVES),
+        section(EXTRACTOR_KEYS, LEAVES),
+        JSON,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+def test_parse_config_returns_typed_finite_config_or_config_error(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    for part in (cfg.data, cfg.split, cfg.harness):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            assert type(value) is f.type
+            if f.type is float:
+                assert math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"gamma": math.nan}, "gamma"),
+        ({"gamma": math.inf}, "gamma"),
+        ({"gamma": 10**400}, "gamma"),
+        ({"data": {"separation": math.inf}}, "data.separation"),
+        ({"data": {"noise_sigma": math.nan}}, "data.noise_sigma"),
+        ({"extractor": {"lr": -math.inf}}, "extractor.lr"),
+        ({"extractor": {"enabled": False, "lr": math.nan}}, "extractor.lr"),
+    ],
+)
+def test_non_finite_float_names_its_field(doc, field):
+    with pytest.raises(ConfigError, match="must be finite") as exc:
+        parse_config(doc)
+    assert exc.value.field == field
+
+
+def test_defaults_come_from_the_dataclasses():
+    cfg = parse_config({"split": {"base_count": 5, "step_count": 5, "classes_per_step": 1}})
+    assert cfg.data == SynthDataConfig()
+    assert cfg.split == SplitConfig(5, 5, 1)
+    assert cfg.split.seed == 0
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"data": {"kind": "manifest"}}, "data.path"),
+        ({"split": {"base_count": 5, "step_count": 5}}, "split.classes_per_step"),
+    ],
+)
+def test_field_without_default_is_required(doc, field):
+    with pytest.raises(ConfigError, match="missing required key") as exc:
+        parse_config(doc)
+    assert exc.value.field == field

@@ -12,7 +12,7 @@ from akws import (
     save_features,
     write_manifest,
 )
-from akws.errors import ParseError
+from akws.errors import DataError, ParseError
 
 from oracles import nearest_centroid_fit, nearest_centroid_predict
 
@@ -56,12 +56,21 @@ class TestGenSynth:
         assert test.n == 12
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SynthSpec(1, 10, 4, 5.0, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            SynthSpec(3, 10, 4, 0.0, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            SynthSpec(3, 10, 4, 5.0, -0.1, seed=0)
+        cases = [
+            ((1, 10, 4, 5.0, 0.5, 0), "need at least 2 classes"),
+            ((3, 10, 4, 0.0, 0.5, 0), "cluster_separation must be > 0"),
+            ((3, 10, 4, 5.0, -0.1, 0), "noise_sigma must be >= 0"),
+            ((3, 10, 4, float("nan"), 0.5, 0), "cluster_separation must be finite"),
+            ((3, 10, 4, 5.0, float("inf"), 0), "noise_sigma must be finite"),
+            ((3, 10, 4, 5.0, 0.5, -1), "seed must be >= 0"),
+        ]
+        for args, message in cases:
+            with pytest.raises(DataError, match=message):
+                SynthSpec(*args)
+
+    def test_split_needs_test_rows(self):
+        with pytest.raises(DataError, match="test_per_class must be >= 1"):
+            gen_synth_split(SynthSpec(3, 8, 4, 5.0, 1.0, seed=9), 0)
 
 
 class TestRectifierScramble:
@@ -107,6 +116,7 @@ class TestFeatureCsv:
         with pytest.raises(ParseError) as exc:
             load_features(path)
         assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: feature file {path}: expected 3 columns, got 2"
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"

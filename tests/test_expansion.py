@@ -39,6 +39,11 @@ def test_entry_moments_match_standard_normal():
     assert abs(vals.var(ddof=1) - 1.0) <= 0.1
 
 
+def test_unknown_activation_is_a_data_error():
+    with pytest.raises(DataError, match="unknown activation 'tanh'"):
+        build_expansion(3, 6, 1, activation="tanh")
+
+
 def test_matrix_is_immutable():
     m = build_expansion(3, 6, 1)
     with pytest.raises(ValueError):
