@@ -7,7 +7,6 @@ recursive updates coincide with joint training.
 """
 
 from .classifier import (
-    Afam,
     AnalyticClassifier,
     LabelMatrix,
     joint_solve,
@@ -19,7 +18,6 @@ from .config import HarnessConfig
 from .data import (
     LabeledDataset,
     SynthSpec,
-    gen_synth,
     gen_synth_split,
     load_features,
     load_manifest,
@@ -35,7 +33,6 @@ from .harness import (
     MetricsReport,
     OracleReport,
     TaskData,
-    TaskSplit,
     acc_metric,
     build_tasks,
     bwt_metric,
@@ -59,7 +56,6 @@ from .snapshot import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Afam",
     "AnalyticClassifier",
     "LabelMatrix",
     "joint_solve",
@@ -68,7 +64,6 @@ __all__ = [
     "update",
     "LabeledDataset",
     "SynthSpec",
-    "gen_synth",
     "gen_synth_split",
     "load_features",
     "load_manifest",
@@ -87,7 +82,6 @@ __all__ = [
     "MetricsReport",
     "OracleReport",
     "TaskData",
-    "TaskSplit",
     "acc_metric",
     "build_tasks",
     "bwt_metric",

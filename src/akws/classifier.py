@@ -66,17 +66,12 @@ sums the label correlations of every batch that holds it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lapack
-from .errors import (
-    ClassCollisionError,
-    DataError,
-    InvalidRegularizerError,
-    ShapeError,
-)
+from .errors import DataError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class LabelMatrix:
                 f"{y.shape[1]} label columns but {len(self.class_ids)} class ids"
             )
         if len(set(self.class_ids)) != len(self.class_ids):
-            raise ClassCollisionError("duplicate class ids within one batch")
+            raise DataError("duplicate class ids within one batch")
         if y.size and not np.all((y == 0.0) | (y == 1.0)):
             raise DataError("label entries must be 0 or 1")
         if y.shape[0] and not np.all(y.sum(axis=1) == 1.0):
@@ -128,24 +123,13 @@ class LabelMatrix:
 
 
 @dataclass(frozen=True)
-class Afam:
-    """Feature autocorrelation state: the regularized inverse Gram matrix."""
-
-    matrix: np.ndarray
-    gamma: float
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class AnalyticClassifier:
-    """Closed-form classifier state: weights, autocorrelation, registry."""
+    """Closed-form classifier state: weights, autocorrelation, class ids."""
 
     weights: np.ndarray  # E x C
-    afam: Afam
-    class_registry: dict[int, int] = field(default_factory=dict)
+    afam: np.ndarray  # E x E, the regularized inverse Gram matrix
+    gamma: float
+    class_ids: tuple[int, ...] = ()  # global ids in column order
     tasks_seen: int = 0
 
     @property
@@ -158,15 +142,12 @@ class AnalyticClassifier:
 
     def column_classes(self) -> list[int]:
         """Global class ids in column order."""
-        out = [0] * len(self.class_registry)
-        for cid, col in self.class_registry.items():
-            out[col] = cid
-        return out
+        return list(self.class_ids)
 
     def state_elements(self) -> int:
-        """Persistent cross-task state size: E^2 + E*C + registry entries."""
+        """Persistent cross-task state size: E^2 + E*C + class ids."""
         e, c = self.weights.shape
-        return e * e + e * c + len(self.class_registry)
+        return e * e + e * c + len(self.class_ids)
 
 
 def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
@@ -178,6 +159,17 @@ def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise DataError("feature matrix contains non-finite entries")
     return s
+
+
+def _register(class_ids: tuple[int, ...], batches_ids) -> tuple[tuple[int, ...], list[list[int]]]:
+    """``class_ids`` with the batches' new ids appended, and the columns of each batch's ids.
+
+    A class takes the next free column when a batch first presents it and
+    keeps that column when a later batch presents it again.
+    """
+    col = {cid: j for j, cid in enumerate(class_ids)}
+    cols = [[col.setdefault(cid, len(col)) for cid in ids] for ids in batches_ids]
+    return tuple(col), cols
 
 
 # Edge of the square tiles ``_mirror_upper`` copies: a pair of 64 x 64 float64
@@ -243,36 +235,26 @@ def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> Analy
     return joint_solve([(s0_expanded, y0)], gamma)
 
 
-def update(
-    c: AnalyticClassifier,
-    s_t_expanded: np.ndarray,
-    y_t: LabelMatrix,
-    allow_registered: bool = False,
-) -> AnalyticClassifier:
+def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) -> AnalyticClassifier:
     """Absorb one task's batch; touches no data from earlier tasks.
 
     Returns a new classifier whose weights equal the joint ridge solution
-    over every batch seen so far. By default the batch's classes must be
-    new; with ``allow_registered`` a batch may re-present registered
-    classes (sample streaming), whose columns then also receive the
-    batch's label correlations.
+    over every batch seen so far. A batch may re-present registered
+    classes (sample streaming); their columns then also receive the
+    batch's label correlations, as in ``joint_solve``.
     """
     s = _check_batch(s_t_expanded, y_t)
     e = c.expansion_size
     if s.shape[1] != e:
         raise ShapeError(f"expected expanded width {e}, got {s.shape[1]}")
-    seen = [cid for cid in y_t.class_ids if cid in c.class_registry]
-    if seen and not allow_registered:
-        raise ClassCollisionError(f"class ids already registered: {seen}")
+    class_ids, (cols,) = _register(c.class_ids, [y_t.class_ids])
     n = s.shape[0]
-    if n == 0 and len(seen) == len(y_t.class_ids):
+    n_cols = c.n_classes
+    if n == 0 and len(class_ids) == n_cols:
         return c
 
-    registry = dict(c.class_registry)
-    cols = [registry.setdefault(cid, len(registry)) for cid in y_t.class_ids]
-    n_cols = c.n_classes
-    a_prev = c.afam.matrix
-    rhs = np.empty((n, e + len(registry)))  # [S A_{t-1} | Y - S W], W padded with zero columns
+    a_prev = c.afam
+    rhs = np.empty((n, e + len(class_ids)))  # [S A_{t-1} | Y - S W], W padded with zero columns
     np.matmul(s, a_prev, out=rhs[:, :e])
     r = rhs[:, e:]
     np.matmul(s, c.weights, out=r[:, :n_cols])
@@ -302,10 +284,7 @@ def update(
     weights = za.T @ z[:, e:]  # A_t S'T (Y - S W) = Z_a^T Z_r
     weights[:, :n_cols] += c.weights
     return AnalyticClassifier(
-        weights=weights,
-        afam=Afam(matrix=a_new, gamma=c.afam.gamma),
-        class_registry=registry,
-        tasks_seen=c.tasks_seen + 1,
+        weights=weights, afam=a_new, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
     )
 
 
@@ -317,7 +296,7 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
     columns, so a class that several batches present sums them.
     """
     if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidRegularizerError(f"ridge parameter must be finite and > 0, got {gamma}")
+        raise DataError(f"ridge parameter must be finite and > 0, got {gamma}")
     if not batches:
         raise ShapeError("joint solve needs at least one batch")
     checked = [(_check_batch(s, y), y) for s, y in batches]
@@ -325,21 +304,19 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
     for s, _ in checked:
         if s.shape[1] != e:
             raise ShapeError(f"inconsistent expanded widths: {e} vs {s.shape[1]}")
-    registry: dict[int, int] = {}
-    targets = [[registry.setdefault(cid, len(registry)) for cid in y.class_ids] for _, y in checked]
+    class_ids, targets = _register((), [y.class_ids for _, y in checked])
     (s0, _), *rest = checked
     gram = s0.T @ s0
     gram.flat[:: e + 1] += gamma  # in place: no E x E gamma * I buffer
     for s, _ in rest:
         gram += s.T @ s
-    rhs = np.zeros((e, len(registry)), order="F")  # solved in place
+    rhs = np.zeros((e, len(class_ids)), order="F")  # solved in place
     for (s, y), cols in zip(checked, targets):
         rhs[:, cols] += s.T @ y.onehot
     factor = _spd_factor(gram)
     lapack.potrs("L", factor, rhs)
-    afam = Afam(matrix=_materialize_inverse(factor), gamma=float(gamma))
     return AnalyticClassifier(
-        weights=rhs, afam=afam, class_registry=registry, tasks_seen=len(checked)
+        weights=rhs, afam=_materialize_inverse(factor), gamma=float(gamma), class_ids=class_ids, tasks_seen=len(checked)
     )
 
 
@@ -358,5 +335,5 @@ def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:
     cols = np.empty(x.shape[0], dtype=np.intp)
     for i in range(0, x.shape[0], block):
         cols[i : i + block] = np.argmax(x[i : i + block] @ c.weights, axis=1)
-    ids = np.asarray(c.column_classes(), dtype=np.int64)
+    ids = np.asarray(c.class_ids, dtype=np.int64)
     return ids[cols]

@@ -14,11 +14,13 @@ dimension, a split that does not cover the classes, an expansion no
 wider than the features it expands), a manifest or feature CSV that
 does not parse, manifest contents a run cannot use (a class in two
 tasks, files of different widths, a label outside its task's classes, a
-train file without rows), or data whose first task has no test rows (so
-its accuracy, and ACC, are undefined) is invalid input; a data file that
-cannot be opened under ``run`` or ``oracle-check``, or a numerical
-failure such as a Woodbury kernel that is not positive definite, is a
-runtime failure. No command mutates its inputs.
+train file without rows), an input file that is not UTF-8 text, an
+expansion whose E x E state alone exceeds physical memory, or data whose
+first task has no test rows (so its accuracy, and ACC, are undefined) is
+invalid input; a data file that cannot be opened under ``run`` or
+``oracle-check``, a numerical failure such as a Woodbury kernel that is
+not positive definite, or running out of memory is a runtime failure.
+No command mutates its inputs.
 """
 
 import argparse
@@ -101,12 +103,15 @@ def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
 
 
 def _assemble_tasks(cfg: RunConfig):
+    h = cfg.harness
+    e = h.expansion_size
+    if 8 * e * e > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any allocation
+        raise ConfigError(f"its {e} x {e} state needs {8 * e * e} bytes, more than physical memory", field="expansion")
     d = cfg.data
     if isinstance(d, ManifestDataConfig):
         tasks = tasks_from_manifest(d.path)
     else:
         tasks = _synth_tasks(d, cfg.split)
-    h = cfg.harness
     if tasks:  # an empty manifest fails in the harness
         width = h.extractor_hidden if h.use_extractor else tasks[0].train.dim
         if h.expansion_size <= width:
@@ -212,8 +217,8 @@ def main(argv=None) -> int:
     except validation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AkwsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AkwsError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a MemoryError may carry no message
         return 1
 
 

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
+from .data import read_text
 from .errors import ConfigError
 from .expansion import ACTIVATIONS
 
@@ -200,11 +201,11 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    text = read_text(path, f"config {path}", ConfigError)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep or too long a number to read
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     return doc

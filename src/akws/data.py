@@ -113,17 +113,11 @@ def _draw(spec: SynthSpec, anchors: np.ndarray, per_class: int, rng: np.random.G
     return LabeledDataset(feats, labels)
 
 
-def gen_synth(spec: SynthSpec) -> LabeledDataset:
-    """Deterministic Gaussian clusters, ``samples_per_class`` per class."""
-    rng = np.random.default_rng(spec.seed)
-    return _draw(spec, _anchors(spec, rng), spec.samples_per_class, rng)
-
-
 def gen_synth_split(spec: SynthSpec, test_per_class: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """Train and test sets drawn around the same class anchors.
+    """Deterministic Gaussian clusters: train and test sets around the same class anchors.
 
-    The train half is identical to ``gen_synth(spec)``; the test rows are
-    further draws from the same stream.
+    The test rows are further draws from the same stream, so the train set
+    does not depend on ``test_per_class``.
     """
     if test_per_class < 1:
         raise DataError("test_per_class must be >= 1")
@@ -158,12 +152,20 @@ def save_features(ds: LabeledDataset, path) -> None:
             fh.write(f"{ds.labels[i]},{row}\n")
 
 
+def read_text(path, what: str, error=ParseError) -> str:
+    """The text of a UTF-8 file; bytes that do not decode raise ``error`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_features(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    where = f"feature file {path}"
+    lines = read_text(path, where).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    where = f"feature file {path}"
     if not lines:
         raise ParseError(f"{where}: empty", line=1)
     header = lines[0].split(",")
@@ -180,8 +182,8 @@ def load_features(path) -> LabeledDataset:
             lab = int(cells[0])
         except ValueError:
             raise ParseError(f"{where}: bad label {cells[0]!r}", line=idx) from None
-        if lab < 0:
-            raise ParseError(f"{where}: negative class id {lab}", line=idx)
+        if not 0 <= lab < 2**32:
+            raise ParseError(f"{where}: class id {lab} does not fit in 32 unsigned bits", line=idx)
         try:
             row = [float(c) for c in cells[1:]]
         except ValueError:
@@ -204,11 +206,11 @@ def write_manifest(path, tasks: list[dict]) -> None:
 
 def load_manifest(path) -> list[dict]:
     """Read a manifest; returns task entries with paths resolved."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"manifest is not valid JSON: {exc}") from None
+    text = read_text(path, f"manifest {path}")
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep or too long a number to read
+        raise ParseError(f"manifest is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tasks"), list):
         raise ParseError("manifest must be an object with a 'tasks' list")
     base = os.path.dirname(os.path.abspath(path))

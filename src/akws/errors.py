@@ -17,15 +17,9 @@ class ShapeError(AkwsError, ValueError):
 
 class DataError(AkwsError, ValueError):
     """Data or a training setting violates a value constraint (NaN/Inf
-    entries, an empty task, too few classes, a non-positive learning rate)."""
-
-
-class InvalidRegularizerError(AkwsError, ValueError):
-    """Ridge parameter must be strictly positive."""
-
-
-class ClassCollisionError(AkwsError, ValueError):
-    """A batch declared class ids that are already registered."""
+    entries, an empty task, too few classes, a duplicate class id within
+    one batch, a ridge parameter that is not finite and positive, a
+    non-positive learning rate)."""
 
 
 class InvalidSplitError(AkwsError, ValueError):

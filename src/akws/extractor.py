@@ -62,10 +62,6 @@ def loss_and_grads(params, x: np.ndarray, y_onehot: np.ndarray):
     return loss, (gw1, gb1, gw2, gb2)
 
 
-def batch_loss(params, x: np.ndarray, y_onehot: np.ndarray) -> float:
-    return loss_and_grads(params, x, y_onehot)[0]
-
-
 def pretrain_extractor(
     d0: LabeledDataset, hidden: int, epochs: int, lr: float, seed: int
 ) -> tuple[ExtractorModel, list[float]]:

@@ -33,27 +33,18 @@ from .classifier import (
     update,
 )
 from .config import HarnessConfig
-from .data import LabeledDataset, load_features, load_manifest
+from .data import LabeledDataset, load_features, load_manifest, read_text
 from .errors import DataError, InvalidSplitError, MetricUndefinedError, ParseError
 from .expansion import ExpansionMap, build_expansion, expand
 from .extractor import ExtractorModel, extract, pretrain_extractor
 from .snapshot import SnapshotMeta
 
 
-@dataclass(frozen=True)
-class TaskSplit:
-    """Disjoint class sets: one base task plus incremental steps."""
+def split_tasks(all_classes, base_count: int, step_count: int, classes_per_step: int, seed: int) -> list[tuple]:
+    """Shuffle the class set by seed and carve it into base + equal steps.
 
-    base_classes: tuple[int, ...]
-    steps: tuple[tuple[int, ...], ...]
-    seed: int
-
-    def all_task_classes(self) -> list[tuple[int, ...]]:
-        return [self.base_classes, *self.steps]
-
-
-def split_tasks(all_classes, base_count: int, step_count: int, classes_per_step: int, seed: int) -> TaskSplit:
-    """Shuffle the class set by seed and carve it into base + equal steps."""
+    Returns each task's classes, the base task first.
+    """
     classes = sorted(int(c) for c in all_classes)
     if base_count < 1 or step_count < 0 or (step_count > 0 and classes_per_step < 1):
         raise InvalidSplitError("base must be nonempty and steps positive-sized")
@@ -63,12 +54,11 @@ def split_tasks(all_classes, base_count: int, step_count: int, classes_per_step:
         )
     order = np.random.default_rng(seed).permutation(len(classes))
     shuffled = [classes[i] for i in order]
-    base = tuple(shuffled[:base_count])
-    steps = tuple(
+    steps = [
         tuple(shuffled[base_count + k * classes_per_step : base_count + (k + 1) * classes_per_step])
         for k in range(step_count)
-    )
-    return TaskSplit(base_classes=base, steps=steps, seed=seed)
+    ]
+    return [tuple(shuffled[:base_count]), *steps]
 
 
 @dataclass(frozen=True)
@@ -79,10 +69,10 @@ class TaskData:
     test: LabeledDataset
 
 
-def build_tasks(train: LabeledDataset, test: LabeledDataset, split: TaskSplit) -> list[TaskData]:
-    """Slice one train/test pair into per-task datasets by class."""
+def build_tasks(train: LabeledDataset, test: LabeledDataset, task_classes) -> list[TaskData]:
+    """Slice one train/test pair into per-task datasets, one per class tuple."""
     tasks = []
-    for t, cls in enumerate(split.all_task_classes()):
+    for t, cls in enumerate(task_classes):
         tasks.append(
             TaskData(
                 task_id=t,
@@ -412,9 +402,9 @@ def write_grid_csv(path, accuracy: AccuracyMatrix) -> None:
 
 
 def read_grid_csv(path) -> AccuracyMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        # (physical line number, text) of each non-blank line, so errors name the line
-        lines = [(i, ln) for i, ln in enumerate(fh.read().split("\n"), start=1) if ln != ""]
+    text = read_text(path, f"grid file {path}")
+    # (physical line number, text) of each non-blank line, so errors name the line
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln != ""]
     if not lines:
         raise ParseError("empty grid file", line=1)
     sizes = None
@@ -423,7 +413,7 @@ def read_grid_csv(path) -> AccuracyMatrix:
         sizes_line, comment = lines.pop(0)
         try:
             sizes = np.array([int(v) for v in comment.split(",")[1:]], dtype=np.int64)
-        except ValueError:
+        except (ValueError, OverflowError):  # not an integer, or beyond int64
             raise ParseError("bad test_sizes comment", line=sizes_line) from None
         if np.any(sizes < 0):
             raise ParseError("negative test size", line=sizes_line)

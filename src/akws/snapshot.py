@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import Afam, AnalyticClassifier
+from .classifier import AnalyticClassifier
 from .errors import SnapshotFormatError
 
 MAGIC = b"AKWS"
@@ -54,16 +54,16 @@ def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
         meta.dim,
         meta.seed & 0xFFFFFFFFFFFFFFFF,
         _ACTIVATION_CODE[meta.activation],
-        c.afam.gamma,
+        c.gamma,
         c.tasks_seen,
-        len(c.class_registry),
+        len(c.class_ids),
     )
-    registry = b"".join(struct.pack("<II", cid, col) for cid, col in c.class_registry.items())
+    registry = b"".join(struct.pack("<II", cid, col) for col, cid in enumerate(c.class_ids))
     return [
         header,
         registry,
         np.ascontiguousarray(c.weights, dtype="<f8"),
-        np.ascontiguousarray(c.afam.matrix, dtype="<f8"),
+        np.ascontiguousarray(c.afam, dtype="<f8"),
     ]
 
 
@@ -91,8 +91,8 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
         raise SnapshotFormatError(f"unknown activation code {act_code}")
     if not (math.isfinite(gamma) and gamma > 0):
         raise SnapshotFormatError(f"ridge parameter must be finite and > 0, got {gamma}")
-    registry = dict(zip(entries[0::2], entries[1::2]))
-    if sorted(registry.values()) != list(range(n_classes)):
+    ids, cols = entries[0::2], entries[1::2]
+    if sorted(cols) != list(range(n_classes)) or len(set(ids)) != n_classes:
         raise SnapshotFormatError(
             f"registry must map {n_classes} distinct class ids onto columns 0..{n_classes - 1}"
         )
@@ -104,12 +104,8 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
     weights = np.frombuffer(blob, dtype="<f8", count=e * n_classes, offset=off).reshape(e, n_classes).copy()
     off += 8 * e * n_classes
     afam = np.frombuffer(blob, dtype="<f8", count=e * e, offset=off).reshape(e, e).copy()
-    clf = AnalyticClassifier(
-        weights=weights,
-        afam=Afam(matrix=afam, gamma=gamma),
-        class_registry=registry,
-        tasks_seen=tasks_seen,
-    )
+    class_ids = tuple(cid for _, cid in sorted(zip(cols, ids)))
+    clf = AnalyticClassifier(weights=weights, afam=afam, gamma=gamma, class_ids=class_ids, tasks_seen=tasks_seen)
     return clf, SnapshotMeta(dim=dim, seed=seed, activation=_ACTIVATION_NAME[act_code])
 
 

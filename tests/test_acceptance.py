@@ -37,7 +37,7 @@ from akws import (
     update,
 )
 from akws.cli import main as cli_main
-from akws.extractor import batch_loss, loss_and_grads
+from akws.extractor import loss_and_grads
 from akws.snapshot import read_snapshot
 
 from oracles import ridge_normal_equations, time_trend
@@ -103,7 +103,7 @@ def test_criterion_02_afam_recursion_matches_direct_form():
     for e, gamma, batches, _ in sweep_instances():
         recursive = chain(batches, gamma)
         direct = joint_solve(batches, gamma).afam
-        dev = relative_frobenius(recursive.afam.matrix, direct.matrix)
+        dev = relative_frobenius(recursive.afam, direct)
         worst = max(worst, dev)
         assert dev < 1e-10
     _report(2, f"worst autocorrelation deviation {worst:.2e}")
@@ -195,7 +195,7 @@ def test_criterion_06_memory_accounting(tmp_path):
     )
     result = run_experiment(tasks, cfg)
     n_classes = result.classifier.n_classes
-    registry_entries = len(result.classifier.class_registry)
+    registry_entries = len(result.classifier.class_ids)
     assert result.metrics.extra_memory_elements == 16384 + 128 * n_classes + registry_entries
 
     # the serialized snapshot must carry exactly that state
@@ -204,8 +204,8 @@ def test_criterion_06_memory_accounting(tmp_path):
     path = tmp_path / "snap.bin"
     save_snapshot(path, result.classifier, result.snapshot_meta)
     back, _ = read_snapshot(path)
-    assert back.weights.size + back.afam.matrix.size == 16384 + 128 * n_classes
-    assert len(back.class_registry) == registry_entries
+    assert back.weights.size + back.afam.size == 16384 + 128 * n_classes
+    assert len(back.class_ids) == registry_entries
     _report(6, f"E=128, C={n_classes}: {result.metrics.extra_memory_elements} elements")
 
 
@@ -275,9 +275,9 @@ def test_criterion_09_extractor_gradients():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = batch_loss(params, x, y)
+            up = loss_and_grads(params, x, y)[0]
             flat[j] = orig - h
-            down = batch_loss(params, x, y)
+            down = loss_and_grads(params, x, y)[0]
             flat[j] = orig
             fd = (up - down) / (2 * h)
             rel = abs(fd - gflat[j]) / max(abs(fd), abs(gflat[j]), 1e-8)

@@ -15,12 +15,7 @@ from akws import (
 )
 from akws import classifier
 from akws.classifier import _materialize_inverse, _mirror_upper, _spd_factor
-from akws.errors import (
-    ClassCollisionError,
-    DataError,
-    InvalidRegularizerError,
-    ShapeError,
-)
+from akws.errors import DataError, ShapeError
 
 from oracles import ridge_normal_equations
 
@@ -49,7 +44,7 @@ class TestLabelMatrix:
         assert y.onehot[:, 1].tolist() == [0.0, 0.0]
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ClassCollisionError):
+        with pytest.raises(DataError, match="duplicate class ids within one batch"):
             LabelMatrix(np.eye(2), (4, 4))
 
     @staticmethod
@@ -94,9 +89,10 @@ class TestRecalibrate:
     def test_identity_example(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
         assert np.allclose(clf.weights, 0.5 * np.eye(2), atol=1e-15)
-        assert np.allclose(clf.afam.matrix, 0.5 * np.eye(2), atol=1e-15)
+        assert np.allclose(clf.afam, 0.5 * np.eye(2), atol=1e-15)
+        assert clf.gamma == 1.0
         assert clf.tasks_seen == 1
-        assert clf.class_registry == {0: 0, 1: 1}
+        assert clf.class_ids == (0, 1)
 
     def test_vanishing_ridge_recovers_least_squares(self):
         s = np.diag([2.0, 1.0])
@@ -113,17 +109,17 @@ class TestRecalibrate:
         assert relative_frobenius(clf.weights, expected) < 1e-10
 
     def test_invalid_gamma(self):
-        with pytest.raises(InvalidRegularizerError):
+        with pytest.raises(DataError, match="ridge parameter must be finite and > 0"):
             recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 0.0)
-        with pytest.raises(InvalidRegularizerError):
+        with pytest.raises(DataError, match="ridge parameter must be finite and > 0"):
             recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), -1.0)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma(self, gamma):
         y = LabelMatrix(np.eye(2), (0, 1))
-        with pytest.raises(InvalidRegularizerError, match="must be finite and > 0"):
+        with pytest.raises(DataError, match="must be finite and > 0"):
             recalibrate(np.eye(2), y, gamma)
-        with pytest.raises(InvalidRegularizerError, match="must be finite and > 0"):
+        with pytest.raises(DataError, match="must be finite and > 0"):
             joint_solve([(np.eye(2), y)], gamma)
 
     def test_row_mismatch(self):
@@ -144,9 +140,9 @@ class TestUpdate:
     def test_empty_batch_with_new_classes_registers_zero_columns(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 2)), (7, 8)))
-        assert out.class_registry == {0: 0, 1: 1, 7: 2, 8: 3}
+        assert out.class_ids == (0, 1, 7, 8)
         assert np.all(out.weights[:, 2:] == 0.0)
-        assert np.array_equal(out.afam.matrix, clf.afam.matrix)
+        assert np.array_equal(out.afam, clf.afam)
 
     def test_two_tasks_match_joint(self):
         rng = np.random.default_rng(3)
@@ -155,7 +151,7 @@ class TestUpdate:
         clf = update(recalibrate(*b0, 0.1), *b1)
         joint = joint_solve([b0, b1], 0.1)
         assert relative_frobenius(clf.weights, joint.weights) < 1e-9
-        assert clf.class_registry == joint.class_registry
+        assert clf.class_ids == joint.class_ids
 
     def test_streamed_halves_match_one_shot(self):
         # second half's classes pre-registered via zero label columns
@@ -164,14 +160,9 @@ class TestUpdate:
         labs = np.concatenate([rng.integers(0, 2, 15), rng.integers(2, 4, 15)])
         full = recalibrate(s, LabelMatrix.from_labels(labs, class_ids=range(4)), 0.1)
         first = recalibrate(s[:15], LabelMatrix.from_labels(labs[:15], class_ids=range(4)), 0.1)
-        second = update(
-            first,
-            s[15:],
-            LabelMatrix.from_labels(labs[15:], class_ids=range(4)),
-            allow_registered=True,
-        )
+        second = update(first, s[15:], LabelMatrix.from_labels(labs[15:], class_ids=range(4)))
         assert relative_frobenius(second.weights, full.weights) < 1e-9
-        assert second.class_registry == full.class_registry
+        assert second.class_ids == full.class_ids
 
     def test_one_class_base_chain_matches_joint(self):
         # after a one-class base, S W is an n x 1 strided view of the solve's
@@ -185,13 +176,8 @@ class TestUpdate:
         for b in batches[1:]:
             clf = update(clf, *b)
         joint = joint_solve(batches, 0.1)
-        assert clf.class_registry == joint.class_registry
+        assert clf.class_ids == joint.class_ids
         assert relative_frobenius(clf.weights, joint.weights) < 1e-9
-
-    def test_registered_class_collision(self):
-        clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
-        with pytest.raises(ClassCollisionError):
-            update(clf, np.eye(2), LabelMatrix(np.eye(2), (1, 2)))
 
     def test_width_mismatch(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
@@ -209,7 +195,7 @@ class TestUpdate:
         assert relative_frobenius(out.weights, joint.weights) < 1e-9
         assert np.all(out.weights[:, 2] == 0.0)
         # spectrum stays positive definite
-        assert np.all(np.linalg.eigvalsh(out.afam.matrix) > 0.0)
+        assert np.all(np.linalg.eigvalsh(out.afam) > 0.0)
 
     def test_does_not_mutate_input_classifier(self):
         rng = np.random.default_rng(6)
@@ -218,10 +204,10 @@ class TestUpdate:
             b0 = random_batch(rng, 12, e, range(2))
             clf = recalibrate(*b0, 0.1)
             w_before = clf.weights.copy()
-            a_before = clf.afam.matrix.copy()
+            a_before = clf.afam.copy()
             update(clf, *random_batch(rng, 9, e, range(2, 4)))
             assert np.array_equal(clf.weights, w_before)
-            assert np.array_equal(clf.afam.matrix, a_before)
+            assert np.array_equal(clf.afam, a_before)
 
     def test_afam_exactly_symmetric_after_chain(self):
         rng = np.random.default_rng(9)
@@ -229,24 +215,24 @@ class TestUpdate:
             out = recalibrate(*random_batch(rng, 40, e, range(2)), 0.1)
             for t in range(1, 6):
                 out = update(out, *random_batch(rng, 7, e, range(2 * t, 2 * t + 2)))
-            assert np.array_equal(out.afam.matrix, out.afam.matrix.T)
+            assert np.array_equal(out.afam, out.afam.T)
 
     def test_panelled_refresh_matches_full_form(self):
         # E=600 spans three row panels of the upper-triangle refresh
         rng = np.random.default_rng(13)
         clf = recalibrate(*random_batch(rng, 40, 600, range(2)), 0.1)
         s, y = random_batch(rng, 9, 600, range(2, 4))
-        a = clf.afam.matrix
+        a = clf.afam
         sa = s @ a
         z = np.linalg.solve(np.linalg.cholesky(np.eye(9) + sa @ s.T), sa)
         full = a - z.T @ z.copy()  # the whole product, both triangles
         out = update(clf, s, y)
-        assert relative_frobenius(out.afam.matrix, full) < 1e-14
+        assert relative_frobenius(out.afam, full) < 1e-14
 
     def test_kernel_not_positive_definite_is_a_data_error(self):
         rng = np.random.default_rng(11)
         clf = recalibrate(*random_batch(rng, 12, 6, range(2)), 0.1)
-        broken = replace(clf, afam=replace(clf.afam, matrix=-np.eye(6)))
+        broken = replace(clf, afam=-np.eye(6))
         with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
             update(broken, *random_batch(rng, 5, 6, range(2, 4)))
 
@@ -265,7 +251,7 @@ class TestUpdate:
             "for s, y in batches[1:]:\n"
             "    out = update(out, s, y)\n"
             "joint = joint_solve(batches, 0.1)\n"
-            "assert out.class_registry == joint.class_registry\n"
+            "assert out.class_ids == joint.class_ids\n"
             "print(relative_frobenius(out.weights, joint.weights))\n"
         )
         got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -311,7 +297,7 @@ class TestJointSolve:
         joint = joint_solve([b], 0.2)
         direct = recalibrate(*b, 0.2)
         assert relative_frobenius(joint.weights, direct.weights) < 1e-12
-        assert relative_frobenius(joint.afam.matrix, direct.afam.matrix) < 1e-12
+        assert relative_frobenius(joint.afam, direct.afam) < 1e-12
 
     def test_order_permutes_columns_only(self):
         rng = np.random.default_rng(2)
@@ -319,8 +305,8 @@ class TestJointSolve:
         b = random_batch(rng, 12, 6, range(2, 5))
         ab = joint_solve([a, b], 0.3)
         ba = joint_solve([b, a], 0.3)
-        cols_ab = {cid: ab.weights[:, col] for cid, col in ab.class_registry.items()}
-        cols_ba = {cid: ba.weights[:, col] for cid, col in ba.class_registry.items()}
+        cols_ab = dict(zip(ab.class_ids, ab.weights.T))
+        cols_ba = dict(zip(ba.class_ids, ba.weights.T))
         assert set(cols_ab) == set(cols_ba)
         for cid in cols_ab:
             assert relative_frobenius(cols_ab[cid], cols_ba[cid]) < 1e-9
@@ -348,9 +334,9 @@ class TestJointSolve:
         both = (np.vstack([s_a, s_b]), LabelMatrix.from_labels(np.concatenate([labs_a, labs_b])))
         split = joint_solve([a, b], 0.1)
         whole = joint_solve([both], 0.1)
-        assert split.class_registry == whole.class_registry == {0: 0, 1: 1, 2: 2}
+        assert split.class_ids == whole.class_ids == (0, 1, 2)
         assert relative_frobenius(split.weights, whole.weights) < 1e-12
-        assert relative_frobenius(split.afam.matrix, whole.afam.matrix) < 1e-12
+        assert relative_frobenius(split.afam, whole.afam) < 1e-12
 
 
 class TestAfamDirect:
@@ -358,11 +344,11 @@ class TestAfamDirect:
 
     def test_no_batches_is_scaled_identity(self):
         out = joint_solve([(np.zeros((0, 3)), LabelMatrix(np.zeros((0, 0)), ()))], 2.0).afam
-        assert np.allclose(out.matrix, 0.5 * np.eye(3), atol=1e-15)
+        assert np.allclose(out, 0.5 * np.eye(3), atol=1e-15)
 
     def test_identity_batch(self):
         out = joint_solve([(np.eye(2), LabelMatrix.from_labels([0, 1]))], 1.0).afam
-        assert np.allclose(out.matrix, 0.5 * np.eye(2), atol=1e-15)
+        assert np.allclose(out, 0.5 * np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_batch_is_a_data_error(self, bad):
@@ -379,7 +365,7 @@ class TestAfamDirect:
         y2 = LabelMatrix.from_labels(rng.integers(2, 4, 14), class_ids=range(2, 4))
         clf = update(recalibrate(s1, y1, 0.7), s2, y2)
         direct = joint_solve([(s1, y1), (s2, y2)], 0.7).afam
-        assert relative_frobenius(clf.afam.matrix, direct.matrix) < 1e-10
+        assert relative_frobenius(clf.afam, direct) < 1e-10
 
 
 class TestPredict:
@@ -403,11 +389,9 @@ class TestPredict:
         assert np.array_equal(predict(clf, x), want)
 
     def test_untrained_rejected(self):
-        from akws.classifier import Afam, AnalyticClassifier
+        from akws.classifier import AnalyticClassifier
 
-        empty = AnalyticClassifier(
-            weights=np.zeros((3, 0)), afam=Afam(np.eye(3), 1.0), class_registry={}, tasks_seen=0
-        )
+        empty = AnalyticClassifier(weights=np.zeros((3, 0)), afam=np.eye(3), gamma=1.0)
         with pytest.raises(ShapeError, match="no registered classes"):
             predict(empty, np.zeros((1, 3)))
 

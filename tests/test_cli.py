@@ -223,7 +223,7 @@ class TestRun:
             "fit = h.recalibrate\n"
             "def broken(*args):\n"
             "    clf = fit(*args)\n"
-            "    return replace(clf, afam=replace(clf.afam, matrix=-np.eye(clf.expansion_size)))\n"
+            "    return replace(clf, afam=-np.eye(clf.expansion_size))\n"
             "h.recalibrate = broken\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
@@ -536,3 +536,55 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip().endswith("manifest.json")
+
+
+@pytest.mark.parametrize("target", ["feature file", "manifest", "config", "grid file"])
+def test_non_utf8_input_exits_2_naming_its_file(tmp_path, capsys, target):
+    data = tmp_path / "data"
+    assert run_cli("gen", "--classes", 4, "--per-class", 5, "--dim", 3, "--out", data) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"kind": "manifest", "path": str(data / "manifest.json")}}))
+    grid = tmp_path / "grid.csv"
+    grid.write_text("# test_sizes,1\nstep,task_0\n0,1.0\n")
+    files = {"feature file": data / "task_1_train.csv", "manifest": data / "manifest.json"}
+    bad = {**files, "config": cfg, "grid file": grid}[target]
+    raw = bad.read_bytes()
+    bad.write_bytes(raw[:5] + b"\xff" + raw[5:])
+    capsys.readouterr()
+    argv = ("metrics", grid) if bad == grid else ("run", "--config", cfg, "--out", tmp_path / "o")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {target} {bad}: not UTF-8 text (invalid start byte at byte 5)\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+@pytest.mark.parametrize("expansion", [10**8, 2**70])
+def test_oversized_expansion_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, expansion):
+    import akws.cli
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("task data built")
+
+    monkeypatch.setattr(akws.cli, "gen_synth_split", unreached)
+    extra = ("--out", tmp_path / "o") if command == "run" else ()
+    assert run_cli(command, "--expansion", expansion, *extra) == 2
+    need = f"its {expansion} x {expansion} state needs {8 * expansion**2} bytes, more than physical memory"
+    assert capsys.readouterr().err == f"error: expansion: {need}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "message, error",
+    [("Unable to allocate 23.8 GiB", "error: Unable to allocate 23.8 GiB"), ("", "error: out of memory")],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, message, error):
+    import akws.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(akws.cli, "run_experiment", exhausted)
+    assert run_cli("run", "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"{error}\n"
+    assert not (tmp_path / "o").exists()

@@ -4,7 +4,6 @@ import pytest
 from akws import (
     LabeledDataset,
     SynthSpec,
-    gen_synth,
     gen_synth_split,
     load_features,
     load_manifest,
@@ -20,14 +19,14 @@ from oracles import nearest_centroid_fit, nearest_centroid_predict
 class TestGenSynth:
     def test_deterministic(self):
         spec = SynthSpec(3, 10, 4, 5.0, 0.5, seed=7)
-        a = gen_synth(spec)
-        b = gen_synth(spec)
+        a = gen_synth_split(spec, 1)[0]
+        b = gen_synth_split(spec, 1)[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_zero_noise_samples_equal_class_mean(self):
         spec = SynthSpec(3, 5, 4, 5.0, 0.0, seed=1)
-        ds = gen_synth(spec)
+        ds = gen_synth_split(spec, 1)[0]
         for c in range(3):
             rows = ds.features[ds.labels == c]
             assert np.all(rows == rows[0])
@@ -42,7 +41,7 @@ class TestGenSynth:
 
     def test_more_classes_than_dims_keeps_anchor_norms(self):
         spec = SynthSpec(7, 3, 2, 4.0, 0.0, seed=3)
-        ds = gen_synth(spec)
+        ds = gen_synth_split(spec, 1)[0]
         means = np.stack([ds.features[ds.labels == c][0] for c in range(7)])
         assert np.allclose(np.linalg.norm(means, axis=1), 4.0)
         # anchors must be pairwise distinct
@@ -52,7 +51,7 @@ class TestGenSynth:
     def test_split_reuses_train_stream(self):
         spec = SynthSpec(3, 8, 4, 5.0, 1.0, seed=9)
         train, test = gen_synth_split(spec, 4)
-        assert np.array_equal(train.features, gen_synth(spec).features)
+        assert np.array_equal(train.features, gen_synth_split(spec, 1)[0].features)
         assert test.n == 12
 
     def test_spec_validation(self):
@@ -75,7 +74,7 @@ class TestGenSynth:
 
 class TestRectifierScramble:
     def test_deterministic_and_nonnegative(self):
-        ds = gen_synth(SynthSpec(3, 10, 4, 5.0, 1.0, seed=2))
+        ds = gen_synth_split(SynthSpec(3, 10, 4, 5.0, 1.0, seed=2), 1)[0]
         a = rectifier_scramble(ds, 6, seed=11)
         b = rectifier_scramble(ds, 6, seed=11)
         assert np.array_equal(a.features, b.features)
@@ -96,7 +95,7 @@ class TestRectifierScramble:
 
 class TestFeatureCsv:
     def test_round_trip(self, tmp_path):
-        ds = gen_synth(SynthSpec(3, 7, 5, 5.0, 1.0, seed=4))
+        ds = gen_synth_split(SynthSpec(3, 7, 5, 5.0, 1.0, seed=4), 1)[0]
         path = tmp_path / "feats.csv"
         save_features(ds, path)
         back = load_features(path)
@@ -142,6 +141,15 @@ class TestFeatureCsv:
         path.write_text("label,f0\n-1,1.0\n")
         with pytest.raises(ParseError):
             load_features(path)
+
+    @pytest.mark.parametrize("label", [2**32, 10**30])
+    def test_label_must_fit_u32(self, tmp_path, label):
+        # the snapshot stores class ids as u32; 10**30 is beyond int64 too
+        path = tmp_path / "big.csv"
+        path.write_text(f"label,f0\n0,1.0\n{label},1.0\n")
+        with pytest.raises(ParseError, match=f"class id {label} does not fit in 32 unsigned bits") as exc:
+            load_features(path)
+        assert exc.value.line == 3
 
 
 class TestManifest:

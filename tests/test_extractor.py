@@ -4,7 +4,7 @@ import pytest
 from akws import SynthSpec, extract, gen_synth_split, pretrain_extractor
 from akws.data import LabeledDataset
 from akws.errors import DataError, ShapeError
-from akws.extractor import ExtractorModel, _softmax, batch_loss, loss_and_grads
+from akws.extractor import ExtractorModel, _softmax, loss_and_grads
 
 
 def model_predict(model, x):
@@ -71,9 +71,9 @@ def test_gradients_match_finite_differences():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = batch_loss(params, x, y)
+            up = loss_and_grads(params, x, y)[0]
             flat[j] = orig - h
-            down = batch_loss(params, x, y)
+            down = loss_and_grads(params, x, y)[0]
             flat[j] = orig
             fd = (up - down) / (2 * h)
             an = grads[p_idx].ravel()[j]

@@ -58,20 +58,20 @@ FAST = HarnessConfig(
 
 class TestSplitTasks:
     def test_fifteen_plus_five_by_three(self):
-        split = split_tasks(range(30), 15, 5, 3, seed=1)
-        assert len(split.base_classes) == 15
-        assert len(split.steps) == 5
-        assert all(len(s) == 3 for s in split.steps)
-        everything = set(split.base_classes)
-        for s in split.steps:
+        base, *steps = split_tasks(range(30), 15, 5, 3, seed=1)
+        assert len(base) == 15
+        assert len(steps) == 5
+        assert all(len(s) == 3 for s in steps)
+        everything = set(base)
+        for s in steps:
             everything |= set(s)
         assert everything == set(range(30))
 
     def test_fifty_plus_fifty_by_one(self):
-        split = split_tasks(range(100), 50, 50, 1, seed=2)
-        assert len(split.base_classes) == 50
-        assert len(split.steps) == 50
-        assert all(len(s) == 1 for s in split.steps)
+        base, *steps = split_tasks(range(100), 50, 50, 1, seed=2)
+        assert len(base) == 50
+        assert len(steps) == 50
+        assert all(len(s) == 1 for s in steps)
 
     def test_arithmetic_mismatch_rejected(self):
         with pytest.raises(InvalidSplitError):
@@ -80,7 +80,7 @@ class TestSplitTasks:
     def test_seed_changes_assignment(self):
         a = split_tasks(range(12), 6, 3, 2, seed=1)
         b = split_tasks(range(12), 6, 3, 2, seed=2)
-        assert a.base_classes != b.base_classes
+        assert a[0] != b[0]
         assert a == split_tasks(range(12), 6, 3, 2, seed=1)
 
 

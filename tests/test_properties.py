@@ -10,7 +10,7 @@ from akws import (
     SynthSpec,
     build_expansion,
     expand,
-    gen_synth,
+    gen_synth_split,
     joint_solve,
     recalibrate,
     relative_frobenius,
@@ -70,7 +70,7 @@ def test_chained_updates_equal_joint_solution(seed, n_tasks, e, gamma):
     batches = make_tasks(rng, n_tasks, e)
     chained = run_chain(batches, gamma)
     joint = joint_solve(batches, gamma)
-    assert chained.class_registry == joint.class_registry
+    assert chained.class_ids == joint.class_ids
     assert relative_frobenius(chained.weights, joint.weights) < 1e-9
 
 
@@ -82,14 +82,12 @@ def test_chained_updates_equal_joint_solution(seed, n_tasks, e, gamma):
     gamma=st.sampled_from(GAMMAS),
 )
 def test_streamed_updates_equal_joint_solution(seed, n_tasks, e, gamma):
-    # re-presented classes (allow_registered): the oracle sums their correlations
+    # re-presented classes keep their columns; the oracle sums their correlations
     rng = np.random.default_rng(seed)
     batches = make_stream(rng, n_tasks, e)
-    clf = recalibrate(*batches[0], gamma)
-    for s, y in batches[1:]:
-        clf = update(clf, s, y, allow_registered=True)
+    clf = run_chain(batches, gamma)
     joint = joint_solve(batches, gamma)
-    assert clf.class_registry == joint.class_registry
+    assert clf.class_ids == joint.class_ids
     assert relative_frobenius(clf.weights, joint.weights) < 1e-9
 
 
@@ -106,7 +104,7 @@ def test_afam_tracks_direct_form(seed, n_tasks, e, gamma, degenerate):
     batches = make_tasks(rng, n_tasks, e, degenerate=degenerate)
     chained = run_chain(batches, gamma)
     direct = joint_solve(batches, gamma).afam
-    assert relative_frobenius(chained.afam.matrix, direct.matrix) < 1e-10
+    assert relative_frobenius(chained.afam, direct) < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -123,7 +121,7 @@ def test_afam_stays_symmetric_positive_definite(seed, n_tasks, e, gamma, degener
     clf = recalibrate(batches[0][0], batches[0][1], gamma)
     for s, y in batches[1:]:
         clf = update(clf, s, y)
-        a = clf.afam.matrix
+        a = clf.afam
         assert np.array_equal(a, a.T)
         assert np.all(np.linalg.eigvalsh(a) > 0.0)
 
@@ -141,9 +139,9 @@ def test_task_order_only_permutes_columns(seed, n_tasks, e, gamma):
     perm = np.random.default_rng(seed + 1).permutation(n_tasks)
     forward = run_chain(batches, gamma)
     shuffled = run_chain([batches[i] for i in perm], gamma)
-    assert set(forward.class_registry) == set(shuffled.class_registry)
-    for cid, col in forward.class_registry.items():
-        other = shuffled.weights[:, shuffled.class_registry[cid]]
+    assert set(forward.class_ids) == set(shuffled.class_ids)
+    for col, cid in enumerate(forward.class_ids):
+        other = shuffled.weights[:, shuffled.class_ids.index(cid)]
         assert relative_frobenius(forward.weights[:, col], other) < 1e-9
 
 
@@ -180,7 +178,7 @@ def test_update_asymmetry_before_correction_is_bounded(seed):
     batches = make_tasks(rng, 4, e)
     clf = recalibrate(batches[0][0], batches[0][1], 0.1)
     for s, y in batches[1:]:
-        a_prev = clf.afam.matrix
+        a_prev = clf.afam
         n = s.shape[0]
         sa = s @ a_prev
         z = np.linalg.solve(np.linalg.cholesky(np.eye(n) + sa @ s.T), sa)
@@ -206,7 +204,7 @@ def test_many_small_tasks_track_joint_solution(gamma):
     # 1/gamma in every direction no batch has reached yet
     devs = []
     for seed in range(4):
-        ds = gen_synth(SynthSpec(101, 8, 16, cluster_separation=6.0, noise_sigma=1.0, seed=seed))
+        ds, _ = gen_synth_split(SynthSpec(101, 8, 16, cluster_separation=6.0, noise_sigma=1.0, seed=seed), 1)
         s = expand(ds.features, build_expansion(16, 128, seed, "relu"))
         batches = [
             (s[ds.labels == c], LabelMatrix.from_labels(ds.labels[ds.labels == c], class_ids=[c]))

@@ -26,22 +26,19 @@ def test_round_trip(tmp_path):
     save_snapshot(path, clf, meta)
     back, back_meta = read_snapshot(path)
     assert np.array_equal(back.weights, clf.weights)
-    assert np.array_equal(back.afam.matrix, clf.afam.matrix)
-    assert back.afam.gamma == clf.afam.gamma
-    assert back.class_registry == clf.class_registry
+    assert np.array_equal(back.afam, clf.afam)
+    assert back.gamma == clf.gamma
+    assert back.class_ids == clf.class_ids == (3, 9, 11)
     assert back.tasks_seen == clf.tasks_seen
     assert back_meta == meta
 
 
 def test_exact_byte_layout():
-    from akws.classifier import Afam, AnalyticClassifier
+    from akws.classifier import AnalyticClassifier
 
     # exact matrix values, independent of any solver rounding
     clf = AnalyticClassifier(
-        weights=0.5 * np.eye(2),
-        afam=Afam(matrix=0.5 * np.eye(2), gamma=1.0),
-        class_registry={3: 0, 9: 1},
-        tasks_seen=1,
+        weights=0.5 * np.eye(2), afam=0.5 * np.eye(2), gamma=1.0, class_ids=(3, 9), tasks_seen=1
     )
     meta = SnapshotMeta(dim=2, seed=42, activation="relu")
     blob = dump_snapshot(clf, meta)
@@ -73,10 +70,10 @@ def test_element_count_matches_serialized_payload():
     clf = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 1)), (4,)))
     blob = dump_snapshot(clf, meta)
     e, c = clf.weights.shape
-    header = 4 + 16 + 8 + 1 + 8 + 4 + 4 + 8 * len(clf.class_registry)
+    header = 4 + 16 + 8 + 1 + 8 + 4 + 4 + 8 * len(clf.class_ids)
     matrix_doubles = (len(blob) - header) // 8
     assert matrix_doubles == e * e + e * c
-    assert clf.state_elements() == e * e + e * c + len(clf.class_registry)
+    assert clf.state_elements() == e * e + e * c + len(clf.class_ids)
 
 
 def test_bad_magic_rejected():
@@ -111,15 +108,15 @@ def test_identity_activation_code(tmp_path):
 
 
 def crafted_blob(registry, gamma=1.0):
-    from akws.classifier import Afam, AnalyticClassifier
+    """An E=2, two-class snapshot whose registry holds ``registry``'s (id, column) entries."""
+    header = struct.pack("<IIIIQBdII", 1, 2, 2, 2, 42, 1, gamma, 1, len(registry))
+    entries = b"".join(struct.pack("<II", cid, col) for cid, col in registry.items())
+    return b"AKWS" + header + entries + 2 * np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes()
 
-    clf = AnalyticClassifier(
-        weights=0.5 * np.eye(2),
-        afam=Afam(matrix=0.5 * np.eye(2), gamma=gamma),
-        class_registry=registry,
-        tasks_seen=1,
-    )
-    return dump_snapshot(clf, SnapshotMeta(dim=2, seed=42, activation="relu"))
+
+def test_registry_entries_load_in_column_order():
+    back, _ = load_snapshot(crafted_blob({9: 1, 3: 0}))
+    assert back.class_ids == (3, 9)
 
 
 def test_truncated_header_rejected():
