@@ -28,8 +28,8 @@ computes that joint solution directly and serves as the oracle in tests.
 
 the refresh is ``A_t = A_{t-1} - Z_a^T Z_a``, and since
 ``A_t S'T = Z_a^T L^-1`` the new weights are ``W + Z_a^T Z_r``. Every
-batch takes this one step: a batch without rows that registers classes
-has a 0 x 0 kernel, leaves ``A`` as it was and adds zero columns.
+batch takes this one step: a batch without rows has a 0 x 0 kernel,
+leaves ``A`` as it was and adds a zero column per class it registers.
 ``Z_a^T Z_a`` is symmetric by construction, so only
 its upper triangle is computed, one GEMM per row panel of ``_PANEL`` rows
 (about half the flops of the whole product), and then mirrored onto the
@@ -41,19 +41,20 @@ averaging its triangles halved the antisymmetric part, and mirroring it
 instead lost accuracy. The left operand of each panel GEMM is a copy, because numpy
 sends ``X.T @ X`` on one buffer to a syrk path that is slower here.
 
-``Z`` comes from one in-place triangular solve (BLAS ``trsm``) on the
-buffer that holds ``[S' A_{t-1} | Y - S' W]``. Its cost per right-hand
-column is that of a GEMM column, so the C target columns add no more to
-the update than the GEMMs that form them.
+LAPACK ``potrf`` factors ``K``, symmetric only to roundoff, in place from
+its lower triangle. ``Z`` comes from one in-place triangular solve (BLAS
+``trsm``) on the buffer that holds ``[S' A_{t-1} | Y - S' W]``. Its cost
+per right-hand column is that of a GEMM column, so the C target columns
+add no more to the update than the GEMMs that form them.
 
 Wherever ``A`` is formed directly from a Cholesky factor ``L`` of the
 regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
 ``L`` in place, and the triangle it fills is mirrored onto the other.
 The Gram matrix is factored in place too (``potrf``), and the first-fit
-weights are solved in place (``potrs``).
+weights are solved in place by two triangular solves (``trsm``).
 
 All of this runs on one LAPACK: numpy's own OpenBLAS. numpy exposes no
-triangular solve, Cholesky solve or Cholesky inverse, so ``lapack`` binds
+in-place Cholesky, triangular solve or Cholesky inverse, so ``lapack`` binds
 those few routines from the library numpy already loaded. A second
 LAPACK (scipy's, for instance) would bring its own OpenBLAS and its own
 thread pool; after a call into it those workers keep spinning, so numpy's
@@ -110,7 +111,8 @@ class LabelMatrix:
         no samples); by default columns follow sorted unique labels.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        ids = np.unique(labels) if class_ids is None else np.asarray(list(class_ids), dtype=np.int64)
+        # not np.unique: the first use of its hash table adds about 1 MB to peak RSS
+        ids = np.asarray(sorted(set(labels.tolist())) if class_ids is None else list(class_ids), dtype=np.int64)
         hits = labels[:, None] == ids  # the one-hot pattern, one lookup per column
         missing = ~hits.any(axis=1)
         if missing.any():
@@ -202,17 +204,16 @@ def _mirror_upper(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _spd_factor(g: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of symmetric ``g``, computed in place.
+def _spd_factor(g: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of symmetric Fortran-ordered ``g``, computed in place.
 
-    Consumes ``g``: LAPACK factors its Fortran-ordered transpose ``g.T``
-    without a copy, and returns that view, whose lower triangle now holds
-    the factor.
+    Consumes ``g``: LAPACK reads its lower triangle and writes the factor
+    over it. Returns ``g``. ``name`` names the matrix in the error raised
+    when it is not positive definite.
     """
-    factor = g.T
-    if lapack.potrf("L", factor) != 0:
-        raise DataError("the regularized Gram matrix is not positive definite")
-    return factor
+    if lapack.potrf("L", g) != 0:
+        raise DataError(f"{name} is not positive definite")
+    return g
 
 
 def _materialize_inverse(factor: np.ndarray) -> np.ndarray:
@@ -250,9 +251,6 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     class_ids, (cols,) = _register(c.class_ids, [y_t.class_ids])
     n = s.shape[0]
     n_cols = c.n_classes
-    if n == 0 and len(class_ids) == n_cols:
-        return c
-
     a_prev = c.afam
     rhs = np.empty((n, e + len(class_ids)))  # [S A_{t-1} | Y - S W], W padded with zero columns
     np.matmul(s, a_prev, out=rhs[:, :e])
@@ -262,16 +260,12 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     r[:, :n_cols] *= -1.0
     r[:, n_cols:] = 0.0
     r[:, cols] += y_t.onehot
-    k = np.eye(n) + rhs[:, :e] @ s.T
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        raise DataError("the Woodbury kernel I + S A S^T is not positive definite") from None
-    # Z = L^-1 [S A_{t-1} | Y - S W] in place: as Fortran-ordered matrices,
-    # rhs.T is its transpose and chol.T is L^T, so Z^T = rhs.T (L^T)^-1
-    lapack.trsm("R", "U", "N", "N", 1.0, chol.T, rhs.T)
-    z = rhs
-    za = z[:, :e]
+    k = np.add(np.eye(n), rhs[:, :e] @ s.T, order="F")  # Fortran-ordered: potrf reads K's lower triangle
+    chol = _spd_factor(k, "the Woodbury kernel I + S A S^T")
+    # Z = L^-1 [S A_{t-1} | Y - S W] in place: the Fortran-ordered rhs.T is
+    # its transpose, so Z^T = rhs.T (L^T)^-1
+    lapack.trsm("R", "L", "T", "N", 1.0, chol, rhs.T)
+    za = rhs[:, :e]
 
     a_new = np.empty((e, e))
     for i in range(0, e, _PANEL):
@@ -281,7 +275,7 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
         np.subtract(a_prev[i : i + _PANEL, i:], panel, out=panel)
     _mirror_upper(a_new)
 
-    weights = za.T @ z[:, e:]  # A_t S'T (Y - S W) = Z_a^T Z_r
+    weights = za.T @ rhs[:, e:]  # A_t S'T (Y - S W) = Z_a^T Z_r
     weights[:, :n_cols] += c.weights
     return AnalyticClassifier(
         weights=weights, afam=a_new, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
@@ -313,8 +307,9 @@ def joint_solve(batches, gamma: float) -> AnalyticClassifier:
     rhs = np.zeros((e, len(class_ids)), order="F")  # solved in place
     for (s, y), cols in zip(checked, targets):
         rhs[:, cols] += s.T @ y.onehot
-    factor = _spd_factor(gram)
-    lapack.potrs("L", factor, rhs)
+    factor = _spd_factor(gram.T, "the regularized Gram matrix")  # gram is symmetric: its transpose needs no copy
+    lapack.trsm("L", "L", "N", "N", 1.0, factor, rhs)  # L L^T W = S'T Y
+    lapack.trsm("L", "L", "T", "N", 1.0, factor, rhs)
     return AnalyticClassifier(
         weights=rhs, afam=_materialize_inverse(factor), gamma=float(gamma), class_ids=class_ids, tasks_seen=len(checked)
     )

@@ -15,7 +15,8 @@ wider than the features it expands), a manifest or feature CSV that
 does not parse, manifest contents a run cannot use (a class in two
 tasks, files of different widths, a label outside its task's classes, a
 train file without rows), an input file that is not UTF-8 text, an
-expansion whose E x E state alone exceeds physical memory, or data whose
+expansion whose E x E state alone exceeds physical memory, synthetic
+data whose train and test features exceed it, or data whose
 first task has no test rows (so its accuracy, and ACC, are undefined) is
 invalid input; a data file that cannot be opened under ``run`` or
 ``oracle-check``, a numerical failure such as a Woodbury kernel that is
@@ -95,6 +96,9 @@ def _resolve_config(args) -> RunConfig:
 def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
     """Draw synthetic train and test sets and slice them into the split's tasks."""
     spec = SynthSpec(data.classes, data.per_class, data.dim, data.separation, data.noise_sigma, data.seed)
+    need = 8 * data.classes * (data.per_class + data.test_per_class) * data.dim
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any draw
+        raise ConfigError(f"its train and test features need {need} bytes, more than physical memory", field="data")
     order = split_tasks(
         range(data.classes), split.base_count, split.step_count, split.classes_per_step, split.seed
     )
@@ -207,7 +211,7 @@ def main(argv=None) -> int:
         "metrics": _cmd_metrics,
     }
     validation = {
-        "gen": (DataError, InvalidSplitError),
+        "gen": (ConfigError, DataError, InvalidSplitError),
         "run": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
         "oracle-check": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
         "metrics": (ConfigError, ParseError, MetricUndefinedError, OSError),

@@ -47,9 +47,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def classes(self) -> list[int]:
-        return sorted(set(self.labels.tolist()))
-
     def restrict(self, class_ids) -> "LabeledDataset":
         """Rows whose label is in ``class_ids``, in original order."""
         keep = np.isin(self.labels, np.asarray(sorted(class_ids), dtype=np.int64))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import LabelMatrix
 from .data import LabeledDataset
 from .errors import DataError, ShapeError
 
@@ -76,23 +77,21 @@ def pretrain_extractor(
         raise DataError(f"epochs must be >= 1, got {epochs}")
     if d0.n < 1:
         raise DataError("pretraining set is empty")
-    classes = d0.classes()
-    if len(classes) < 2:
-        raise DataError(f"pretraining needs >= 2 classes, got {len(classes)}")
+    y = LabelMatrix.from_labels(d0.labels).onehot
+    n_classes = y.shape[1]
+    if n_classes < 2:
+        raise DataError(f"pretraining needs >= 2 classes, got {n_classes}")
     if hidden < 1:
         raise ShapeError(f"hidden width must be >= 1, got {hidden}")
 
-    col = {c: j for j, c in enumerate(classes)}
-    y = np.zeros((d0.n, len(classes)))
-    y[np.arange(d0.n), [col[int(l)] for l in d0.labels]] = 1.0
     x = d0.features
 
     rng = np.random.default_rng(seed)
     d_in = d0.dim
     w1 = rng.standard_normal((d_in, hidden)) * np.sqrt(2.0 / d_in)
     b1 = np.zeros(hidden)
-    w2 = rng.standard_normal((hidden, len(classes))) * np.sqrt(1.0 / hidden)
-    b2 = np.zeros(len(classes))
+    w2 = rng.standard_normal((hidden, n_classes)) * np.sqrt(1.0 / hidden)
+    b2 = np.zeros(n_classes)
 
     history = []
     for _ in range(epochs):

@@ -3,10 +3,10 @@
 numpy's wheels bundle an OpenBLAS built with 64-bit integers (ILP64)
 whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix, such as
 ``scipy_dpotrf_64_``. Binding them through ``ctypes`` gives the package a
-Cholesky solve, a Cholesky inverse and a triangular solve on the very
-library, and so the very thread pool, that runs numpy's ``matmul`` and
-``cholesky``. Symbols are looked up through the handle of numpy's linalg
-extension module, which resolves them in the library that module links.
+Cholesky factor, a Cholesky inverse and a triangular solve on the very
+library, and so the very thread pool, that runs numpy's ``matmul``.
+Symbols are looked up through the handle of numpy's linalg extension
+module, which resolves them in the library that module links.
 
 Calls follow the Fortran convention: every argument is passed by
 reference, integers are int64, and after the last regular argument each
@@ -36,7 +36,6 @@ _LEN = ctypes.c_size_t
 
 _SIGNATURES = {
     "potrf": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
-    "potrs": (_CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT, _LEN),
     "potri": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
     "trsm": (
         _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT,
@@ -111,20 +110,6 @@ def potrf(uplo: str, a: np.ndarray) -> int:
     info = ctypes.c_int64()
     _routine("potrf")(uplo.encode(), _int(a.shape[0]), _ptr(a), _ld(a), ctypes.byref(info), 1)
     return _info("potrf", info)
-
-
-def potrs(uplo: str, factor: np.ndarray, b: np.ndarray) -> None:
-    """Solve ``A X = b`` in place on ``b``, given ``potrf``'s factor of ``A``."""
-    _matrix(factor, square=True)
-    _matrix(b)
-    if b.shape[0] != factor.shape[0]:
-        raise ShapeError(f"factor is {factor.shape}, right-hand side {b.shape}")
-    info = ctypes.c_int64()
-    _routine("potrs")(
-        uplo.encode(), _int(b.shape[0]), _int(b.shape[1]), _ptr(factor), _ld(factor),
-        _ptr(b), _ld(b), ctypes.byref(info), 1,
-    )
-    _info("potrs", info)
 
 
 def potri(uplo: str, factor: np.ndarray) -> int:

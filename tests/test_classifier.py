@@ -135,7 +135,24 @@ class TestUpdate:
     def test_empty_batch_no_new_classes_is_noop(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 0)), ()))
-        assert out is clf
+        assert np.array_equal(out.weights, clf.weights)
+        assert np.array_equal(out.afam, clf.afam)
+        assert out.class_ids == clf.class_ids
+        assert out.tasks_seen == clf.tasks_seen + 1
+
+    def test_chain_with_empty_batches_matches_joint(self):
+        # an empty batch with no new classes is one more task, as in joint_solve
+        rng = np.random.default_rng(4)
+        empty = (np.zeros((0, 8)), LabelMatrix(np.zeros((0, 0)), ()))
+        batches = [random_batch(rng, 20, 8, range(3)), empty, random_batch(rng, 15, 8, range(3, 5)), empty]
+        clf = recalibrate(*batches[0], 0.1)
+        for b in batches[1:]:
+            clf = update(clf, *b)
+        joint = joint_solve(batches, 0.1)
+        assert relative_frobenius(clf.weights, joint.weights) < 1e-9
+        assert relative_frobenius(clf.afam, joint.afam) < 1e-9
+        assert clf.class_ids == joint.class_ids
+        assert clf.tasks_seen == joint.tasks_seen == 4
 
     def test_empty_batch_with_new_classes_registers_zero_columns(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
@@ -269,7 +286,7 @@ class TestKernels:
         rng = np.random.default_rng(10)
         s = rng.standard_normal((150, 130))
         gram = s.T @ s + 0.1 * np.eye(130)
-        inv = _materialize_inverse(_spd_factor(gram.copy()))
+        inv = _materialize_inverse(_spd_factor(gram.copy(order="F"), "the Gram matrix"))
         assert np.array_equal(inv, inv.T)
         assert relative_frobenius(inv, np.linalg.inv(gram)) < 1e-12
 

@@ -573,6 +573,29 @@ def test_oversized_expansion_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "oracle-check", "gen"])
+@pytest.mark.parametrize("per_class", [10**12, 10**30])
+def test_oversized_synth_data_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command, per_class):
+    import akws.cli
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("synthetic data drawn")
+
+    monkeypatch.setattr(akws.cli, "gen_synth_split", unreached)
+    out = tmp_path / "o"
+    extra = ("--out", out) if command != "oracle-check" else ()
+    if command == "gen":  # gen's default test_per_class is per_class // 5
+        argv, rows = ("--per-class", per_class), 10 * (per_class + per_class // 5)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": {"per_class": per_class}}))
+        argv, rows = ("--config", config), 10 * (per_class + 25)
+    assert run_cli(command, *argv, *extra) == 2
+    need = f"its train and test features need {8 * rows * 16} bytes, more than physical memory"
+    assert capsys.readouterr().err == f"error: data: {need}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "message, error",
     [("Unable to allocate 23.8 GiB", "error: Unable to allocate 23.8 GiB"), ("", "error: out of memory")],

@@ -213,3 +213,59 @@ def test_many_small_tasks_track_joint_solution(gamma):
         chained = run_chain(batches, gamma)
         devs.append(relative_frobenius(chained.weights, joint_solve(batches, gamma).weights))
     assert np.median(devs) < HARD_REGIME_BOUND[gamma]
+
+
+LONG_CHAIN_CHECKPOINTS = (10, 100, 1000, 3000)
+
+
+def long_chain_backward_errors(kind, gamma, tasks):
+    """Backward error of the recursive weights and smallest eigenvalue of ``A`` per checkpoint.
+
+    A chain of ``tasks`` tiny batches of rank-8 inputs expanded with ReLU to
+    E=64: two rows of the classes 0 and 1 each task ("stream"), or one row
+    of a new class each task ("incremental"). The backward error is
+    ``|G W - B|_2 / (|G|_2 |W|_2 + |B|_2)`` against the normal equations
+    ``G = sum S'T S + gamma I`` and ``B = sum S'T Y`` accumulated here.
+    """
+    rng = np.random.default_rng(10)
+    e = 64
+    m = build_expansion(8, e, 10, "relu")
+    gram = gamma * np.eye(e)
+    rhs = np.zeros((e, 2 if kind == "stream" else tasks))  # classes register as 0, 1, ... in column order
+    clf = None
+    out = {}
+    for t in range(1, tasks + 1):
+        if kind == "stream":
+            s, y = expand(rng.standard_normal((2, 8)), m), LabelMatrix(np.eye(2), (0, 1))
+        else:
+            s, y = expand(rng.standard_normal((1, 8)), m), LabelMatrix(np.ones((1, 1)), (t - 1,))
+        clf = recalibrate(s, y, gamma) if clf is None else update(clf, s, y)
+        gram += s.T @ s
+        rhs[:, list(y.class_ids)] += s.T @ y.onehot
+        if t in LONG_CHAIN_CHECKPOINTS:
+            w, b = clf.weights, rhs[:, : clf.n_classes]
+            norm = np.linalg.norm
+            berr = norm(gram @ w - b, 2) / (norm(gram, 2) * norm(w, 2) + norm(b, 2))
+            out[t] = (berr, np.linalg.eigvalsh(clf.afam).min())
+    return out
+
+
+# Per checkpoint, 10x the largest backward error measured with OpenBLAS at 1
+# and 2 threads (2 cores, numpy 2.4.6), rounded up to two digits. At gamma
+# 1e-3 and 1e-6 the recursion loses digits within the first 100 tasks and
+# then holds them; at 0.1 it stays at roundoff.
+LONG_CHAIN_BOUND = {
+    ("stream", 1e-1): (8.4e-16, 2.0e-14, 1.1e-14, 6.9e-15),
+    ("stream", 1e-3): (7.9e-16, 1.8e-12, 4.4e-13, 4.7e-13),
+    ("stream", 1e-6): (6.8e-16, 1.7e-9, 5.4e-10, 2.8e-10),
+    ("incremental", 1e-3): (1.4e-15, 2.7e-12, 4.9e-12),
+}
+
+
+@pytest.mark.parametrize("kind, gamma", sorted(LONG_CHAIN_BOUND))
+def test_long_chain_backward_error_is_bounded(kind, gamma):
+    bounds = LONG_CHAIN_BOUND[kind, gamma]
+    got = long_chain_backward_errors(kind, gamma, LONG_CHAIN_CHECKPOINTS[len(bounds) - 1])
+    for (t, (berr, smallest)), bound in zip(got.items(), bounds, strict=True):
+        assert berr <= bound, f"t={t}: backward error {berr:.3e}"
+        assert smallest > 0, f"t={t}: A has eigenvalue {smallest:.3e}"
