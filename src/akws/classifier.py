@@ -18,8 +18,9 @@ batch's rows,
 and moves the weights by ``A_t S'T (Y - S' W)``, with ``W`` padded by a
 zero column for each class the batch registers. The result is
 algebraically identical to re-solving the joint ridge problem over every
-batch seen so far, without retaining any past rows; ``joint_solve``
-computes that joint solution directly and serves as the oracle in tests.
+batch seen so far, without retaining any past rows. ``NormalEquations``
+holds that joint system, E^2 + E*C numbers whatever the rows added, and
+is the oracle of tests and ``oracle_check``.
 
 ``update`` evaluates this in square-root form. With the Cholesky factor
 ``K = I + S' A_{t-1} S'T = L L^T`` and
@@ -61,7 +62,7 @@ thread pool; after a call into it those workers keep spinning, so numpy's
 GEMMs right after it compete with them for the same cores.
 
 Column order follows class registration order: ``update`` and
-``joint_solve`` alike give a class the next free column when a batch
+``NormalEquations`` alike give a class the next free column when a batch
 first presents it. A class presented again keeps its column, which then
 sums the label correlations of every batch that holds it.
 """
@@ -129,7 +130,7 @@ class AnalyticClassifier:
     """Closed-form classifier state: weights, autocorrelation, class ids."""
 
     weights: np.ndarray  # E x C
-    afam: np.ndarray  # E x E, the regularized inverse Gram matrix
+    afam: np.ndarray | None  # E x E, the regularized inverse Gram matrix; None from a weights-only solve
     gamma: float
     class_ids: tuple[int, ...] = ()  # global ids in column order
     tasks_seen: int = 0
@@ -163,14 +164,14 @@ def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
     return s
 
 
-def _register(class_ids: tuple[int, ...], batches_ids) -> tuple[tuple[int, ...], list[list[int]]]:
-    """``class_ids`` with the batches' new ids appended, and the columns of each batch's ids.
+def _register(class_ids: tuple[int, ...], batch_ids) -> tuple[tuple[int, ...], list[int]]:
+    """``class_ids`` with the batch's new ids appended, and the columns of the batch's ids.
 
     A class takes the next free column when a batch first presents it and
     keeps that column when a later batch presents it again.
     """
     col = {cid: j for j, cid in enumerate(class_ids)}
-    cols = [[col.setdefault(cid, len(col)) for cid in ids] for ids in batches_ids]
+    cols = [col.setdefault(cid, len(col)) for cid in batch_ids]
     return tuple(col), cols
 
 
@@ -248,7 +249,7 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     e = c.expansion_size
     if s.shape[1] != e:
         raise ShapeError(f"expected expanded width {e}, got {s.shape[1]}")
-    class_ids, (cols,) = _register(c.class_ids, [y_t.class_ids])
+    class_ids, cols = _register(c.class_ids, y_t.class_ids)
     n = s.shape[0]
     n_cols = c.n_classes
     a_prev = c.afam
@@ -282,37 +283,54 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     )
 
 
-def joint_solve(batches, gamma: float) -> AnalyticClassifier:
-    """Solve the ridge problem over all batches at once (the oracle path).
+class NormalEquations:
+    """The ridge system ``G W = B``, ``G = sum S'T S' + gamma I`` and ``B = sum S'T Y``, of the batches added."""
 
-    Each class owns one target column, placed in registration order. A
-    batch adds its label correlations ``S'T Y`` to its own classes'
-    columns, so a class that several batches present sums them.
-    """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DataError(f"ridge parameter must be finite and > 0, got {gamma}")
-    if not batches:
-        raise ShapeError("joint solve needs at least one batch")
-    checked = [(_check_batch(s, y), y) for s, y in batches]
-    e = checked[0][0].shape[1]
-    for s, _ in checked:
-        if s.shape[1] != e:
-            raise ShapeError(f"inconsistent expanded widths: {e} vs {s.shape[1]}")
-    class_ids, targets = _register((), [y.class_ids for _, y in checked])
-    (s0, _), *rest = checked
-    gram = s0.T @ s0
-    gram.flat[:: e + 1] += gamma  # in place: no E x E gamma * I buffer
-    for s, _ in rest:
-        gram += s.T @ s
-    rhs = np.zeros((e, len(class_ids)), order="F")  # solved in place
-    for (s, y), cols in zip(checked, targets):
-        rhs[:, cols] += s.T @ y.onehot
-    factor = _spd_factor(gram.T, "the regularized Gram matrix")  # gram is symmetric: its transpose needs no copy
-    lapack.trsm("L", "L", "N", "N", 1.0, factor, rhs)  # L L^T W = S'T Y
-    lapack.trsm("L", "L", "T", "N", 1.0, factor, rhs)
-    return AnalyticClassifier(
-        weights=rhs, afam=_materialize_inverse(factor), gamma=float(gamma), class_ids=class_ids, tasks_seen=len(checked)
-    )
+    def __init__(self, gamma: float):
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise DataError(f"ridge parameter must be finite and > 0, got {gamma}")
+        self.gamma = float(gamma)
+        self.gram = self.rhs = None
+        self.class_ids: tuple[int, ...] = ()
+        self.tasks_seen = 0
+
+    def add(self, s_expanded: np.ndarray, y: LabelMatrix) -> None:
+        s = _check_batch(s_expanded, y)
+        e = s.shape[1]
+        if not self.tasks_seen:
+            self.gram = s.T @ s
+            self.gram.flat[:: e + 1] += self.gamma  # in place: no E x E gamma * I buffer
+            self.rhs = np.zeros((e, 0))
+        elif e != len(self.gram):
+            raise ShapeError(f"inconsistent expanded widths: {len(self.gram)} vs {e}")
+        else:
+            self.gram += s.T @ s
+        self.class_ids, cols = _register(self.class_ids, y.class_ids)
+        self.rhs = np.pad(self.rhs, ((0, 0), (0, len(self.class_ids) - self.rhs.shape[1])))
+        self.rhs[:, cols] += s.T @ y.onehot
+        self.tasks_seen += 1
+
+    def solve(self, inverse: bool = True) -> AnalyticClassifier:
+        """The weights; ``inverse`` also forms ``A = G^-1`` over ``G``, spending it, else a copy is solved."""
+        if self.gram is None:
+            raise ShapeError("no system to solve: no batch was added, or it was solved in place")
+        gram, self.gram = (self.gram, None) if inverse else (self.gram.copy(), self.gram)
+        factor = _spd_factor(gram.T, "the regularized Gram matrix")  # gram is symmetric: its transpose needs no copy
+        rhs = self.rhs.copy(order="F")  # solved in place
+        lapack.trsm("L", "L", "N", "N", 1.0, factor, rhs)  # L L^T W = S'T Y
+        lapack.trsm("L", "L", "T", "N", 1.0, factor, rhs)
+        afam = _materialize_inverse(factor) if inverse else None
+        return AnalyticClassifier(
+            weights=rhs, afam=afam, gamma=self.gamma, class_ids=self.class_ids, tasks_seen=self.tasks_seen
+        )
+
+
+def joint_solve(batches, gamma: float) -> AnalyticClassifier:
+    """Solve the ridge problem over all batches at once: ``NormalEquations`` of them, solved in place."""
+    normal = NormalEquations(gamma)
+    for s, y in batches:
+        normal.add(s, y)
+    return normal.solve()
 
 
 def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:

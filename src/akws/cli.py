@@ -76,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--activation", choices=ACTIVATIONS, default=None)
         if name == "run":
             cmd.add_argument("--out", default="out")
-        else:
-            cmd.add_argument("--inject-noise", type=float, default=0.0)
 
     metrics = sub.add_parser("metrics", help="recompute metrics from a grid CSV")
     metrics.add_argument("grid")
@@ -178,7 +176,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle_check(args) -> int:
     cfg = _resolve_config(args)
     tasks = _assemble_tasks(cfg)
-    report = oracle_check(tasks, cfg.harness, inject_noise=args.inject_noise)
+    report = oracle_check(tasks, cfg.harness)
     for t, (dev, agree) in enumerate(zip(report.weight_deviation, report.argmax_agreement)):
         print(f"prefix {t}: deviation={dev:.3e} agreement={agree:.6f}")
     ok = report.max_deviation <= ORACLE_TOLERANCE and report.min_agreement == 1.0

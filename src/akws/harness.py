@@ -27,7 +27,7 @@ import numpy as np
 from .classifier import (
     AnalyticClassifier,
     LabelMatrix,
-    joint_solve,
+    NormalEquations,
     predict,
     recalibrate,
     update,
@@ -348,30 +348,24 @@ def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def oracle_check(tasks: list[TaskData], config: HarnessConfig, inject_noise: float = 0.0) -> OracleReport:
+def oracle_check(tasks: list[TaskData], config: HarnessConfig) -> OracleReport:
     """Run the production task loop against the joint solution per prefix.
 
-    Unlike a production run this retains every expanded batch, since the
-    joint oracle needs them. ``inject_noise`` perturbs the recursive
-    weights compared at each prefix (fault injection for testing the
-    checker); the chain that later updates build on is left alone.
+    The joint side keeps no batch: each one is added to the normal
+    equations as the loop fits it, and a copy of that system is solved for
+    the weights at every prefix.
     """
     pipe = _Pipeline(tasks, config)
     n_tasks = len(tasks)
     grid_joint = np.full((n_tasks, n_tasks), np.nan)
-    noise_rng = np.random.default_rng(config.seed ^ 0x5EED)
-    batches = []
+    normal = NormalEquations(config.gamma)
     deviations = []
     agreements = []
 
     def compare(t, clf, batch, pred_rec):
-        batches.append(batch)
-        weights = clf.weights
-        if inject_noise:
-            scale = inject_noise * max(1.0, float(np.max(np.abs(weights))))
-            weights = weights + scale * noise_rng.standard_normal(weights.shape)
-        joint = joint_solve(batches, config.gamma)
-        deviations.append(relative_frobenius(weights, joint.weights))
+        normal.add(*batch)
+        joint = normal.solve(inverse=False)
+        deviations.append(relative_frobenius(clf.weights, joint.weights))
         pred_joint = pipe.grid_row(joint, t, grid_joint)
         agreements.append(float(np.mean(pred_rec == pred_joint)) if pred_rec.size else 1.0)
 

@@ -3,8 +3,11 @@
 These deliberately avoid the library's own linear-algebra paths (and
 numpy's solvers where the point is to check a solve), so that agreement
 between the package and an oracle is meaningful evidence. ``time_trend``
-is the slope test the timing gates use.
+is the slope test the timing gates use, and ``inject_faulty_updates``
+breaks the recursion for tests that the oracle check catches it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -88,3 +91,22 @@ def time_trend(times) -> tuple[float, float, float]:
     t_stat = slope / se
     p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return slope, t_stat, p
+
+
+def inject_faulty_updates(monkeypatch, scale: float = 1e-3) -> None:
+    """Make every update the harness runs return weights with noise of relative size ``scale``.
+
+    The next update builds on the perturbed classifier, so the fault sits
+    inside the recursive chain, where the joint oracle must find it.
+    """
+    import akws.harness
+
+    exact = akws.harness.update
+    rng = np.random.default_rng(0x5EED)
+
+    def faulty(c, s, y):
+        out = exact(c, s, y)
+        noise = scale * max(1.0, float(np.max(np.abs(out.weights)))) * rng.standard_normal(out.weights.shape)
+        return replace(out, weights=out.weights + noise)
+
+    monkeypatch.setattr(akws.harness, "update", faulty)

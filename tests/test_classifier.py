@@ -1,3 +1,4 @@
+import copy
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,7 +15,7 @@ from akws import (
     update,
 )
 from akws import classifier
-from akws.classifier import _materialize_inverse, _mirror_upper, _spd_factor
+from akws.classifier import NormalEquations, _materialize_inverse, _mirror_upper, _spd_factor
 from akws.errors import DataError, ShapeError
 
 from oracles import ridge_normal_equations
@@ -354,6 +355,32 @@ class TestJointSolve:
         assert split.class_ids == whole.class_ids == (0, 1, 2)
         assert relative_frobenius(split.weights, whole.weights) < 1e-12
         assert relative_frobenius(split.afam, whole.afam) < 1e-12
+
+    def test_normal_equations_solved_per_prefix_equal_joint_solve(self):
+        # the oracle's path: one accumulator, solved after every batch it adds
+        rng = np.random.default_rng(6)
+        batches = [
+            random_batch(rng, 14, 6, range(2)),
+            random_batch(rng, 9, 6, [1, 2]),  # class 1 presented again, class 2 new
+            (np.zeros((0, 6)), LabelMatrix(np.zeros((0, 2)), (3, 0))),  # no rows: registers class 3 only
+            random_batch(rng, 11, 6, [4, 5]),
+        ]
+        normal = NormalEquations(0.3)
+        for t, batch in enumerate(batches):
+            normal.add(*batch)
+            joint = joint_solve(batches[: t + 1], 0.3)
+            weights_only = normal.solve(inverse=False)
+            full = copy.deepcopy(normal).solve()
+            for got in (weights_only, full):
+                assert np.array_equal(got.weights, joint.weights)
+                assert got.class_ids == joint.class_ids
+                assert got.tasks_seen == joint.tasks_seen == t + 1
+            assert weights_only.afam is None
+            assert np.array_equal(full.afam, joint.afam)
+        assert joint.class_ids == (0, 1, 2, 3, 4, 5)
+        normal.solve()
+        with pytest.raises(ShapeError, match="solved in place"):
+            normal.solve()
 
 
 class TestAfamDirect:

@@ -7,6 +7,8 @@ import pytest
 
 from akws.cli import main
 
+from oracles import inject_faulty_updates
+
 
 def read_bytes_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
@@ -452,11 +454,13 @@ class TestOracleCheck:
         assert "ORACLE PASS" in out
         assert out.count("prefix") == 6
 
-    def test_noise_injection_fails(self, capsys):
-        assert run_cli("oracle-check", "--expansion", 48, "--inject-noise", 1e-3) == 1
+    def test_noise_injection_fails(self, capsys, monkeypatch):
+        inject_faulty_updates(monkeypatch)
+        assert run_cli("oracle-check", "--expansion", 48) == 1
         out = capsys.readouterr().out
         assert "ORACLE FAIL" in out
         assert "worst_prefix=" in out
+        assert float(re.search(r"max_deviation=(\S+)", out).group(1)) > 1e-9
 
     def test_single_task_config_passes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

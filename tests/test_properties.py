@@ -258,7 +258,9 @@ LONG_CHAIN_BOUND = {
     ("stream", 1e-1): (8.4e-16, 2.0e-14, 1.1e-14, 6.9e-15),
     ("stream", 1e-3): (7.9e-16, 1.8e-12, 4.4e-13, 4.7e-13),
     ("stream", 1e-6): (6.8e-16, 1.7e-9, 5.4e-10, 2.8e-10),
+    ("incremental", 1e-1): (6.7e-16, 2.7e-14, 5.1e-14),
     ("incremental", 1e-3): (1.4e-15, 2.7e-12, 4.9e-12),
+    ("incremental", 1e-6): (7.8e-16, 2.5e-9, 3.5e-9),
 }
 
 
