@@ -31,16 +31,18 @@ the refresh is ``A_t = A_{t-1} - Z_a^T Z_a``, and since
 ``A_t S'T = Z_a^T L^-1`` the new weights are ``W + Z_a^T Z_r``. Every
 batch takes this one step: a batch without rows has a 0 x 0 kernel,
 leaves ``A`` as it was and adds a zero column per class it registers.
-``Z_a^T Z_a`` is symmetric by construction, so only
-its upper triangle is computed, one GEMM per row panel of ``_PANEL`` rows
-(about half the flops of the whole product), and then mirrored onto the
-lower triangle. No averaging ``(A + A^T) / 2`` is needed: the rounding
+``Z_a^T Z_a`` is symmetric by construction, so one BLAS ``syrk`` call
+subtracts it from the upper triangle of ``A_{t-1}``'s own buffer (half
+the flops of the whole product), which is then mirrored onto the lower
+triangle. ``update`` therefore consumes its input: the new classifier
+holds that buffer. numpy's ``X.T @ X`` would allocate a fresh E x E
+result and fill both triangles; the direct ``syrk`` into ``A`` does
+neither. No averaging ``(A + A^T) / 2`` is needed: the rounding
 error in ``Z_a`` enters both factors of ``Z_a^T Z_a`` alike, so its
-triangles differ only by GEMM summation order. In the one-sided product
+triangles differ only by summation order. In the one-sided product
 ``(S'A)^T (K^-1 S'A)`` the solve's error enters one factor only;
 averaging its triangles halved the antisymmetric part, and mirroring it
-instead lost accuracy. The left operand of each panel GEMM is a copy, because numpy
-sends ``X.T @ X`` on one buffer to a syrk path that is slower here.
+instead lost accuracy.
 
 LAPACK ``potrf`` factors ``K``, symmetric only to roundoff, in place from
 its lower triangle. ``Z`` comes from one in-place triangular solve (BLAS
@@ -55,11 +57,12 @@ The Gram matrix is factored in place too (``potrf``), and the first-fit
 weights are solved in place by two triangular solves (``trsm``).
 
 All of this runs on one LAPACK: numpy's own OpenBLAS. numpy exposes no
-in-place Cholesky, triangular solve or Cholesky inverse, so ``lapack`` binds
-those few routines from the library numpy already loaded. A second
-LAPACK (scipy's, for instance) would bring its own OpenBLAS and its own
-thread pool; after a call into it those workers keep spinning, so numpy's
-GEMMs right after it compete with them for the same cores.
+in-place Cholesky, triangular solve, Cholesky inverse or rank-k update,
+so ``lapack`` binds those few routines from the library numpy already
+loaded. A second LAPACK (scipy's, for instance) would bring its own
+OpenBLAS and its own thread pool; after a call into it those workers keep
+spinning, so numpy's GEMMs right after it compete with them for the same
+cores.
 
 Column order follows class registration order: ``update`` and
 ``NormalEquations`` alike give a class the next free column when a batch
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lapack
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, StateError
 
 
 @dataclass(frozen=True)
@@ -125,12 +128,17 @@ class LabelMatrix:
         return self.onehot.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass
 class AnalyticClassifier:
-    """Closed-form classifier state: weights, autocorrelation, class ids."""
+    """Closed-form classifier state: weights, autocorrelation, class ids.
+
+    ``update`` consumes the state it is given: the refreshed ``afam`` is
+    written over the input's, whose ``afam`` then becomes None. The
+    input's weights stay valid for ``predict``.
+    """
 
     weights: np.ndarray  # E x C
-    afam: np.ndarray | None  # E x E, the regularized inverse Gram matrix; None from a weights-only solve
+    afam: np.ndarray | None  # E x E, the regularized inverse Gram matrix; None if consumed or weights-only
     gamma: float
     class_ids: tuple[int, ...] = ()  # global ids in column order
     tasks_seen: int = 0
@@ -179,10 +187,6 @@ def _register(class_ids: tuple[int, ...], batch_ids) -> tuple[tuple[int, ...], l
 # tiles (64 KiB) stays in cache while one is read transposed.
 _TILE = 64
 _BELOW_DIAGONAL = np.tri(_TILE, k=-1, dtype=bool)
-# Height of the row panels in which ``update`` computes the upper triangle of
-# the refreshed state. Each panel costs one GEMM; together they do about
-# n * E * _PANEL / 2 multiply-adds more than half the full product.
-_PANEL = 256
 # Scores ``predict`` computes per block of rows (256 KiB of float64). One
 # product over a whole run's test rows raised the peak RSS of the
 # ``features`` benchmark by about 10 MB; blocks of this size add nothing
@@ -241,10 +245,17 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     """Absorb one task's batch; touches no data from earlier tasks.
 
     Returns a new classifier whose weights equal the joint ridge solution
-    over every batch seen so far. A batch may re-present registered
-    classes (sample streaming); their columns then also receive the
-    batch's label correlations, as in ``joint_solve``.
+    over every batch seen so far. Consumes ``c``: the new state is written
+    over ``c.afam``, which becomes None, while ``c.weights`` stay valid.
+    A batch that is rejected leaves ``c`` as it was. A batch may
+    re-present registered classes (sample streaming); their columns then
+    also receive the batch's label correlations, as in ``joint_solve``.
     """
+    if c.afam is None:
+        raise StateError(
+            "this classifier has no autocorrelation state: it was consumed by an earlier update, "
+            "or solved for its weights only; update the result of the last update"
+        )
     s = _check_batch(s_t_expanded, y_t)
     e = c.expansion_size
     if s.shape[1] != e:
@@ -252,9 +263,9 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     class_ids, cols = _register(c.class_ids, y_t.class_ids)
     n = s.shape[0]
     n_cols = c.n_classes
-    a_prev = c.afam
+    a = np.require(c.afam, np.float64, "CW")  # written over; a copy only if afam is not writeable C-ordered float64
     rhs = np.empty((n, e + len(class_ids)))  # [S A_{t-1} | Y - S W], W padded with zero columns
-    np.matmul(s, a_prev, out=rhs[:, :e])
+    np.matmul(s, a, out=rhs[:, :e])
     r = rhs[:, e:]
     np.matmul(s, c.weights, out=r[:, :n_cols])
     # not np.negative(out=): numpy 2.4 miscomputes it on some strided views
@@ -268,18 +279,16 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     lapack.trsm("R", "L", "T", "N", 1.0, chol, rhs.T)
     za = rhs[:, :e]
 
-    a_new = np.empty((e, e))
-    for i in range(0, e, _PANEL):
-        panel = a_new[i : i + _PANEL, i:]
-        # a copied left operand keeps numpy off its slower syrk path
-        np.matmul(za[:, i : i + _PANEL].T.copy(), za[:, i:], out=panel)
-        np.subtract(a_prev[i : i + _PANEL, i:], panel, out=panel)
-    _mirror_upper(a_new)
+    c.afam = None  # consumed: nothing below can raise, and A_t is written over A_{t-1}
+    # A_t = A_{t-1} - Z_a^T Z_a on the upper triangle of C-ordered A, which is
+    # the lower one of its Fortran-ordered transpose
+    lapack.syrk("L", "N", -1.0, za.T, 1.0, a.T)
+    _mirror_upper(a)
 
     weights = za.T @ rhs[:, e:]  # A_t S'T (Y - S W) = Z_a^T Z_r
     weights[:, :n_cols] += c.weights
     return AnalyticClassifier(
-        weights=weights, afam=a_new, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
+        weights=weights, afam=a, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
     )
 
 

@@ -48,3 +48,8 @@ class ConfigError(AkwsError, ValueError):
 
 class SnapshotFormatError(AkwsError, ValueError):
     """Classifier snapshot bytes are malformed or of unknown version."""
+
+
+class StateError(AkwsError, ValueError):
+    """A classifier lacks the autocorrelation state an operation needs:
+    an update consumed it, or it was solved for its weights only."""

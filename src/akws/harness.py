@@ -266,7 +266,8 @@ class _Pipeline:
         Returns the final classifier, the accuracy grid and each fit's wall
         time (extraction, expansion and the fit; never evaluation). After
         step t's grid row, ``on_task(t, clf, batch, pred)`` sees the fitted
-        classifier, the task's expanded training batch and the predictions
+        classifier (the next step's update consumes its ``afam``; its
+        weights stay valid), the task's expanded training batch and the predictions
         on tasks 0..t. Without it the batch is released as part of the fit,
         before evaluation, since no later step needs it.
         """

@@ -3,8 +3,9 @@
 numpy's wheels bundle an OpenBLAS built with 64-bit integers (ILP64)
 whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix, such as
 ``scipy_dpotrf_64_``. Binding them through ``ctypes`` gives the package a
-Cholesky factor, a Cholesky inverse and a triangular solve on the very
-library, and so the very thread pool, that runs numpy's ``matmul``.
+Cholesky factor, a Cholesky inverse, a triangular solve and a symmetric
+rank-k update on the very library, and so the very thread pool, that
+runs numpy's ``matmul``.
 Symbols are looked up through the handle of numpy's linalg extension
 module, which resolves them in the library that module links.
 
@@ -12,7 +13,9 @@ Calls follow the Fortran convention: every argument is passed by
 reference, integers are int64, and after the last regular argument each
 character argument gets a hidden ``size_t`` length. Matrices are
 column-major, so a C-ordered array is passed as its transpose ``a.T``,
-which is Fortran-ordered and needs no copy.
+which is Fortran-ordered and needs no copy. A column slice of a
+Fortran-ordered array, such as the transpose of ``x[:, :k]``, is passed
+as it is: its column stride becomes the leading dimension.
 
 Supported installs are numpy's own wheels. A numpy built against another
 BLAS (a distribution or conda package) lacks these symbols; the first
@@ -41,6 +44,7 @@ _SIGNATURES = {
         _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT,
         _LEN, _LEN, _LEN, _LEN,
     ),
+    "syrk": (_CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _LEN, _LEN),
 }
 
 
@@ -68,12 +72,22 @@ def _routine(name: str):
     return fn
 
 
+def _column_major(x: np.ndarray) -> bool:
+    """Whether ``x`` is column-major: unit row stride, columns at least a column apart."""
+    rows, cols = x.shape
+    step = x.itemsize
+    return x.size == 0 or (
+        (rows <= 1 or x.strides[0] == step)
+        and (cols <= 1 or (x.strides[1] >= step * rows and x.strides[1] % step == 0))
+    )
+
+
 def _matrix(x: np.ndarray, square: bool = False) -> np.ndarray:
     if not (
         isinstance(x, np.ndarray)
         and x.ndim == 2
         and x.dtype == np.float64
-        and x.flags.f_contiguous
+        and _column_major(x)
         and x.flags.writeable
     ):
         raise ShapeError("LAPACK operands must be writeable 2-D Fortran-ordered float64 arrays")
@@ -91,7 +105,9 @@ def _ptr(x: np.ndarray):
 
 
 def _ld(x: np.ndarray):
-    return _int(max(1, x.shape[0]))
+    # an empty array's strides may be 0, which no routine accepts
+    rows, cols = x.shape
+    return _int(max(1, rows, x.strides[1] // x.itemsize if cols > 1 else 0))
 
 
 def _info(name: str, info: ctypes.c_int64) -> int:
@@ -136,4 +152,21 @@ def trsm(side: str, uplo: str, transa: str, diag: str, alpha: float, a: np.ndarr
         side.encode(), uplo.encode(), transa.encode(), diag.encode(),
         _int(b.shape[0]), _int(b.shape[1]), ctypes.byref(ctypes.c_double(alpha)),
         _ptr(a), _ld(a), _ptr(b), _ld(b), 1, 1, 1, 1,
+    )
+
+
+def syrk(uplo: str, trans: str, alpha: float, a: np.ndarray, beta: float, c: np.ndarray) -> None:
+    """Symmetric rank-k update in place on the ``uplo`` triangle of ``c``.
+
+    ``c = alpha a a^T + beta c`` (trans "N") or ``alpha a^T a + beta c``
+    ("T"). The other triangle of ``c`` is neither read nor written.
+    """
+    _matrix(a)
+    _matrix(c, square=True)
+    n, k = a.shape if trans == "N" else a.shape[::-1]
+    if n != c.shape[0]:
+        raise ShapeError(f"operand is {a.shape}, result {c.shape} (trans {trans})")
+    _routine("syrk")(
+        uplo.encode(), trans.encode(), _int(n), _int(k), ctypes.byref(ctypes.c_double(alpha)),
+        _ptr(a), _ld(a), ctypes.byref(ctypes.c_double(beta)), _ptr(c), _ld(c), 1, 1,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import AnalyticClassifier
-from .errors import SnapshotFormatError
+from .errors import SnapshotFormatError, StateError
 
 MAGIC = b"AKWS"
 FORMAT_VERSION = 1
@@ -46,6 +46,11 @@ class SnapshotMeta:
 
 def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
     """The snapshot's byte runs in file order; the two matrices are not copied."""
+    if c.afam is None:
+        raise StateError(
+            "cannot snapshot a classifier without its autocorrelation state: it was consumed by an "
+            "earlier update, or solved for its weights only"
+        )
     e, n_classes = c.weights.shape
     header = MAGIC + _HEADER.pack(
         FORMAT_VERSION,
@@ -110,9 +115,13 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
 
 
 def save_snapshot(path, c: AnalyticClassifier, meta: SnapshotMeta) -> None:
-    """Write the snapshot to ``path`` without building it in memory first."""
+    """Write the snapshot to ``path`` without building it in memory first.
+
+    A classifier that cannot be stored raises before ``path`` is opened.
+    """
+    parts = _snapshot_parts(c, meta)
     with open(path, "wb") as fh:
-        for part in _snapshot_parts(c, meta):
+        for part in parts:
             fh.write(part)
 
 

@@ -16,7 +16,7 @@ from akws import (
 )
 from akws import classifier
 from akws.classifier import NormalEquations, _materialize_inverse, _mirror_upper, _spd_factor
-from akws.errors import DataError, ShapeError
+from akws.errors import DataError, ShapeError, StateError
 
 from oracles import ridge_normal_equations
 
@@ -135,11 +135,12 @@ class TestRecalibrate:
 class TestUpdate:
     def test_empty_batch_no_new_classes_is_noop(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
+        before = copy.deepcopy(clf)  # update consumes clf's state
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 0)), ()))
-        assert np.array_equal(out.weights, clf.weights)
-        assert np.array_equal(out.afam, clf.afam)
-        assert out.class_ids == clf.class_ids
-        assert out.tasks_seen == clf.tasks_seen + 1
+        assert np.array_equal(out.weights, before.weights)
+        assert np.array_equal(out.afam, before.afam)
+        assert out.class_ids == before.class_ids
+        assert out.tasks_seen == before.tasks_seen + 1
 
     def test_chain_with_empty_batches_matches_joint(self):
         # an empty batch with no new classes is one more task, as in joint_solve
@@ -157,10 +158,11 @@ class TestUpdate:
 
     def test_empty_batch_with_new_classes_registers_zero_columns(self):
         clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
+        a_before = clf.afam.copy()  # update consumes clf's state
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 2)), (7, 8)))
         assert out.class_ids == (0, 1, 7, 8)
         assert np.all(out.weights[:, 2:] == 0.0)
-        assert np.array_equal(out.afam, clf.afam)
+        assert np.array_equal(out.afam, a_before)
 
     def test_two_tasks_match_joint(self):
         rng = np.random.default_rng(3)
@@ -215,17 +217,57 @@ class TestUpdate:
         # spectrum stays positive definite
         assert np.all(np.linalg.eigvalsh(out.afam) > 0.0)
 
-    def test_does_not_mutate_input_classifier(self):
+    def test_consumes_input_state_and_keeps_its_weights(self):
+        # the refreshed state is written over the input's, which keeps its weights
         rng = np.random.default_rng(6)
-        # E=130 spans several mirror tiles, E=600 three refresh panels
+        # E=130 and E=600 span several mirror tiles
         for e in (5, 130, 600):
             b0 = random_batch(rng, 12, e, range(2))
+            b1 = random_batch(rng, 9, e, range(2, 4))
             clf = recalibrate(*b0, 0.1)
             w_before = clf.weights.copy()
-            a_before = clf.afam.copy()
-            update(clf, *random_batch(rng, 9, e, range(2, 4)))
+            state = clf.afam
+            out = update(clf, *b1)
+            assert clf.afam is None
+            assert out.afam is state
             assert np.array_equal(clf.weights, w_before)
-            assert np.array_equal(clf.afam, a_before)
+            assert relative_frobenius(out.afam, joint_solve([b0, b1], 0.1).afam) < 1e-9
+
+    def test_second_update_of_consumed_input_raises(self):
+        rng = np.random.default_rng(15)
+        clf = recalibrate(*random_batch(rng, 12, 6, range(2)), 0.1)
+        x = rng.standard_normal((20, 6))
+        pred_before = predict(clf, x)
+        batch = random_batch(rng, 5, 6, range(2, 4))
+        update(clf, *batch)
+        with pytest.raises(StateError, match="consumed by an earlier update"):
+            update(clf, *batch)
+        assert np.array_equal(predict(clf, x), pred_before)
+
+    def test_weights_only_solve_cannot_be_updated(self):
+        rng = np.random.default_rng(17)
+        normal = NormalEquations(0.1)
+        normal.add(*random_batch(rng, 12, 6, range(2)))
+        with pytest.raises(StateError, match="solved for its weights only"):
+            update(normal.solve(inverse=False), *random_batch(rng, 5, 6, range(2, 4)))
+
+    @pytest.mark.parametrize("fault, error", [("width", ShapeError), ("non-finite", DataError)])
+    def test_failed_update_leaves_input_intact(self, fault, error):
+        rng = np.random.default_rng(16)
+        b0 = random_batch(rng, 12, 6, range(2))
+        b1 = random_batch(rng, 5, 6, range(2, 4))
+        if fault == "width":
+            s_bad = np.zeros((5, 7))
+        else:
+            s_bad = b1[0].copy()
+            s_bad[2, 3] = np.nan
+        clf = recalibrate(*b0, 0.1)
+        a_before = clf.afam.copy()
+        with pytest.raises(error):
+            update(clf, s_bad, b1[1])
+        assert np.array_equal(clf.afam, a_before)
+        out = update(clf, *b1)
+        assert relative_frobenius(out.weights, joint_solve([b0, b1], 0.1).weights) < 1e-9
 
     def test_afam_exactly_symmetric_after_chain(self):
         rng = np.random.default_rng(9)
@@ -235,14 +277,15 @@ class TestUpdate:
                 out = update(out, *random_batch(rng, 7, e, range(2 * t, 2 * t + 2)))
             assert np.array_equal(out.afam, out.afam.T)
 
-    def test_panelled_refresh_matches_full_form(self):
-        # E=600 spans three row panels of the upper-triangle refresh
+    @pytest.mark.parametrize("n", [9, 300])
+    def test_refresh_matches_full_form(self, n):
+        # the upper triangle refreshed in place and mirrored, against the whole product
         rng = np.random.default_rng(13)
         clf = recalibrate(*random_batch(rng, 40, 600, range(2)), 0.1)
-        s, y = random_batch(rng, 9, 600, range(2, 4))
+        s, y = random_batch(rng, n, 600, range(2, 4))
         a = clf.afam
         sa = s @ a
-        z = np.linalg.solve(np.linalg.cholesky(np.eye(9) + sa @ s.T), sa)
+        z = np.linalg.solve(np.linalg.cholesky(np.eye(n) + sa @ s.T), sa)
         full = a - z.T @ z.copy()  # the whole product, both triangles
         out = update(clf, s, y)
         assert relative_frobenius(out.afam, full) < 1e-14
@@ -251,8 +294,15 @@ class TestUpdate:
         rng = np.random.default_rng(11)
         clf = recalibrate(*random_batch(rng, 12, 6, range(2)), 0.1)
         broken = replace(clf, afam=-np.eye(6))
+        batch = random_batch(rng, 5, 6, range(2, 4))
         with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
-            update(broken, *random_batch(rng, 5, 6, range(2, 4)))
+            update(broken, *batch)
+        # the failed update did not consume its input
+        assert np.array_equal(broken.afam, -np.eye(6))
+        with pytest.raises(DataError, match="Woodbury kernel"):
+            update(broken, *batch)
+        out = update(broken, np.zeros((0, 6)), LabelMatrix(np.zeros((0, 0)), ()))
+        assert np.array_equal(out.afam, -np.eye(6))
 
     def test_chain_runs_without_scipy(self):
         # with scipy unimportable, a chain of updates still matches the joint solve

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from akws import LabelMatrix, recalibrate, update
-from akws.errors import SnapshotFormatError
+from akws.classifier import NormalEquations
+from akws.errors import SnapshotFormatError, StateError
 from akws.snapshot import (
     SnapshotMeta,
     dump_snapshot,
@@ -31,6 +32,21 @@ def test_round_trip(tmp_path):
     assert back.class_ids == clf.class_ids == (3, 9, 11)
     assert back.tasks_seen == clf.tasks_seen
     assert back_meta == meta
+
+
+def test_classifier_without_state_is_not_written(tmp_path):
+    # a weights-only solve, and an update's consumed input, have no afam to store
+    clf, meta = tiny_classifier()
+    normal = NormalEquations(1.0)
+    normal.add(np.eye(2), LabelMatrix(np.eye(2), (3, 9)))
+    update(clf, np.array([[1.0, 2.0]]), LabelMatrix(np.array([[1.0]]), (11,)))
+    for stateless in (normal.solve(inverse=False), clf):
+        with pytest.raises(StateError, match="without its autocorrelation state"):
+            dump_snapshot(stateless, meta)
+        path = tmp_path / "clf.bin"
+        with pytest.raises(StateError):
+            save_snapshot(path, stateless, meta)
+        assert not path.exists()
 
 
 def test_exact_byte_layout():
