@@ -79,7 +79,7 @@ def run_cell(expansion: int, gamma: float, seed: int) -> float:
     cfg = HarnessConfig(
         gamma=gamma, expansion_size=expansion, activation="relu", seed=seed, use_extractor=False
     )
-    return run_experiment(tasks, cfg).metrics.acc
+    return acc_metric(run_experiment(tasks, cfg).accuracy)
 
 
 def main(argv=None) -> int:

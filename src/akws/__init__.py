@@ -30,9 +30,9 @@ from .extractor import ExtractorModel, extract, pretrain_extractor
 from .harness import (
     AccuracyMatrix,
     ExperimentResult,
-    MetricsReport,
     OracleReport,
     TaskData,
+    acc_bwt,
     acc_metric,
     build_tasks,
     bwt_metric,
@@ -79,9 +79,9 @@ __all__ = [
     "AccuracyMatrix",
     "ExperimentResult",
     "HarnessConfig",
-    "MetricsReport",
     "OracleReport",
     "TaskData",
+    "acc_bwt",
     "acc_metric",
     "build_tasks",
     "bwt_metric",

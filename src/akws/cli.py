@@ -34,9 +34,8 @@ from .data import SynthSpec, gen_synth_split, save_features, write_manifest
 from .errors import AkwsError, ConfigError, DataError, InvalidSplitError, MetricUndefinedError, ParseError
 from .expansion import ACTIVATIONS
 from .harness import (
-    acc_metric,
+    acc_bwt,
     build_tasks,
-    bwt_metric,
     oracle_check,
     read_grid_csv,
     results_dict,
@@ -45,7 +44,7 @@ from .harness import (
     tasks_from_manifest,
     write_grid_csv,
 )
-from .snapshot import save_snapshot
+from .snapshot import SnapshotMeta, save_snapshot
 
 ORACLE_TOLERANCE = 1e-9
 
@@ -123,12 +122,19 @@ def _assemble_tasks(cfg: RunConfig):
 
 def _cmd_gen(args) -> int:
     base = args.base if args.base is not None else args.classes // 2
-    steps = args.steps
-    if steps is None:
-        remaining = args.classes - base
-        if args.per_step < 1 or remaining % args.per_step:
-            raise InvalidSplitError(f"{remaining} leftover classes not divisible by {args.per_step}")
-        steps = remaining // args.per_step
+    base_flag = f"--base {base}" + (" (the default, half of --classes)" if args.base is None else "")
+    if not 1 <= base <= args.classes:
+        raise InvalidSplitError(f"{base_flag} must be between 1 and --classes {args.classes}")
+    if args.per_step < 1 and args.steps != 0:
+        raise InvalidSplitError(f"--per-step {args.per_step} must be >= 1")
+    left = args.classes - base
+    steps = left // args.per_step if args.steps is None else args.steps
+    if steps < 0 or steps * args.per_step != left:
+        if args.steps is None:
+            rule = f"--per-step {args.per_step} must divide"
+        else:
+            rule = f"--steps {steps} x --per-step {args.per_step} must equal"
+        raise InvalidSplitError(f"{rule} the {left} classes --classes {args.classes} leaves after {base_flag}")
     test_per_class = args.test_per_class
     if test_per_class is None:
         test_per_class = max(1, args.per_class // 5)
@@ -168,7 +174,9 @@ def _cmd_run(args) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_grid_csv(os.path.join(args.out, "grid.csv"), result.accuracy)
-    save_snapshot(os.path.join(args.out, "snapshot.bin"), result.classifier, result.snapshot_meta)
+    e = result.expansion
+    meta = SnapshotMeta(dim=e.dim, seed=e.seed, activation=e.activation)
+    save_snapshot(os.path.join(args.out, "snapshot.bin"), result.classifier, meta)
     print(f"ACC={doc['acc']!r} BWT={doc['bwt']!r} TT={doc['tt_mean']!r}")
     return 0
 
@@ -191,12 +199,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    accuracy = read_grid_csv(args.grid)
-    acc = acc_metric(accuracy)
-    if accuracy.a_vector.size < 2:
-        print(f"ACC={acc!r} BWT=0.0 BWT_UNDEFINED=1")
-    else:
-        print(f"ACC={acc!r} BWT={bwt_metric(accuracy)!r}")
+    acc, bwt, bwt_undefined = acc_bwt(read_grid_csv(args.grid))
+    print(f"ACC={acc!r} BWT={bwt!r}" + (" BWT_UNDEFINED=1" if bwt_undefined else ""))
     return 0
 
 

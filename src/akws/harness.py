@@ -20,7 +20,7 @@ task, so the loop it checks against the joint solution is the one
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .data import LabeledDataset, load_features, load_manifest, read_text
 from .errors import DataError, InvalidSplitError, MetricUndefinedError, ParseError
 from .expansion import ExpansionMap, build_expansion, expand
 from .extractor import ExtractorModel, extract, pretrain_extractor
-from .snapshot import SnapshotMeta
 
 
 def split_tasks(all_classes, base_count: int, step_count: int, classes_per_step: int, seed: int) -> list[tuple]:
@@ -148,24 +147,17 @@ class AccuracyMatrix:
 
 
 @dataclass
-class MetricsReport:
-    acc: float
-    bwt: float
-    bwt_undefined: bool
-    tt_per_task: list[float]
-    extra_memory_elements: int
-    stage_times: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class ExperimentResult:
-    metrics: MetricsReport
+    """The one record of a run: ``fit_times[t]`` is task t's fit wall time
+    (extraction, expansion and the fit; never evaluation)."""
+
     accuracy: AccuracyMatrix
     classifier: AnalyticClassifier
     expansion: ExpansionMap
-    snapshot_meta: SnapshotMeta
     extractor: ExtractorModel | None
     task_classes: list[list[int]]
+    fit_times: list[float]
+    pretrain_time: float
 
 
 def acc_metric(a: AccuracyMatrix) -> float:
@@ -186,6 +178,12 @@ def bwt_metric(a: AccuracyMatrix) -> float:
         raise MetricUndefinedError("backward transfer needs at least one incremental task")
     t_final = v.size - 1
     return float(np.mean(v[t_final] - v[1:]))
+
+
+def acc_bwt(a: AccuracyMatrix) -> tuple[float, float, bool]:
+    """ACC, BWT and whether BWT is undefined; below two steps BWT reads 0.0."""
+    undefined = a.a_vector.size < 2
+    return acc_metric(a), 0.0 if undefined else bwt_metric(a), undefined
 
 
 class _Pipeline:
@@ -260,12 +258,12 @@ class _Pipeline:
         grid[upto, : upto + 1] = np.where(sizes > 0, correct / np.maximum(sizes, 1), 0.0)
         return pred
 
-    def run(self, on_task=None) -> tuple[AnalyticClassifier, np.ndarray, list[float]]:
+    def run(self, on_task=None) -> ExperimentResult:
         """Fit task 0 in closed form, absorb each later task by one update.
 
-        Returns the final classifier, the accuracy grid and each fit's wall
-        time (extraction, expansion and the fit; never evaluation). After
-        step t's grid row, ``on_task(t, clf, batch, pred)`` sees the fitted
+        Returns the run's one record (``ExperimentResult``): the final
+        classifier, the accuracy grid and each fit's wall time. After step
+        t's grid row, ``on_task(t, clf, batch, pred)`` sees the fitted
         classifier (the next step's update consumes its ``afam``; its
         weights stay valid), the task's expanded training batch and the predictions
         on tasks 0..t. Without it the batch is released as part of the fit,
@@ -285,7 +283,15 @@ class _Pipeline:
             pred = self.grid_row(clf, t, grid)
             if on_task is not None:
                 on_task(t, clf, batch, pred)
-        return clf, grid, fit_times
+        return ExperimentResult(
+            accuracy=AccuracyMatrix.from_grid(grid, self.test_sizes),
+            classifier=clf,
+            expansion=self.expansion,
+            extractor=self.extractor,
+            task_classes=[list(task.classes) for task in self.tasks],
+            fit_times=fit_times,
+            pretrain_time=self.pretrain_time,
+        )
 
 
 def run_experiment(tasks: list[TaskData], config: HarnessConfig) -> ExperimentResult:
@@ -294,30 +300,7 @@ def run_experiment(tasks: list[TaskData], config: HarnessConfig) -> ExperimentRe
     Single pass per task throughout: the base task is fit once in closed
     form and every incremental task is absorbed by one recursive update.
     """
-    pipe = _Pipeline(tasks, config)
-    clf, grid, fit_times = pipe.run()
-    accuracy = AccuracyMatrix.from_grid(grid, pipe.test_sizes)
-    bwt_undefined = len(tasks) < 2
-    metrics = MetricsReport(
-        acc=acc_metric(accuracy),
-        bwt=0.0 if bwt_undefined else bwt_metric(accuracy),
-        bwt_undefined=bwt_undefined,
-        tt_per_task=fit_times[1:],
-        extra_memory_elements=clf.state_elements(),
-        stage_times={"pretrain": pipe.pretrain_time, "recalibrate": fit_times[0]},
-    )
-    meta = SnapshotMeta(
-        dim=pipe.expansion.dim, seed=config.seed, activation=config.activation
-    )
-    return ExperimentResult(
-        metrics=metrics,
-        accuracy=accuracy,
-        classifier=clf,
-        expansion=pipe.expansion,
-        snapshot_meta=meta,
-        extractor=pipe.extractor,
-        task_classes=[list(t.classes) for t in tasks],
-    )
+    return _Pipeline(tasks, config).run()
 
 
 @dataclass
@@ -370,11 +353,11 @@ def oracle_check(tasks: list[TaskData], config: HarnessConfig) -> OracleReport:
         pred_joint = pipe.grid_row(joint, t, grid_joint)
         agreements.append(float(np.mean(pred_rec == pred_joint)) if pred_rec.size else 1.0)
 
-    _, grid_rec, _ = pipe.run(compare)
+    recursive = pipe.run(compare)
     return OracleReport(
         weight_deviation=deviations,
         argmax_agreement=agreements,
-        recursive_accuracy=AccuracyMatrix.from_grid(grid_rec, pipe.test_sizes),
+        recursive_accuracy=recursive.accuracy,
         joint_accuracy=AccuracyMatrix.from_grid(grid_joint, pipe.test_sizes),
     )
 
@@ -446,17 +429,18 @@ def read_grid_csv(path) -> AccuracyMatrix:
 
 
 def results_dict(result: ExperimentResult, config_echo: dict) -> dict:
-    """Results document for the run's JSON artifact."""
-    m = result.metrics
+    """The run's ``results.json`` document; ACC and BWT come from ``acc_bwt``, as in ``akws metrics``."""
+    acc, bwt, bwt_undefined = acc_bwt(result.accuracy)
+    tt = result.fit_times[1:]
     return {
         "config": config_echo,
-        "acc": m.acc,
-        "bwt": m.bwt,
-        "bwt_undefined": m.bwt_undefined,
-        "tt": list(m.tt_per_task),
-        "tt_mean": float(np.mean(m.tt_per_task)) if m.tt_per_task else 0.0,
-        "stage_times": dict(m.stage_times),
-        "extra_memory_elements": m.extra_memory_elements,
+        "acc": acc,
+        "bwt": bwt,
+        "bwt_undefined": bwt_undefined,
+        "tt": tt,
+        "tt_mean": float(np.mean(tt)) if tt else 0.0,
+        "stage_times": {"pretrain": result.pretrain_time, "recalibrate": result.fit_times[0]},
+        "extra_memory_elements": result.classifier.state_elements(),
         "A": [float(v) for v in result.accuracy.a_vector],
         "task_classes": result.task_classes,
     }

@@ -109,6 +109,9 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
     weights = np.frombuffer(blob, dtype="<f8", count=e * n_classes, offset=off).reshape(e, n_classes).copy()
     off += 8 * e * n_classes
     afam = np.frombuffer(blob, dtype="<f8", count=e * e, offset=off).reshape(e, e).copy()
+    for name, block in (("weights", weights), ("autocorrelation matrix", afam)):
+        if not np.isfinite(block).all():
+            raise SnapshotFormatError(f"{name} block holds a non-finite number")
     class_ids = tuple(cid for _, cid in sorted(zip(cols, ids)))
     clf = AnalyticClassifier(weights=weights, afam=afam, gamma=gamma, class_ids=class_ids, tasks_seen=tasks_seen)
     return clf, SnapshotMeta(dim=dim, seed=seed, activation=_ACTIVATION_NAME[act_code])

@@ -23,6 +23,7 @@ from akws import (
     HarnessConfig,
     LabelMatrix,
     SynthSpec,
+    acc_metric,
     build_tasks,
     bwt_metric,
     gen_synth_split,
@@ -175,7 +176,7 @@ def test_criterion_05_constant_time_adaptation():
     )
     result = run_experiment(tasks, cfg)
     elapsed = time.perf_counter() - start
-    tt = result.metrics.tt_per_task
+    tt = result.fit_times[1:]
     assert len(tt) == 50
     slope, t_stat, p = time_trend(tt)
     assert not (slope > 0 and p < 0.01), (
@@ -196,17 +197,18 @@ def test_criterion_06_memory_accounting(tmp_path):
     result = run_experiment(tasks, cfg)
     n_classes = result.classifier.n_classes
     registry_entries = len(result.classifier.class_ids)
-    assert result.metrics.extra_memory_elements == 16384 + 128 * n_classes + registry_entries
+    assert result.classifier.state_elements() == 16384 + 128 * n_classes + registry_entries
 
     # the serialized snapshot must carry exactly that state
-    from akws.snapshot import save_snapshot
+    from akws.snapshot import SnapshotMeta, save_snapshot
 
     path = tmp_path / "snap.bin"
-    save_snapshot(path, result.classifier, result.snapshot_meta)
+    e = result.expansion
+    save_snapshot(path, result.classifier, SnapshotMeta(e.dim, e.seed, e.activation))
     back, _ = read_snapshot(path)
     assert back.weights.size + back.afam.size == 16384 + 128 * n_classes
     assert len(back.class_ids) == registry_entries
-    _report(6, f"E=128, C={n_classes}: {result.metrics.extra_memory_elements} elements")
+    _report(6, f"E=128, C={n_classes}: {result.classifier.state_elements()} elements")
 
 
 def test_criterion_07_zero_forgetting_vs_joint_checkpoints():
@@ -242,7 +244,7 @@ def test_criterion_08_accuracy_non_decreasing_in_expansion_size():
         cfg = HarnessConfig(
             gamma=1000.0, expansion_size=e, activation="relu", seed=seed, use_extractor=False
         )
-        return run_experiment(tasks, cfg).metrics.acc
+        return acc_metric(run_experiment(tasks, cfg).accuracy)
 
     sizes = (64, 128, 256, 512)
     stats = []

@@ -57,8 +57,28 @@ class TestGen:
             (("--seed", -1), "seed must be >= 0"),
             (("--separation", "nan"), "cluster_separation must be finite"),
             (("--noise", "inf"), "noise_sigma must be finite"),
+            # a split that cannot cover --classes names each flag at fault
+            (("--per-step", 0), "--per-step 0 must be >= 1"),
+            (("--base", 12), "--base 12 must be between 1 and --classes 4"),
+            (("--base", 0), "--base 0 must be between 1 and --classes 4"),
+            (
+                ("--per-step", 3),
+                "--per-step 3 must divide the 2 classes --classes 4 leaves after --base 2 (the default, half of --classes)",
+            ),
+            (
+                ("--base", 1, "--steps", 2),
+                "--steps 2 x --per-step 1 must equal the 3 classes --classes 4 leaves after --base 1",
+            ),
+            (
+                ("--steps", -1),
+                "--steps -1 x --per-step 1 must equal the 2 classes --classes 4 leaves after --base 2 "
+                "(the default, half of --classes)",
+            ),
         ],
-        ids=["negative-seed", "nan-separation", "inf-noise"],
+        ids=[
+            "negative-seed", "nan-separation", "inf-noise", "zero-per-step", "base-above-classes", "zero-base",
+            "indivisible", "steps-short", "negative-steps",
+        ],
     )
     def test_bad_synth_flag_exits_2(self, tmp_path, capsys, flags, error):
         out = tmp_path / "d"
@@ -488,6 +508,21 @@ class TestMetricsCmd:
         m_vals = dict(tok.split("=") for tok in metrics_line.split())
         assert abs(float(run_vals["ACC"]) - float(m_vals["ACC"])) <= 1e-12
         assert abs(float(run_vals["BWT"]) - float(m_vals["BWT"])) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [3, 0], ids=["incremental", "base-only"])
+    def test_prints_the_run_results(self, tmp_path, capsys, steps):
+        # one ACC/BWT rule: metrics recomputes results.json's numbers from the grid alone
+        split = {"base_count": 6 - steps, "step_count": steps, "classes_per_step": 1 if steps else 0, "seed": 0}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"data": {"kind": "synth", "classes": 6, "per_class": 30}, "split": split}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", cfg, "--out", out, "--expansion", 48) == 0
+        capsys.readouterr()
+        assert run_cli("metrics", out / "grid.csv") == 0
+        doc = json.loads((out / "results.json").read_text())
+        assert doc["bwt_undefined"] is (steps == 0)
+        flag = " BWT_UNDEFINED=1" if steps == 0 else ""
+        assert capsys.readouterr().out == f"ACC={doc['acc']!r} BWT={doc['bwt']!r}{flag}\n"
 
     def test_hand_grid_fixture(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akws import LabelMatrix, dump_snapshot, load_features, load_manifest, load_snapshot, read_grid_csv, recalibrate
-from akws.errors import AkwsError
+from akws.errors import AkwsError, SnapshotFormatError
 from akws.snapshot import SnapshotMeta
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -163,3 +163,27 @@ def crafted_snapshots(draw):
 @given(blob=mutated_snapshots() | crafted_snapshots())
 def test_load_snapshot_loads_or_raises_typed_error(blob):
     loads_or_typed_error(load_snapshot, blob)
+
+
+# NaN (quiet, signalling, negative, with a payload) and both infinities, as little-endian f64
+NON_FINITE = st.sampled_from(
+    [struct.pack("<d", v) for v in (float("nan"), float("inf"), -float("inf"))]
+    + [struct.pack("<Q", bits) for bits in (0x7FF0000000000001, 0xFFF8000000000000, 0x7FF8DEADBEEF0000)]
+)
+
+
+@st.composite
+def poisoned_snapshots(draw):
+    """A valid snapshot with one or more weight or state entries made non-finite."""
+    blob = bytearray(VALID_SNAPSHOT)
+    payload = len(blob) - 8 * (3 * 3 + 3 * 3)
+    for entry in draw(st.sets(st.integers(0, 17), min_size=1, max_size=3)):
+        blob[payload + 8 * entry : payload + 8 * entry + 8] = draw(NON_FINITE)
+    return bytes(blob)
+
+
+@FUZZ
+@given(blob=poisoned_snapshots())
+def test_non_finite_snapshot_entry_rejected(blob):
+    with pytest.raises(SnapshotFormatError, match="block holds a non-finite number"):
+        load_snapshot(blob)

@@ -8,6 +8,7 @@ from akws import (
     AccuracyMatrix,
     HarnessConfig,
     SynthSpec,
+    acc_bwt,
     acc_metric,
     build_tasks,
     bwt_metric,
@@ -120,10 +121,11 @@ class TestRunExperiment:
     def test_base_only_run_flags_bwt(self):
         tasks = synth_tasks(base=10, steps=0)
         result = run_experiment(tasks, FAST)
-        assert result.metrics.bwt_undefined
-        assert result.metrics.bwt == 0.0
-        assert result.metrics.acc == pytest.approx(result.accuracy.a_vector[0])
-        assert result.metrics.tt_per_task == []
+        acc, bwt, bwt_undefined = acc_bwt(result.accuracy)
+        assert bwt_undefined
+        assert bwt == 0.0
+        assert acc == pytest.approx(result.accuracy.a_vector[0])
+        assert result.fit_times[1:] == []
 
     def test_final_accuracy_matches_joint_oracle(self):
         tasks = synth_tasks()
@@ -178,7 +180,7 @@ class TestRunExperiment:
         tasks = synth_tasks()
         result = run_experiment(tasks, FAST)
         e = FAST.expansion_size
-        assert result.metrics.extra_memory_elements == e * e + e * 10 + 10
+        assert result.classifier.state_elements() == e * e + e * 10 + 10
 
     def test_empty_training_task_rejected(self):
         tasks = synth_tasks()
@@ -218,7 +220,7 @@ class TestRunExperiment:
         result = run_experiment(tasks, cfg)
         assert result.extractor is None
         assert result.expansion.dim == tasks[0].train.dim
-        assert result.metrics.acc > 0.9
+        assert acc_metric(result.accuracy) > 0.9
 
     @pytest.mark.parametrize("use_extractor", [True, False])
     def test_oracle_runs_the_production_loop(self, use_extractor, monkeypatch):

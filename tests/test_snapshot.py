@@ -168,6 +168,16 @@ def test_gamma_must_be_finite_and_positive(gamma):
         load_snapshot(crafted_blob({3: 0, 9: 1}, gamma=gamma))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("block, entry", [("weights", 1), ("autocorrelation matrix", 7)], ids=["weights", "state"])
+def test_non_finite_matrix_entry_rejected(block, entry, value):
+    blob = bytearray(crafted_blob({3: 0, 9: 1}))
+    at = len(blob) - 8 * (2 * 2 + 2 * 2) + 8 * entry  # weights are entries 0..3, the state 4..7
+    blob[at : at + 8] = struct.pack("<d", value)
+    with pytest.raises(SnapshotFormatError, match=f"^{block} block holds a non-finite number$"):
+        load_snapshot(bytes(blob))
+
+
 def test_saved_file_equals_dump(tmp_path):
     # E=40: the 12.8 kB state matrix is larger than the file's write buffer
     rng = np.random.default_rng(3)
