@@ -63,7 +63,7 @@ def run_no_expansion(tasks, gamma: float) -> float:
     for t, task in enumerate(tasks):
         labels = LabelMatrix.from_labels(task.train.labels, class_ids=task.classes)
         if clf is None:
-            clf = recalibrate(task.train.features, labels, gamma)
+            clf = recalibrate([(task.train.features, labels)], gamma)
         else:
             clf = update(clf, task.train.features, labels)
         for j in range(t + 1):

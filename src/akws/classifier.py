@@ -1,7 +1,8 @@
 """Analytic ridge classifier with exemplar-free recursive task updates.
 
 The classifier is fit in closed form on expanded features. The first fit
-is ``joint_solve`` of one batch: the weights solve the ridge system
+(``recalibrate``) is ``joint_solve`` of one task whose rows arrive as an
+iterable of row blocks: the weights solve the ridge system
 
     W = (S'T S' + gamma I)^-1 S'T Y
 
@@ -9,9 +10,13 @@ and the inverse factor itself,
 
     A = (S'T S' + gamma I)^-1,
 
-is carried forward as the feature autocorrelation state. Every later
-batch refreshes ``A`` through the Woodbury identity using only that
-batch's rows,
+is carried forward as the feature autocorrelation state. Each block is
+added to ``NormalEquations`` and dropped before the next is read, so the
+first task's rows are never held whole: the first fit holds ``G`` (E x E)
+and one block. ``G`` starts as ``gamma I`` and lives in one triangle; one
+BLAS ``syrk`` per block adds ``S'T S'`` to that triangle in place, and
+``potrf`` then factors it where it lies. Every later batch refreshes
+``A`` through the Woodbury identity using only that batch's rows,
 
     A_t = A_{t-1} - A_{t-1} S'T (I + S' A_{t-1} S'T)^-1 S' A_{t-1},
 
@@ -20,7 +25,11 @@ zero column for each class the batch registers. The result is
 algebraically identical to re-solving the joint ridge problem over every
 batch seen so far, without retaining any past rows. ``NormalEquations``
 holds that joint system, E^2 + E*C numbers whatever the rows added, and
-is the oracle of tests and ``oracle_check``.
+is the oracle of tests and ``oracle_check``. Solving it for the weights
+alone keeps ``G``: its triangle is copied into the spare one and its
+diagonal aside, the triangle is factored in place, and both are copied
+back, so no E x E copy of ``G`` is made and the next batch adds to ``G``
+itself. The factor is that of the first fit, so both round alike.
 
 ``update`` evaluates this in square-root form. With the Cholesky factor
 ``K = I + S' A_{t-1} S'T = L L^T`` and
@@ -36,10 +45,10 @@ subtracts it from the upper triangle of ``A_{t-1}``'s own buffer (half
 the flops of the whole product), which is then mirrored onto the lower
 triangle. ``update`` therefore consumes its input: the new classifier
 holds that buffer. numpy's ``X.T @ X`` would allocate a fresh E x E
-result and fill both triangles; the direct ``syrk`` into ``A`` does
-neither. No averaging ``(A + A^T) / 2`` is needed: the rounding
-error in ``Z_a`` enters both factors of ``Z_a^T Z_a`` alike, so its
-triangles differ only by summation order. In the one-sided product
+result and fill both triangles; the direct ``syrk`` into ``A``, like the
+one into ``G``, does neither. No averaging ``(A + A^T) / 2`` is needed:
+the rounding error in ``Z_a`` enters both factors of ``Z_a^T Z_a``
+alike, so its triangles differ only by summation order. In the one-sided product
 ``(S'A)^T (K^-1 S'A)`` the solve's error enters one factor only;
 averaging its triangles halved the antisymmetric part, and mirroring it
 instead lost accuracy.
@@ -53,8 +62,9 @@ add no more to the update than the GEMMs that form them.
 Wherever ``A`` is formed directly from a Cholesky factor ``L`` of the
 regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
 ``L`` in place, and the triangle it fills is mirrored onto the other.
-The Gram matrix is factored in place too (``potrf``), and the first-fit
-weights are solved in place by two triangular solves (``trsm``).
+The Gram matrix is factored in place too (``potrf``, from the triangle
+``syrk`` filled), and the first-fit weights are solved in place by two
+triangular solves (``trsm``).
 
 All of this runs on one LAPACK: numpy's own OpenBLAS. numpy exposes no
 in-place Cholesky, triangular solve, Cholesky inverse or rank-k update,
@@ -234,11 +244,18 @@ def _materialize_inverse(factor: np.ndarray) -> np.ndarray:
     return _mirror_upper(factor.T)
 
 
-def recalibrate(s0_expanded: np.ndarray, y0: LabelMatrix, gamma: float) -> AnalyticClassifier:
-    """Fit the first task in closed form: ``joint_solve`` of its one batch."""
-    if y0.rows < 1:
+def recalibrate(blocks, gamma: float) -> AnalyticClassifier:
+    """Fit the first task in closed form: ``joint_solve`` of that one task.
+
+    ``blocks`` yields the task's rows as ``(S', Y)`` row blocks; each is
+    added to the normal equations before the next is read. The result has
+    ``tasks_seen == 1``.
+    """
+    normal = NormalEquations(gamma)
+    normal.add(blocks)
+    if normal.rows < 1:
         raise ShapeError("recalibration needs at least one sample")
-    return joint_solve([(s0_expanded, y0)], gamma)
+    return normal.solve()
 
 
 def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) -> AnalyticClassifier:
@@ -293,7 +310,12 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
 
 
 class NormalEquations:
-    """The ridge system ``G W = B``, ``G = sum S'T S' + gamma I`` and ``B = sum S'T Y``, of the batches added."""
+    """The ridge system ``G W = B``, ``G = sum S'T S' + gamma I`` and ``B = sum S'T Y``, of the tasks added.
+
+    ``G`` is kept in the upper triangle of the C-ordered ``gram``, which
+    is the lower one of its Fortran-ordered transpose that ``syrk`` and
+    ``potrf`` read; its strict lower triangle is scratch space.
+    """
 
     def __init__(self, gamma: float):
         if not (math.isfinite(gamma) and gamma > 0):
@@ -302,32 +324,53 @@ class NormalEquations:
         self.gram = self.rhs = None
         self.class_ids: tuple[int, ...] = ()
         self.tasks_seen = 0
+        self.rows = 0
 
-    def add(self, s_expanded: np.ndarray, y: LabelMatrix) -> None:
-        s = _check_batch(s_expanded, y)
-        e = s.shape[1]
-        if not self.tasks_seen:
-            self.gram = s.T @ s
-            self.gram.flat[:: e + 1] += self.gamma  # in place: no E x E gamma * I buffer
-            self.rhs = np.zeros((e, 0))
-        elif e != len(self.gram):
-            raise ShapeError(f"inconsistent expanded widths: {len(self.gram)} vs {e}")
-        else:
-            self.gram += s.T @ s
-        self.class_ids, cols = _register(self.class_ids, y.class_ids)
-        self.rhs = np.pad(self.rhs, ((0, 0), (0, len(self.class_ids) - self.rhs.shape[1])))
-        self.rhs[:, cols] += s.T @ y.onehot
+    def add(self, blocks) -> None:
+        """Add one task, given as an iterable of ``(S', Y)`` row blocks, one block at a time."""
+        for s_expanded, y in blocks:
+            # C-ordered, so s.T is the Fortran-ordered operand syrk reads
+            s = np.require(_check_batch(s_expanded, y), np.float64, "CW")
+            e = s.shape[1]
+            if self.rhs is None:
+                # zero pages are mapped on first write: those holding only the spare triangle stay unmapped
+                self.gram = np.zeros((e, e))
+                self.gram.flat[:: e + 1] = self.gamma
+                self.rhs = np.zeros((e, 0))
+            elif e != len(self.rhs):
+                raise ShapeError(f"inconsistent expanded widths: {len(self.rhs)} vs {e}")
+            lapack.syrk("L", "N", 1.0, s.T, 1.0, self.gram.T)
+            self.class_ids, cols = _register(self.class_ids, y.class_ids)
+            self.rhs = np.pad(self.rhs, ((0, 0), (0, len(self.class_ids) - self.rhs.shape[1])))
+            self.rhs[:, cols] += s.T @ y.onehot
+            self.rows += len(s)
         self.tasks_seen += 1
 
     def solve(self, inverse: bool = True) -> AnalyticClassifier:
-        """The weights; ``inverse`` also forms ``A = G^-1`` over ``G``, spending it, else a copy is solved."""
+        """The weights; ``inverse`` also forms ``A = G^-1`` over ``G``, spending it, else ``G`` is kept.
+
+        Either way ``G``'s triangle is factored in place, so a first fit and
+        the weights-only solve of the same blocks give the same bits. To keep
+        ``G``, its triangle is first copied into the spare one and its
+        diagonal aside, and both are copied back after the solve.
+        """
         if self.gram is None:
             raise ShapeError("no system to solve: no batch was added, or it was solved in place")
-        gram, self.gram = (self.gram, None) if inverse else (self.gram.copy(), self.gram)
-        factor = _spd_factor(gram.T, "the regularized Gram matrix")  # gram is symmetric: its transpose needs no copy
-        rhs = self.rhs.copy(order="F")  # solved in place
-        lapack.trsm("L", "L", "N", "N", 1.0, factor, rhs)  # L L^T W = S'T Y
-        lapack.trsm("L", "L", "T", "N", 1.0, factor, rhs)
+        gram = self.gram
+        if inverse:
+            self.gram = None
+        else:
+            diagonal = gram.diagonal().copy()
+            _mirror_upper(gram)
+        try:
+            factor = _spd_factor(gram.T, "the regularized Gram matrix")
+            rhs = self.rhs.copy(order="F")  # solved in place
+            lapack.trsm("L", "L", "N", "N", 1.0, factor, rhs)  # L L^T W = S'T Y
+            lapack.trsm("L", "L", "T", "N", 1.0, factor, rhs)
+        finally:
+            if not inverse:
+                _mirror_upper(gram.T)  # G's triangle back from the spare one
+                gram.flat[:: len(gram) + 1] = diagonal
         afam = _materialize_inverse(factor) if inverse else None
         return AnalyticClassifier(
             weights=rhs, afam=afam, gamma=self.gamma, class_ids=self.class_ids, tasks_seen=self.tasks_seen
@@ -335,10 +378,13 @@ class NormalEquations:
 
 
 def joint_solve(batches, gamma: float) -> AnalyticClassifier:
-    """Solve the ridge problem over all batches at once: ``NormalEquations`` of them, solved in place."""
+    """Solve the ridge problem over all batches at once: ``NormalEquations`` of them, solved in place.
+
+    Each ``(S', Y)`` batch is one task.
+    """
     normal = NormalEquations(gamma)
-    for s, y in batches:
-        normal.add(s, y)
+    for batch in batches:
+        normal.add([batch])
     return normal.solve()
 
 

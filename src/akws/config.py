@@ -162,6 +162,27 @@ def _parse_data(doc, path="data"):
     return cfg
 
 
+def _check_split(split: SplitConfig, data) -> None:
+    """Reject a split that cannot carve synth data's classes into a base and equal steps."""
+    if split.seed < 0:
+        raise ConfigError("must be >= 0", field="split.seed")
+    if isinstance(data, ManifestDataConfig):
+        raise ConfigError("not applicable to manifest data", field="split")
+    if split.base_count < 1:
+        raise ConfigError("must be >= 1", field="split.base_count")
+    if split.step_count < 0:
+        raise ConfigError("must be >= 0", field="split.step_count")
+    if split.step_count > 0 and split.classes_per_step < 1:
+        raise ConfigError("must be >= 1 when split.step_count > 0", field="split.classes_per_step")
+    covered = split.base_count + split.step_count * split.classes_per_step
+    if covered != data.classes:
+        raise ConfigError(
+            f"base_count {split.base_count} + step_count {split.step_count} x classes_per_step "
+            f"{split.classes_per_step} = {covered}, but data.classes is {data.classes}",
+            field="split",
+        )
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a config document; unknown keys anywhere are rejected."""
     if not isinstance(doc, dict):
@@ -169,10 +190,8 @@ def parse_config(doc: dict) -> RunConfig:
     cfg = _read(doc, HarnessConfig, "", _TOP_KEYS, also=("data", "split", "extractor"))
     data = _parse_data(doc.get("data", {}))
     split = SplitConfig(**_read(doc["split"], SplitConfig, "split")) if "split" in doc else None
-    if split is not None and split.seed < 0:
-        raise ConfigError("must be >= 0", field="split.seed")
-    if split is not None and isinstance(data, ManifestDataConfig):
-        raise ConfigError("not applicable to manifest data", field="split")
+    if split is not None:
+        _check_split(split, data)
     if cfg["gamma"] <= 0:
         raise ConfigError("must be > 0", field="gamma")
     if cfg["expansion_size"] < 2:

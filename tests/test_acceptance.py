@@ -75,7 +75,7 @@ def sweep_instances():
 
 
 def chain(batches, gamma):
-    clf = recalibrate(batches[0][0], batches[0][1], gamma)
+    clf = recalibrate([batches[0]], gamma)
     for s, y in batches[1:]:
         clf = update(clf, s, y)
     return clf
@@ -120,7 +120,7 @@ def test_criterion_03_first_fit_matches_normal_equations():
         gamma = float(rng.choice([1e-3, 0.1, 1.0, 10.0]))
         s = rng.standard_normal((n, e))
         y = LabelMatrix.from_labels(rng.integers(0, k, n), class_ids=range(k))
-        got = recalibrate(s, y, gamma).weights
+        got = recalibrate([(s, y)], gamma).weights
         expected = ridge_normal_equations(s, y.onehot, gamma)
         dev = relative_frobenius(got, expected)
         worst = max(worst, dev)

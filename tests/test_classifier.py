@@ -1,6 +1,7 @@
 import copy
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 
 from akws import (
     LabelMatrix,
+    SynthSpec,
+    build_expansion,
+    expand,
+    gen_synth_split,
     joint_solve,
     predict,
     recalibrate,
@@ -88,7 +93,7 @@ class TestLabelMatrix:
 
 class TestRecalibrate:
     def test_identity_example(self):
-        clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
+        clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
         assert np.allclose(clf.weights, 0.5 * np.eye(2), atol=1e-15)
         assert np.allclose(clf.afam, 0.5 * np.eye(2), atol=1e-15)
         assert clf.gamma == 1.0
@@ -97,7 +102,7 @@ class TestRecalibrate:
 
     def test_vanishing_ridge_recovers_least_squares(self):
         s = np.diag([2.0, 1.0])
-        clf = recalibrate(s, LabelMatrix(np.eye(2), (0, 1)), 1e-12)
+        clf = recalibrate([(s, LabelMatrix(np.eye(2), (0, 1)))], 1e-12)
         assert np.allclose(clf.weights, np.diag([0.5, 1.0]), atol=1e-9)
 
     def test_matches_normal_equations_oracle(self):
@@ -105,36 +110,67 @@ class TestRecalibrate:
         s = rng.standard_normal((20, 8))
         labs = rng.integers(0, 3, 20)
         y = LabelMatrix.from_labels(labs, class_ids=range(3))
-        clf = recalibrate(s, y, 0.1)
+        clf = recalibrate([(s, y)], 0.1)
         expected = ridge_normal_equations(s, y.onehot, 0.1)
         assert relative_frobenius(clf.weights, expected) < 1e-10
 
     def test_invalid_gamma(self):
         with pytest.raises(DataError, match="ridge parameter must be finite and > 0"):
-            recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 0.0)
+            recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 0.0)
         with pytest.raises(DataError, match="ridge parameter must be finite and > 0"):
-            recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), -1.0)
+            recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], -1.0)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma(self, gamma):
         y = LabelMatrix(np.eye(2), (0, 1))
         with pytest.raises(DataError, match="must be finite and > 0"):
-            recalibrate(np.eye(2), y, gamma)
+            recalibrate([(np.eye(2), y)], gamma)
         with pytest.raises(DataError, match="must be finite and > 0"):
             joint_solve([(np.eye(2), y)], gamma)
 
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
-            recalibrate(np.zeros((3, 2)), LabelMatrix(np.eye(2), (0, 1)), 1.0)
+            recalibrate([(np.zeros((3, 2)), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
 
     def test_needs_samples(self):
         with pytest.raises(ShapeError):
-            recalibrate(np.zeros((0, 2)), LabelMatrix(np.zeros((0, 2)), (0, 1)), 1.0)
+            recalibrate([(np.zeros((0, 2)), LabelMatrix(np.zeros((0, 2)), (0, 1)))], 1.0)
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("e", [24, 160], ids=["n>E", "n<E"])
+    @pytest.mark.parametrize("gamma", [0.1, 1e-3, 1e-6])
+    def test_row_blocks_equal_joint_solve_of_the_whole_batch(self, activation, e, gamma):
+        # 1, 2 and 3.5 blocks of 32 rows. G summed by blocks rounds unlike G
+        # summed at once, and the solve amplifies that by up to cond(G): the
+        # deviation stays below 10 cond(G) eps (at most 1.7 cond(G) eps was
+        # measured, at 1 and 2 BLAS threads), and so below the chained tests'
+        # 1e-9 wherever G is that well conditioned
+        eps = np.finfo(np.float64).eps
+        for blocks in (1, 2, 3.5):
+            n = int(32 * blocks)
+            ds, _ = gen_synth_split(SynthSpec(4, n // 4 + 1, 16, 6.0, 1.0, seed=n), 1)
+            s = expand(ds.features[:n], build_expansion(16, e, n, activation))
+            y = LabelMatrix.from_labels(ds.labels[:n], class_ids=range(4))
+            whole = joint_solve([(s, y)], gamma)
+            got = recalibrate(
+                ((s[i : i + 32], LabelMatrix(y.onehot[i : i + 32], y.class_ids)) for i in range(0, n, 32)),
+                gamma,
+            )
+            assert got.tasks_seen == 1
+            assert got.class_ids == whole.class_ids
+            if blocks == 1:
+                assert np.array_equal(got.weights, whole.weights)
+                assert np.array_equal(got.afam, whole.afam)
+                continue
+            spectrum = np.linalg.eigvalsh(s.T @ s + gamma * np.eye(e))
+            bound = 10 * eps * spectrum[-1] / spectrum[0]
+            assert relative_frobenius(got.weights, whole.weights) <= bound
+            assert relative_frobenius(got.afam, whole.afam) <= bound
 
 
 class TestUpdate:
     def test_empty_batch_no_new_classes_is_noop(self):
-        clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
+        clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
         before = copy.deepcopy(clf)  # update consumes clf's state
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 0)), ()))
         assert np.array_equal(out.weights, before.weights)
@@ -147,7 +183,7 @@ class TestUpdate:
         rng = np.random.default_rng(4)
         empty = (np.zeros((0, 8)), LabelMatrix(np.zeros((0, 0)), ()))
         batches = [random_batch(rng, 20, 8, range(3)), empty, random_batch(rng, 15, 8, range(3, 5)), empty]
-        clf = recalibrate(*batches[0], 0.1)
+        clf = recalibrate([batches[0]], 0.1)
         for b in batches[1:]:
             clf = update(clf, *b)
         joint = joint_solve(batches, 0.1)
@@ -157,7 +193,7 @@ class TestUpdate:
         assert clf.tasks_seen == joint.tasks_seen == 4
 
     def test_empty_batch_with_new_classes_registers_zero_columns(self):
-        clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
+        clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
         a_before = clf.afam.copy()  # update consumes clf's state
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 2)), (7, 8)))
         assert out.class_ids == (0, 1, 7, 8)
@@ -168,7 +204,7 @@ class TestUpdate:
         rng = np.random.default_rng(3)
         b0 = random_batch(rng, 20, 8, range(3))
         b1 = random_batch(rng, 15, 8, range(3, 5))
-        clf = update(recalibrate(*b0, 0.1), *b1)
+        clf = update(recalibrate([b0], 0.1), *b1)
         joint = joint_solve([b0, b1], 0.1)
         assert relative_frobenius(clf.weights, joint.weights) < 1e-9
         assert clf.class_ids == joint.class_ids
@@ -178,8 +214,8 @@ class TestUpdate:
         rng = np.random.default_rng(8)
         s = rng.standard_normal((30, 8))
         labs = np.concatenate([rng.integers(0, 2, 15), rng.integers(2, 4, 15)])
-        full = recalibrate(s, LabelMatrix.from_labels(labs, class_ids=range(4)), 0.1)
-        first = recalibrate(s[:15], LabelMatrix.from_labels(labs[:15], class_ids=range(4)), 0.1)
+        full = recalibrate([(s, LabelMatrix.from_labels(labs, class_ids=range(4)))], 0.1)
+        first = recalibrate([(s[:15], LabelMatrix.from_labels(labs[:15], class_ids=range(4)))], 0.1)
         second = update(first, s[15:], LabelMatrix.from_labels(labs[15:], class_ids=range(4)))
         assert relative_frobenius(second.weights, full.weights) < 1e-9
         assert second.class_ids == full.class_ids
@@ -192,7 +228,7 @@ class TestUpdate:
         batches = [random_batch(rng, 12, 6, [0])]
         batches += [random_batch(rng, 9, 6, [t]) for t in range(1, 5)]
         batches += [random_batch(rng, 11, 6, [5, 6])]
-        clf = recalibrate(*batches[0], 0.1)
+        clf = recalibrate([batches[0]], 0.1)
         for b in batches[1:]:
             clf = update(clf, *b)
         joint = joint_solve(batches, 0.1)
@@ -200,14 +236,14 @@ class TestUpdate:
         assert relative_frobenius(clf.weights, joint.weights) < 1e-9
 
     def test_width_mismatch(self):
-        clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (0, 1)), 1.0)
+        clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
         with pytest.raises(ShapeError):
             update(clf, np.zeros((1, 3)), LabelMatrix(np.array([[1.0]]), (2,)))
 
     def test_all_zero_feature_batch_is_legal(self):
         rng = np.random.default_rng(5)
         b0 = random_batch(rng, 10, 4, range(2))
-        clf = recalibrate(*b0, 0.5)
+        clf = recalibrate([b0], 0.5)
         zero_s = np.zeros((6, 4))
         y = LabelMatrix.from_labels([2] * 6, class_ids=[2])
         out = update(clf, zero_s, y)
@@ -224,7 +260,7 @@ class TestUpdate:
         for e in (5, 130, 600):
             b0 = random_batch(rng, 12, e, range(2))
             b1 = random_batch(rng, 9, e, range(2, 4))
-            clf = recalibrate(*b0, 0.1)
+            clf = recalibrate([b0], 0.1)
             w_before = clf.weights.copy()
             state = clf.afam
             out = update(clf, *b1)
@@ -235,7 +271,7 @@ class TestUpdate:
 
     def test_second_update_of_consumed_input_raises(self):
         rng = np.random.default_rng(15)
-        clf = recalibrate(*random_batch(rng, 12, 6, range(2)), 0.1)
+        clf = recalibrate([random_batch(rng, 12, 6, range(2))], 0.1)
         x = rng.standard_normal((20, 6))
         pred_before = predict(clf, x)
         batch = random_batch(rng, 5, 6, range(2, 4))
@@ -247,7 +283,7 @@ class TestUpdate:
     def test_weights_only_solve_cannot_be_updated(self):
         rng = np.random.default_rng(17)
         normal = NormalEquations(0.1)
-        normal.add(*random_batch(rng, 12, 6, range(2)))
+        normal.add([random_batch(rng, 12, 6, range(2))])
         with pytest.raises(StateError, match="solved for its weights only"):
             update(normal.solve(inverse=False), *random_batch(rng, 5, 6, range(2, 4)))
 
@@ -261,7 +297,7 @@ class TestUpdate:
         else:
             s_bad = b1[0].copy()
             s_bad[2, 3] = np.nan
-        clf = recalibrate(*b0, 0.1)
+        clf = recalibrate([b0], 0.1)
         a_before = clf.afam.copy()
         with pytest.raises(error):
             update(clf, s_bad, b1[1])
@@ -275,7 +311,7 @@ class TestUpdate:
         # symmetric there, and symmetric at the other two inputs
         rng = np.random.default_rng(9)
         for e, rows in ((130, 7), (600, 7), (130, 200)):
-            out = recalibrate(*random_batch(rng, 40, e, range(2)), 0.1)
+            out = recalibrate([random_batch(rng, 40, e, range(2))], 0.1)
             for t in range(1, 6):
                 out = update(out, *random_batch(rng, rows, e, range(2 * t, 2 * t + 2)))
             assert np.array_equal(out.afam, out.afam.T)
@@ -284,7 +320,7 @@ class TestUpdate:
     def test_refresh_matches_full_form(self, n):
         # the upper triangle refreshed in place and mirrored, against the whole product
         rng = np.random.default_rng(13)
-        clf = recalibrate(*random_batch(rng, 40, 600, range(2)), 0.1)
+        clf = recalibrate([random_batch(rng, 40, 600, range(2))], 0.1)
         s, y = random_batch(rng, n, 600, range(2, 4))
         a = clf.afam
         sa = s @ a
@@ -295,7 +331,7 @@ class TestUpdate:
 
     def test_kernel_not_positive_definite_is_a_data_error(self):
         rng = np.random.default_rng(11)
-        clf = recalibrate(*random_batch(rng, 12, 6, range(2)), 0.1)
+        clf = recalibrate([random_batch(rng, 12, 6, range(2))], 0.1)
         broken = replace(clf, afam=-np.eye(6))
         batch = random_batch(rng, 5, 6, range(2, 4))
         with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
@@ -318,7 +354,7 @@ class TestUpdate:
             "def batch(n, ids):\n"
             "    return rng.standard_normal((n, 40)), LabelMatrix.from_labels(rng.choice(ids, n), ids)\n"
             "batches = [batch(30, [0, 1])] + [batch(9, [2 * t, 2 * t + 1]) for t in range(1, 6)]\n"
-            "out = recalibrate(*batches[0], 0.1)\n"
+            "out = recalibrate([batches[0]], 0.1)\n"
             "for s, y in batches[1:]:\n"
             "    out = update(out, s, y)\n"
             "joint = joint_solve(batches, 0.1)\n"
@@ -350,7 +386,7 @@ class TestKernels:
         s = np.full((2, 3), 1e8)
         y = LabelMatrix.from_labels([0, 1])
         calls = {
-            "recalibrate": lambda: recalibrate(s, y, 1e-10),
+            "recalibrate": lambda: recalibrate([(s, y)], 1e-10),
             "joint_solve": lambda: joint_solve([(s, y)], 1e-10),
         }
         with pytest.raises(DataError, match="Gram matrix is not positive definite"):
@@ -366,7 +402,7 @@ class TestJointSolve:
         rng = np.random.default_rng(1)
         b = random_batch(rng, 14, 6, range(3))
         joint = joint_solve([b], 0.2)
-        direct = recalibrate(*b, 0.2)
+        direct = recalibrate([b], 0.2)
         assert relative_frobenius(joint.weights, direct.weights) < 1e-12
         assert relative_frobenius(joint.afam, direct.afam) < 1e-12
 
@@ -389,7 +425,7 @@ class TestJointSolve:
             random_batch(rng, 11, 7, range(3, 4)),
             random_batch(rng, 16, 7, range(4, 6)),
         ]
-        clf = recalibrate(*batches[0], 0.5)
+        clf = recalibrate([batches[0]], 0.5)
         for b in batches[1:]:
             clf = update(clf, *b)
         joint = joint_solve(batches, 0.5)
@@ -409,6 +445,34 @@ class TestJointSolve:
         assert relative_frobenius(split.weights, whole.weights) < 1e-12
         assert relative_frobenius(split.afam, whole.afam) < 1e-12
 
+    def test_adding_and_solving_for_weights_allocate_no_gram_sized_buffer(self):
+        # syrk adds S'T S to G's triangle in place, and the weights-only solve
+        # factors G's triangle where it lies: numpy's s.T @ s, or a copy of G,
+        # would each allocate E x E (8 MB here)
+        e = 1024
+        rng = np.random.default_rng(7)
+        normal = NormalEquations(0.1)
+        normal.add([random_batch(rng, 64, e, range(2))])
+        batch = random_batch(rng, 64, e, range(2, 4))
+        for step in (lambda: normal.add([batch]), lambda: normal.solve(inverse=False)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * e * e, f"{peak / 1e6:.2f} MB"
+
+    def test_failed_weights_only_solve_keeps_the_system(self):
+        # a Gram matrix that is not positive definite: potrf stops part way
+        # through G's triangle, which the spare one then restores
+        normal = NormalEquations(1e-10)
+        normal.add([(np.full((2, 3), 1e8), LabelMatrix.from_labels([0, 1]))])
+        before = normal.gram.copy()
+        with pytest.raises(DataError, match="Gram matrix is not positive definite"):
+            normal.solve(inverse=False)
+        assert np.array_equal(np.triu(normal.gram), np.triu(before))
+
     def test_normal_equations_solved_per_prefix_equal_joint_solve(self):
         # the oracle's path: one accumulator, solved after every batch it adds
         rng = np.random.default_rng(6)
@@ -420,7 +484,7 @@ class TestJointSolve:
         ]
         normal = NormalEquations(0.3)
         for t, batch in enumerate(batches):
-            normal.add(*batch)
+            normal.add([batch])
             joint = joint_solve(batches[: t + 1], 0.3)
             weights_only = normal.solve(inverse=False)
             full = copy.deepcopy(normal).solve()
@@ -460,25 +524,25 @@ class TestAfamDirect:
         s2 = rng.standard_normal((14, 6))
         y1 = LabelMatrix.from_labels(rng.integers(0, 2, 9), class_ids=range(2))
         y2 = LabelMatrix.from_labels(rng.integers(2, 4, 14), class_ids=range(2, 4))
-        clf = update(recalibrate(s1, y1, 0.7), s2, y2)
+        clf = update(recalibrate([(s1, y1)], 0.7), s2, y2)
         direct = joint_solve([(s1, y1), (s2, y2)], 0.7).afam
         assert relative_frobenius(clf.afam, direct) < 1e-10
 
 
 class TestPredict:
     def test_identity_weights(self):
-        clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (10, 20)), 1.0)
+        clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (10, 20)))], 1.0)
         assert predict(clf, np.array([[1.0, 0.0]]))[0] == 10
         assert predict(clf, np.array([[0.0, 1.0]]))[0] == 20
 
     def test_tie_goes_to_lowest_column(self):
-        clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (10, 20)), 1.0)
+        clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (10, 20)))], 1.0)
         assert predict(clf, np.array([[0.5, 0.5]]))[0] == 10
 
     @pytest.mark.parametrize("rows", [0, 1, 6, 7, 20])
     def test_row_blocks_match_one_product(self, monkeypatch, rows):
         rng = np.random.default_rng(5)
-        clf = recalibrate(*random_batch(rng, 30, 8, range(3)), 0.5)
+        clf = recalibrate([random_batch(rng, 30, 8, range(3))], 0.5)
         x = rng.standard_normal((rows, 8))
         ids = np.asarray(clf.column_classes())
         want = ids[np.argmax(x @ clf.weights, axis=1)]
@@ -493,8 +557,6 @@ class TestPredict:
             predict(empty, np.zeros((1, 3)))
 
     def test_separable_clusters_high_accuracy(self):
-        from akws import SynthSpec, build_expansion, expand, gen_synth_split
-
         for seed in range(5):
             spec = SynthSpec(
                 n_classes=4,
@@ -506,10 +568,6 @@ class TestPredict:
             )
             train, test = gen_synth_split(spec, 25)
             m = build_expansion(6, 32, seed)
-            clf = recalibrate(
-                expand(train.features, m),
-                LabelMatrix.from_labels(train.labels),
-                0.1,
-            )
+            clf = recalibrate([(expand(train.features, m), LabelMatrix.from_labels(train.labels))], 0.1)
             pred = predict(clf, expand(test.features, m))
             assert np.mean(pred == test.labels) >= 0.95

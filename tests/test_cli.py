@@ -419,7 +419,19 @@ class TestMalformedInputExits2:
             ({"data": {"dim": 0}}, "data.dim: must be >= 1"),
             (
                 {"split": {"base_count": 3, "step_count": 5, "classes_per_step": 1}},
-                "3 + 5 x 1 != 10 classes",
+                "split: base_count 3 + step_count 5 x classes_per_step 1 = 8, but data.classes is 10",
+            ),
+            (
+                {"split": {"base_count": 0, "step_count": 6, "classes_per_step": 1, "seed": 0}},
+                "split.base_count: must be >= 1",
+            ),
+            (
+                {"split": {"base_count": 10, "step_count": -1, "classes_per_step": 1}},
+                "split.step_count: must be >= 0",
+            ),
+            (
+                {"split": {"base_count": 5, "step_count": 5, "classes_per_step": 0}},
+                "split.classes_per_step: must be >= 1 when split.step_count > 0",
             ),
             ({"expansion": 32}, "expansion: must exceed the width of the features it expands (32)"),
             (
@@ -427,7 +439,10 @@ class TestMalformedInputExits2:
                 "expansion: must exceed the width of the features it expands (16)",
             ),
         ],
-        ids=["seed", "data-seed", "split-seed", "data-dim", "split-arithmetic", "hidden", "raw-dim"],
+        ids=[
+            "seed", "data-seed", "split-seed", "data-dim", "split-arithmetic", "split-base",
+            "split-steps", "split-per-step", "hidden", "raw-dim",
+        ],
     )
     def test_malformed_config(self, tmp_path, capsys, command, doc, error):
         cfg = tmp_path / "cfg.json"

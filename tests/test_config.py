@@ -101,3 +101,19 @@ def test_field_without_default_is_required(doc, field):
     with pytest.raises(ConfigError, match="missing required key") as exc:
         parse_config(doc)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize(
+    "split, field",
+    [
+        ({"base_count": 0, "step_count": 6, "classes_per_step": 1, "seed": 0}, "split.base_count"),
+        ({"base_count": 11, "step_count": -1, "classes_per_step": 1}, "split.step_count"),
+        ({"base_count": 4, "step_count": 6, "classes_per_step": 0}, "split.classes_per_step"),
+        ({"base_count": 3, "step_count": 2, "classes_per_step": 1}, "split"),
+    ],
+)
+def test_split_that_cannot_cover_the_classes_names_its_field(split, field):
+    # on the default 10 classes
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"split": split})
+    assert exc.value.field == field

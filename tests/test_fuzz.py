@@ -124,7 +124,7 @@ def test_load_manifest_loads_or_raises_typed_error(scratch, data):
 
 
 def valid_snapshot():
-    clf = recalibrate(np.eye(3), LabelMatrix(np.eye(3), (3, 9, 4)), 1.0)
+    clf = recalibrate([(np.eye(3), LabelMatrix(np.eye(3), (3, 9, 4)))], 1.0)
     return dump_snapshot(clf, SnapshotMeta(dim=2, seed=42, activation="relu"))
 
 

@@ -12,6 +12,7 @@ from akws import (
     acc_metric,
     build_tasks,
     bwt_metric,
+    expand,
     gen_synth_split,
     oracle_check,
     read_grid_csv,
@@ -45,6 +46,12 @@ def synth_tasks(seed=0, n_classes=10, base=5, steps=5, per_step=1, separation=6.
     train, test = gen_synth_split(spec, 20)
     split = split_tasks(range(n_classes), base, steps, per_step, seed=seed)
     return build_tasks(train, test, split)
+
+
+def big_base_tasks():
+    """A 3-class base of 750 training rows, then two one-class steps of 250."""
+    train, test = gen_synth_split(SynthSpec(5, 250, 12, 6.0, 1.0, seed=2), 20)
+    return build_tasks(train, test, split_tasks(range(5), 3, 2, 1, seed=2))
 
 
 FAST = HarnessConfig(
@@ -251,6 +258,28 @@ class TestRunExperiment:
         tasks = synth_tasks()
         entry(tasks, FAST)
         assert calls == ["recalibrate"] + ["update"] * (len(tasks) - 1)
+
+    def test_first_fit_expands_one_block_of_rows_at_a_time(self, monkeypatch):
+        # a base of 3 x 250 training rows spans three blocks; every test set
+        # and later task has fewer rows than one block
+        import akws.harness
+
+        rows = []
+
+        def counted(x, *args, **kwargs):
+            rows.append(len(x))
+            return expand(x, *args, **kwargs)
+
+        monkeypatch.setattr(akws.harness, "expand", counted)
+        run_experiment(big_base_tasks(), FAST)
+        assert rows[:3] == [256, 256, 238]
+        assert max(rows) <= akws.harness._FIT_BLOCK
+
+    def test_oracle_prefix_zero_is_the_first_fit_itself(self):
+        # the oracle adds the base task in the blocks the first fit read
+        report = oracle_check(big_base_tasks(), FAST)
+        assert report.weight_deviation[0] == 0.0
+        assert report.max_deviation <= 1e-9
 
     def test_fault_injection_breaks_oracle(self, monkeypatch):
         tasks = synth_tasks()

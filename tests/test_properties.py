@@ -52,7 +52,7 @@ def make_stream(rng, n_tasks, e, pool=6):
 
 
 def run_chain(batches, gamma):
-    clf = recalibrate(batches[0][0], batches[0][1], gamma)
+    clf = recalibrate([batches[0]], gamma)
     for s, y in batches[1:]:
         clf = update(clf, s, y)
     return clf
@@ -118,7 +118,7 @@ def test_afam_tracks_direct_form(seed, n_tasks, e, gamma, degenerate):
 def test_afam_stays_symmetric_positive_definite(seed, n_tasks, e, gamma, degenerate):
     rng = np.random.default_rng(seed)
     batches = make_tasks(rng, n_tasks, e, degenerate=degenerate)
-    clf = recalibrate(batches[0][0], batches[0][1], gamma)
+    clf = recalibrate([batches[0]], gamma)
     for s, y in batches[1:]:
         clf = update(clf, s, y)
         a = clf.afam
@@ -154,11 +154,8 @@ def test_state_size_independent_of_sample_count(seed, scale):
     e = 12
     sizes = []
     for mult in (1, scale):
-        clf = recalibrate(
-            rng.standard_normal((8 * mult, e)),
-            LabelMatrix.from_labels([0] * (4 * mult) + [1] * (4 * mult), class_ids=[0, 1]),
-            0.1,
-        )
+        base = LabelMatrix.from_labels([0] * (4 * mult) + [1] * (4 * mult), class_ids=[0, 1])
+        clf = recalibrate([(rng.standard_normal((8 * mult, e)), base)], 0.1)
         clf = update(
             clf,
             rng.standard_normal((6 * mult, e)),
@@ -176,7 +173,7 @@ def test_update_asymmetry_before_correction_is_bounded(seed):
     rng = np.random.default_rng(seed)
     e = 16
     batches = make_tasks(rng, 4, e)
-    clf = recalibrate(batches[0][0], batches[0][1], 0.1)
+    clf = recalibrate([batches[0]], 0.1)
     for s, y in batches[1:]:
         a_prev = clf.afam
         n = s.shape[0]
@@ -239,7 +236,7 @@ def long_chain_backward_errors(kind, gamma, tasks):
             s, y = expand(rng.standard_normal((2, 8)), m), LabelMatrix(np.eye(2), (0, 1))
         else:
             s, y = expand(rng.standard_normal((1, 8)), m), LabelMatrix(np.ones((1, 1)), (t - 1,))
-        clf = recalibrate(s, y, gamma) if clf is None else update(clf, s, y)
+        clf = recalibrate([(s, y)], gamma) if clf is None else update(clf, s, y)
         gram += s.T @ s
         rhs[:, list(y.class_ids)] += s.T @ y.onehot
         if t in LONG_CHAIN_CHECKPOINTS:

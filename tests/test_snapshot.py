@@ -16,7 +16,7 @@ from akws.snapshot import (
 
 
 def tiny_classifier():
-    clf = recalibrate(np.eye(2), LabelMatrix(np.eye(2), (3, 9)), 1.0)
+    clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (3, 9)))], 1.0)
     return clf, SnapshotMeta(dim=2, seed=42, activation="relu")
 
 
@@ -38,7 +38,7 @@ def test_classifier_without_state_is_not_written(tmp_path):
     # a weights-only solve, and an update's consumed input, have no afam to store
     clf, meta = tiny_classifier()
     normal = NormalEquations(1.0)
-    normal.add(np.eye(2), LabelMatrix(np.eye(2), (3, 9)))
+    normal.add([(np.eye(2), LabelMatrix(np.eye(2), (3, 9)))])
     update(clf, np.array([[1.0, 2.0]]), LabelMatrix(np.array([[1.0]]), (11,)))
     for stateless in (normal.solve(inverse=False), clf):
         with pytest.raises(StateError, match="without its autocorrelation state"):
@@ -181,7 +181,7 @@ def test_non_finite_matrix_entry_rejected(block, entry, value):
 def test_saved_file_equals_dump(tmp_path):
     # E=40: the 12.8 kB state matrix is larger than the file's write buffer
     rng = np.random.default_rng(3)
-    clf = recalibrate(rng.standard_normal((50, 40)), LabelMatrix.from_labels([3, 9] * 25), 0.1)
+    clf = recalibrate([(rng.standard_normal((50, 40)), LabelMatrix.from_labels([3, 9] * 25))], 0.1)
     clf = update(clf, rng.standard_normal((5, 40)), LabelMatrix.from_labels([11, 12, 11, 12, 12]))
     meta = SnapshotMeta(dim=8, seed=7, activation="identity")
     path = tmp_path / "clf.bin"
