@@ -41,10 +41,10 @@ MAP_SEED = 9999
 
 def benchmark_tasks(seed: int):
     spec = SynthSpec(
-        n_classes=10,
-        samples_per_class=200,
-        raw_dim=16,
-        cluster_separation=4.0,
+        classes=10,
+        per_class=200,
+        dim=16,
+        separation=4.0,
         noise_sigma=1.0,
         seed=seed,
     )

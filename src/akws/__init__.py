@@ -23,6 +23,7 @@ from .data import (
     load_manifest,
     rectifier_scramble,
     save_features,
+    split_tasks,
     write_manifest,
 )
 from .expansion import ExpansionMap, build_expansion, expand
@@ -41,7 +42,6 @@ from .harness import (
     relative_frobenius,
     results_dict,
     run_experiment,
-    split_tasks,
     tasks_from_manifest,
     write_grid_csv,
 )
@@ -69,6 +69,7 @@ __all__ = [
     "load_manifest",
     "rectifier_scramble",
     "save_features",
+    "split_tasks",
     "write_manifest",
     "ExpansionMap",
     "build_expansion",
@@ -90,7 +91,6 @@ __all__ = [
     "relative_frobenius",
     "results_dict",
     "run_experiment",
-    "split_tasks",
     "tasks_from_manifest",
     "write_grid_csv",
     "SnapshotMeta",

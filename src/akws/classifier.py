@@ -119,12 +119,18 @@ class LabelMatrix:
 
     @classmethod
     def from_labels(cls, labels, class_ids=None) -> "LabelMatrix":
-        """Build one-hot targets from integer labels.
+        """Build one-hot targets from integer labels; a label with a fractional part raises ``DataError``.
 
         ``class_ids`` fixes the column order (and may declare classes with
         no samples); by default columns follow sorted unique labels.
         """
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "biu":  # a cast to int64 would truncate 1.5 to 1
+            real = labels.astype(np.float64)
+            whole = np.isfinite(real) & (real == np.trunc(real)) & (np.abs(real) < 2.0**63)
+            if not whole.all():
+                raise DataError(f"label {labels[~whole][0]} is not an integer")
+        labels = labels.astype(np.int64, copy=False)
         # not np.unique: the first use of its hash table adds about 1 MB to peak RSS
         ids = np.asarray(sorted(set(labels.tolist())) if class_ids is None else list(class_ids), dtype=np.int64)
         hits = labels[:, None] == ids  # the one-hot pattern, one lookup per column

@@ -11,7 +11,9 @@ Commands:
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 input. A config that breaks the schema (a negative seed, a zero data
 dimension, a split that does not cover the classes, an expansion no
-wider than the features it expands), a manifest or feature CSV that
+wider than the features it expands), a ``gen`` data flag out of range
+(its error names the config key, as ``separation`` for ``--separation``:
+``SynthSpec`` checks both), a manifest or feature CSV that
 does not parse, manifest contents a run cannot use (a class in two
 tasks, files of different widths, a label outside its task's classes, a
 train file without rows), an input file that is not UTF-8 text, an
@@ -28,10 +30,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .config import ManifestDataConfig, RunConfig, SplitConfig, SynthDataConfig, load_config, parse_config
-from .data import SynthSpec, gen_synth_split, save_features, write_manifest
-from .errors import AkwsError, ConfigError, DataError, InvalidSplitError, MetricUndefinedError, ParseError
+from .data import gen_synth_split, save_features, split_tasks, write_manifest
+from .errors import AkwsError, ConfigError, DataError, MetricUndefinedError, ParseError
 from .expansion import ACTIVATIONS
 from .harness import (
     acc_bwt,
@@ -40,7 +43,6 @@ from .harness import (
     read_grid_csv,
     results_dict,
     run_experiment,
-    split_tasks,
     tasks_from_manifest,
     write_grid_csv,
 )
@@ -92,14 +94,11 @@ def _resolve_config(args) -> RunConfig:
 
 def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
     """Draw synthetic train and test sets and slice them into the split's tasks."""
-    spec = SynthSpec(data.classes, data.per_class, data.dim, data.separation, data.noise_sigma, data.seed)
     need = 8 * data.classes * (data.per_class + data.test_per_class) * data.dim
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any draw
         raise ConfigError(f"its train and test features need {need} bytes, more than physical memory", field="data")
-    order = split_tasks(
-        range(data.classes), split.base_count, split.step_count, split.classes_per_step, split.seed
-    )
-    train, test = gen_synth_split(spec, data.test_per_class)
+    order = split_tasks(range(data.classes), **asdict(split))
+    train, test = gen_synth_split(data, data.test_per_class)
     return build_tasks(train, test, order)
 
 
@@ -124,9 +123,9 @@ def _cmd_gen(args) -> int:
     base = args.base if args.base is not None else args.classes // 2
     base_flag = f"--base {base}" + (" (the default, half of --classes)" if args.base is None else "")
     if not 1 <= base <= args.classes:
-        raise InvalidSplitError(f"{base_flag} must be between 1 and --classes {args.classes}")
+        raise ConfigError(f"{base_flag} must be between 1 and --classes {args.classes}")
     if args.per_step < 1 and args.steps != 0:
-        raise InvalidSplitError(f"--per-step {args.per_step} must be >= 1")
+        raise ConfigError(f"--per-step {args.per_step} must be >= 1")
     left = args.classes - base
     steps = left // args.per_step if args.steps is None else args.steps
     if steps < 0 or steps * args.per_step != left:
@@ -134,7 +133,7 @@ def _cmd_gen(args) -> int:
             rule = f"--per-step {args.per_step} must divide"
         else:
             rule = f"--steps {steps} x --per-step {args.per_step} must equal"
-        raise InvalidSplitError(f"{rule} the {left} classes --classes {args.classes} leaves after {base_flag}")
+        raise ConfigError(f"{rule} the {left} classes --classes {args.classes} leaves after {base_flag}")
     test_per_class = args.test_per_class
     if test_per_class is None:
         test_per_class = max(1, args.per_class // 5)
@@ -213,9 +212,9 @@ def main(argv=None) -> int:
         "metrics": _cmd_metrics,
     }
     validation = {
-        "gen": (ConfigError, DataError, InvalidSplitError),
-        "run": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
-        "oracle-check": (ConfigError, InvalidSplitError, ParseError, MetricUndefinedError),
+        "gen": (ConfigError, DataError),
+        "run": (ConfigError, ParseError, MetricUndefinedError),
+        "oracle-check": (ConfigError, ParseError, MetricUndefinedError),
         "metrics": (ConfigError, ParseError, MetricUndefinedError, OSError),
     }[args.command]
     try:

@@ -16,28 +16,31 @@ A config document has the shape
 Each section is read off its dataclass: a field gives its key's type and
 default, and a field without a default is required. Unknown keys and
 non-finite numbers (JSON's ``NaN``, ``Infinity``) are rejected, naming the
-field path. ``split`` applies to synth data only (a manifest is already
-split) and defaults to half the classes as base plus one class per step.
+field path; ``SynthSpec`` and ``check_split`` check synth data and the split,
+naming their field again under ``data.`` or ``split.``. ``split`` applies to
+synth data only (a manifest is already split) and defaults to half the
+classes as base plus one class per step.
 """
 
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .data import read_text
+from .data import SynthSpec, check_split, read_text
 from .errors import ConfigError
 from .expansion import ACTIVATIONS
 
 
 @dataclass(frozen=True)
-class SynthDataConfig:
-    classes: int = 10
-    per_class: int = 100
+class SynthDataConfig(SynthSpec):
+    """A ``SynthSpec`` and the test rows drawn per class."""
+
     test_per_class: int = 25
-    dim: int = 16
-    separation: float = 6.0
-    noise_sigma: float = 1.0
-    seed: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.test_per_class < 1:
+            raise ConfigError("must be >= 1", field="test_per_class")
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,8 @@ def _read(doc, cls, path: str, keys: dict | None = None, also=()) -> dict:
 
     ``keys`` maps JSON keys to field names (by default each field is its
     own key); keys in ``also`` are allowed and left to the caller. The
-    field annotations are the types checked, so this module must not
-    defer them (no ``from __future__ import annotations``).
+    field annotations are the types checked, so neither this module nor
+    ``data`` may defer them (no ``from __future__ import annotations``).
     """
     if not isinstance(doc, dict):
         raise ConfigError("expected an object", field=path)
@@ -144,43 +147,11 @@ def _parse_data(doc, path="data"):
         return ManifestDataConfig(**_read(doc, ManifestDataConfig, path, also=("kind",)))
     if kind != "synth":
         raise ConfigError(f"unknown data kind {kind!r}", field=f"{path}.kind")
-    cfg = SynthDataConfig(**_read(doc, SynthDataConfig, path, also=("kind",)))
-    if cfg.classes < 2:
-        raise ConfigError("need at least 2 classes", field=f"{path}.classes")
-    if cfg.per_class < 1:
-        raise ConfigError("must be >= 1", field=f"{path}.per_class")
-    if cfg.test_per_class < 1:
-        raise ConfigError("must be >= 1", field=f"{path}.test_per_class")
-    if cfg.dim < 1:
-        raise ConfigError("must be >= 1", field=f"{path}.dim")
-    if cfg.separation <= 0:
-        raise ConfigError("must be > 0", field=f"{path}.separation")
-    if cfg.noise_sigma < 0:
-        raise ConfigError("must be >= 0", field=f"{path}.noise_sigma")
-    if cfg.seed < 0:
-        raise ConfigError("must be >= 0", field=f"{path}.seed")
-    return cfg
-
-
-def _check_split(split: SplitConfig, data) -> None:
-    """Reject a split that cannot carve synth data's classes into a base and equal steps."""
-    if split.seed < 0:
-        raise ConfigError("must be >= 0", field="split.seed")
-    if isinstance(data, ManifestDataConfig):
-        raise ConfigError("not applicable to manifest data", field="split")
-    if split.base_count < 1:
-        raise ConfigError("must be >= 1", field="split.base_count")
-    if split.step_count < 0:
-        raise ConfigError("must be >= 0", field="split.step_count")
-    if split.step_count > 0 and split.classes_per_step < 1:
-        raise ConfigError("must be >= 1 when split.step_count > 0", field="split.classes_per_step")
-    covered = split.base_count + split.step_count * split.classes_per_step
-    if covered != data.classes:
-        raise ConfigError(
-            f"base_count {split.base_count} + step_count {split.step_count} x classes_per_step "
-            f"{split.classes_per_step} = {covered}, but data.classes is {data.classes}",
-            field="split",
-        )
+    values = _read(doc, SynthDataConfig, path, also=("kind",))
+    try:
+        return SynthDataConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, field=f"{path}.{exc.field}") from None
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -191,7 +162,12 @@ def parse_config(doc: dict) -> RunConfig:
     data = _parse_data(doc.get("data", {}))
     split = SplitConfig(**_read(doc["split"], SplitConfig, "split")) if "split" in doc else None
     if split is not None:
-        _check_split(split, data)
+        if isinstance(data, ManifestDataConfig):
+            raise ConfigError("not applicable to manifest data", field="split")
+        try:
+            check_split(data.classes, **asdict(split))
+        except ConfigError as exc:
+            raise ConfigError(exc.message, field="split" if exc.field is None else f"split.{exc.field}") from None
     if cfg["gamma"] <= 0:
         raise ConfigError("must be > 0", field="gamma")
     if cfg["expansion_size"] < 2:

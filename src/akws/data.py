@@ -1,4 +1,4 @@
-"""Datasets: seeded synthetic cluster generation and feature-file I/O.
+"""Datasets: seeded synthetic cluster generation, the task split, and feature-file I/O.
 
 Feature CSV format: header ``label,f0,f1,...,f{d-1}``; the label column
 is a non-negative integer global class id, features are decimal floats;
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 MANIFEST_MFCC_BLOCK = {"dim": 40, "hop": 160}
 
@@ -55,57 +55,57 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters for the Gaussian-cluster generator."""
+    """Parameters for the Gaussian-cluster generator; one out of range raises ``ConfigError`` naming it."""
 
-    n_classes: int
-    samples_per_class: int
-    raw_dim: int
-    cluster_separation: float
-    noise_sigma: float
-    seed: int
+    classes: int = 10
+    per_class: int = 100
+    dim: int = 16
+    separation: float = 6.0
+    noise_sigma: float = 1.0
+    seed: int = 1
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.n_classes}")
-        if self.samples_per_class < 1:
-            raise DataError("samples_per_class must be >= 1")
-        if self.raw_dim < 1:
-            raise DataError("raw_dim must be >= 1")
-        if self.cluster_separation <= 0:
-            raise DataError("cluster_separation must be > 0")
+        for name in ("separation", "noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"must be finite, got {value}", field=name)
+        if self.classes < 2:
+            raise ConfigError("need at least 2 classes", field="classes")
+        if self.per_class < 1:
+            raise ConfigError("must be >= 1", field="per_class")
+        if self.dim < 1:
+            raise ConfigError("must be >= 1", field="dim")
+        if self.separation <= 0:
+            raise ConfigError("must be > 0", field="separation")
         if self.noise_sigma < 0:
-            raise DataError("noise_sigma must be >= 0")
-        if not math.isfinite(self.cluster_separation):
-            raise DataError("cluster_separation must be finite")
-        if not math.isfinite(self.noise_sigma):
-            raise DataError("noise_sigma must be finite")
+            raise ConfigError("must be >= 0", field="noise_sigma")
         if self.seed < 0:
-            raise DataError("seed must be >= 0")
+            raise ConfigError("must be >= 0", field="seed")
 
 
 def _anchors(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     """Class means: separation-scaled basis vectors, re-rotated per cycle.
 
-    The first ``raw_dim`` classes sit on the coordinate axes; when there
+    The first ``dim`` classes sit on the coordinate axes; when there
     are more classes than dimensions each further cycle reuses the axes
     through a fresh random rotation so all anchors keep the same norm.
     """
-    d = spec.raw_dim
-    anchors = np.zeros((spec.n_classes, d))
+    d = spec.dim
+    anchors = np.zeros((spec.classes, d))
     rotation = np.eye(d)
-    for c in range(spec.n_classes):
+    for c in range(spec.classes):
         if c > 0 and c % d == 0:
             rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        anchors[c] = spec.cluster_separation * rotation[c % d]
+        anchors[c] = spec.separation * rotation[c % d]
     return anchors
 
 
 def _draw(spec: SynthSpec, anchors: np.ndarray, per_class: int, rng: np.random.Generator) -> LabeledDataset:
-    feats = np.empty((spec.n_classes * per_class, spec.raw_dim))
-    labels = np.empty(spec.n_classes * per_class, dtype=np.int64)
-    for c in range(spec.n_classes):
+    feats = np.empty((spec.classes * per_class, spec.dim))
+    labels = np.empty(spec.classes * per_class, dtype=np.int64)
+    for c in range(spec.classes):
         block = slice(c * per_class, (c + 1) * per_class)
-        feats[block] = anchors[c] + spec.noise_sigma * rng.standard_normal((per_class, spec.raw_dim))
+        feats[block] = anchors[c] + spec.noise_sigma * rng.standard_normal((per_class, spec.dim))
         labels[block] = c
     return LabeledDataset(feats, labels)
 
@@ -120,9 +120,43 @@ def gen_synth_split(spec: SynthSpec, test_per_class: int) -> tuple[LabeledDatase
         raise DataError("test_per_class must be >= 1")
     rng = np.random.default_rng(spec.seed)
     anchors = _anchors(spec, rng)
-    train = _draw(spec, anchors, spec.samples_per_class, rng)
+    train = _draw(spec, anchors, spec.per_class, rng)
     test = _draw(spec, anchors, test_per_class, rng)
     return train, test
+
+
+def check_split(n_classes: int, base_count: int, step_count: int, classes_per_step: int, seed: int) -> None:
+    """``split_tasks``' check, on a class count; its ``ConfigError`` names the argument at fault, if one is."""
+    if seed < 0:
+        raise ConfigError("must be >= 0", field="seed")
+    if base_count < 1:
+        raise ConfigError("must be >= 1", field="base_count")
+    if step_count < 0:
+        raise ConfigError("must be >= 0", field="step_count")
+    if step_count > 0 and classes_per_step < 1:
+        raise ConfigError("must be >= 1 when step_count > 0", field="classes_per_step")
+    covered = base_count + step_count * classes_per_step
+    if covered != n_classes:
+        raise ConfigError(
+            f"base_count {base_count} + step_count {step_count} x classes_per_step {classes_per_step} "
+            f"= {covered}, but there are {n_classes} classes"
+        )
+
+
+def split_tasks(all_classes, base_count: int, step_count: int, classes_per_step: int, seed: int) -> list[tuple]:
+    """Shuffle the class set by seed and carve it into base + equal steps.
+
+    Returns each task's classes, the base task first.
+    """
+    classes = sorted(int(c) for c in all_classes)
+    check_split(len(classes), base_count, step_count, classes_per_step, seed)
+    order = np.random.default_rng(seed).permutation(len(classes))
+    shuffled = [classes[i] for i in order]
+    steps = [
+        tuple(shuffled[base_count + k * classes_per_step : base_count + (k + 1) * classes_per_step])
+        for k in range(step_count)
+    ]
+    return [tuple(shuffled[:base_count]), *steps]
 
 
 def rectifier_scramble(ds: LabeledDataset, obs_dim: int, seed: int) -> LabeledDataset:

@@ -22,10 +22,6 @@ class DataError(AkwsError, ValueError):
     non-positive learning rate)."""
 
 
-class InvalidSplitError(AkwsError, ValueError):
-    """Task split arithmetic does not cover the class set exactly."""
-
-
 class MetricUndefinedError(AkwsError, ValueError):
     """Metric requested on an empty or too-short accuracy record."""
 
@@ -39,15 +35,18 @@ class ParseError(AkwsError, ValueError):
 
 
 class ConfigError(AkwsError, ValueError):
-    """Run configuration violates the schema; carries the field path."""
+    """Run configuration violates the schema; carries the field path. ``SynthSpec`` and
+    ``split_tasks`` raise it naming their own field or argument (``None``: no single one)."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message if field is None else f"{field}: {message}")
+        self.message = message
         self.field = field
 
 
 class SnapshotFormatError(AkwsError, ValueError):
-    """Classifier snapshot bytes are malformed or of unknown version."""
+    """Classifier snapshot bytes are malformed or of unknown version, or a
+    classifier holds a class id the format cannot store."""
 
 
 class StateError(AkwsError, ValueError):

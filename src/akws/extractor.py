@@ -75,6 +75,8 @@ def pretrain_extractor(
         raise DataError(f"learning rate must be > 0, got {lr}")
     if epochs < 1:
         raise DataError(f"epochs must be >= 1, got {epochs}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if d0.n < 1:
         raise DataError("pretraining set is empty")
     y = LabelMatrix.from_labels(d0.labels).onehot

@@ -34,7 +34,7 @@ from .classifier import (
 )
 from .config import HarnessConfig
 from .data import LabeledDataset, load_features, load_manifest, read_text
-from .errors import DataError, InvalidSplitError, MetricUndefinedError, ParseError
+from .errors import DataError, MetricUndefinedError, ParseError
 from .expansion import ExpansionMap, build_expansion, expand
 from .extractor import ExtractorModel, extract, pretrain_extractor
 
@@ -42,27 +42,6 @@ from .extractor import ExtractorModel, extract, pretrain_extractor
 # its expanded rows are never held whole: at E=4096 a block is 8 MB where
 # a 3200-row base batch is 105 MB.
 _FIT_BLOCK = 256
-
-
-def split_tasks(all_classes, base_count: int, step_count: int, classes_per_step: int, seed: int) -> list[tuple]:
-    """Shuffle the class set by seed and carve it into base + equal steps.
-
-    Returns each task's classes, the base task first.
-    """
-    classes = sorted(int(c) for c in all_classes)
-    if base_count < 1 or step_count < 0 or (step_count > 0 and classes_per_step < 1):
-        raise InvalidSplitError("base must be nonempty and steps positive-sized")
-    if base_count + step_count * classes_per_step != len(classes):
-        raise InvalidSplitError(
-            f"{base_count} + {step_count} x {classes_per_step} != {len(classes)} classes"
-        )
-    order = np.random.default_rng(seed).permutation(len(classes))
-    shuffled = [classes[i] for i in order]
-    steps = [
-        tuple(shuffled[base_count + k * classes_per_step : base_count + (k + 1) * classes_per_step])
-        for k in range(step_count)
-    ]
-    return [tuple(shuffled[:base_count]), *steps]
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,9 @@ def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
             "cannot snapshot a classifier without its autocorrelation state: it was consumed by an "
             "earlier update, or solved for its weights only"
         )
+    for cid in c.class_ids:
+        if not 0 <= cid < 2**32:
+            raise SnapshotFormatError(f"class id {cid} does not fit the snapshot's 32 unsigned bits")
     e, n_classes = c.weights.shape
     header = MAGIC + _HEADER.pack(
         FORMAT_VERSION,

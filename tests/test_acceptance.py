@@ -155,10 +155,10 @@ def test_criterion_05_constant_time_adaptation():
     start = time.perf_counter()
     n_classes = 52  # 2 base + 50 single-class tasks, equal 40-row batches
     spec = SynthSpec(
-        n_classes=n_classes,
-        samples_per_class=40,
-        raw_dim=12,
-        cluster_separation=4.0,
+        classes=n_classes,
+        per_class=40,
+        dim=12,
+        separation=4.0,
         noise_sigma=1.0,
         seed=5,
     )
@@ -234,8 +234,8 @@ def test_criterion_08_accuracy_non_decreasing_in_expansion_size():
     # capacity effect dominates.
     def one_run(e, seed):
         spec = SynthSpec(
-            n_classes=10, samples_per_class=200, raw_dim=16,
-            cluster_separation=4.0, noise_sigma=1.0, seed=seed,
+            classes=10, per_class=200, dim=16,
+            separation=4.0, noise_sigma=1.0, seed=seed,
         )
         train, test = gen_synth_split(spec, 40)
         train = rectifier_scramble(train, 10, seed=9999)

@@ -91,6 +91,20 @@ class TestLabelMatrix:
             LabelMatrix.from_labels(labels, class_ids=class_ids)
 
 
+    @pytest.mark.parametrize(
+        "labels, bad", [([1.5, 0.2], "1.5"), ([0.0, 2.5], "2.5"), ([1.0, np.nan], "nan"), ([np.inf], "inf")]
+    )
+    def test_non_integral_label_rejected(self, labels, bad):
+        # a cast to int64 would turn [1.5, 0.2] into classes (0, 1)
+        with pytest.raises(DataError, match=f"^label {bad} is not an integer$"):
+            LabelMatrix.from_labels(labels)
+
+    def test_integral_float_labels_accepted(self):
+        y = LabelMatrix.from_labels(np.array([3.0, 5.0, 3.0]))
+        assert y.class_ids == (3, 5)
+        assert np.array_equal(y.onehot, self.loop_onehot([3, 5, 3], [3, 5]))
+
+
 class TestRecalibrate:
     def test_identity_example(self):
         clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
@@ -559,10 +573,10 @@ class TestPredict:
     def test_separable_clusters_high_accuracy(self):
         for seed in range(5):
             spec = SynthSpec(
-                n_classes=4,
-                samples_per_class=50,
-                raw_dim=6,
-                cluster_separation=8.0,
+                classes=4,
+                per_class=50,
+                dim=6,
+                separation=8.0,
                 noise_sigma=1.0,
                 seed=seed,
             )

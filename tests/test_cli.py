@@ -48,15 +48,16 @@ class TestGen:
     def test_test_per_class_below_one_exits_2(self, tmp_path, capsys, count):
         out = tmp_path / "d"
         assert run_cli("gen", "--classes", 4, "--per-class", 10, "--test-per-class", count, "--out", out) == 2
-        assert capsys.readouterr().err == "error: test_per_class must be >= 1\n"
+        assert capsys.readouterr().err == "error: test_per_class: must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, error",
         [
-            (("--seed", -1), "seed must be >= 0"),
-            (("--separation", "nan"), "cluster_separation must be finite"),
-            (("--noise", "inf"), "noise_sigma must be finite"),
+            # a data flag fails as SynthSpec checks it, naming the config key
+            (("--seed", -1), "seed: must be >= 0"),
+            (("--separation", "nan"), "separation: must be finite, got nan"),
+            (("--noise", "inf"), "noise_sigma: must be finite, got inf"),
             # a split that cannot cover --classes names each flag at fault
             (("--per-step", 0), "--per-step 0 must be >= 1"),
             (("--base", 12), "--base 12 must be between 1 and --classes 4"),
@@ -419,7 +420,7 @@ class TestMalformedInputExits2:
             ({"data": {"dim": 0}}, "data.dim: must be >= 1"),
             (
                 {"split": {"base_count": 3, "step_count": 5, "classes_per_step": 1}},
-                "split: base_count 3 + step_count 5 x classes_per_step 1 = 8, but data.classes is 10",
+                "split: base_count 3 + step_count 5 x classes_per_step 1 = 8, but there are 10 classes",
             ),
             (
                 {"split": {"base_count": 0, "step_count": 6, "classes_per_step": 1, "seed": 0}},
@@ -431,7 +432,7 @@ class TestMalformedInputExits2:
             ),
             (
                 {"split": {"base_count": 5, "step_count": 5, "classes_per_step": 0}},
-                "split.classes_per_step: must be >= 1 when split.step_count > 0",
+                "split.classes_per_step: must be >= 1 when step_count > 0",
             ),
             ({"expansion": 32}, "expansion: must exceed the width of the features it expands (32)"),
             (

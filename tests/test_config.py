@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from akws import SynthSpec, split_tasks
 from akws.config import RunConfig, SplitConfig, SynthDataConfig, parse_config
 from akws.errors import ConfigError
 
@@ -117,3 +118,74 @@ def test_split_that_cannot_cover_the_classes_names_its_field(split, field):
     with pytest.raises(ConfigError) as exc:
         parse_config({"split": split})
     assert exc.value.field == field
+
+
+def _outcome(call):
+    """None if ``call()`` returns, else the ``ConfigError`` it raises."""
+    try:
+        call()
+    except ConfigError as exc:
+        return exc
+    return None
+
+
+COUNTS = st.integers(-2, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    classes=st.integers(0, 12),
+    base_count=COUNTS,
+    step_count=COUNTS,
+    classes_per_step=st.integers(-2, 5),
+    seed=st.integers(-3, 2**32),
+)
+def test_split_rule_is_split_tasks_in_both_places(classes, base_count, step_count, classes_per_step, seed):
+    split = {"base_count": base_count, "step_count": step_count, "classes_per_step": classes_per_step, "seed": seed}
+    try:
+        tasks = split_tasks(range(classes), **split)
+        expected = None
+    except ConfigError as exc:
+        assert exc.field in (None, *split)
+        expected = exc
+    else:
+        # a partition: every class once, the base first, then equal steps
+        assert sorted(c for task in tasks for c in task) == list(range(classes))
+        assert len(tasks[0]) == base_count
+        assert [len(task) for task in tasks[1:]] == [classes_per_step] * step_count
+    if classes < 2:
+        return  # the config fails on data.classes first
+    got = _outcome(lambda: parse_config({"data": {"classes": classes}, "split": split}))
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.field == ("split" if expected.field is None else f"split.{expected.field}")
+        assert got.message == expected.message
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, -1.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    classes=st.integers(-1, 4),
+    per_class=st.integers(-1, 3),
+    dim=st.integers(-1, 3),
+    separation=FLOATS,
+    noise_sigma=FLOATS,
+    seed=st.integers(-2, 3),
+    test_per_class=st.integers(-1, 3),
+)
+def test_synth_rule_is_synth_spec_in_both_places(test_per_class, **spec):
+    expected = _outcome(lambda: SynthSpec(**spec))
+    if expected is None and test_per_class < 1:
+        expected = ConfigError("must be >= 1", field="test_per_class")
+    assert expected is None or expected.field in (*spec, "test_per_class")
+    got = _outcome(lambda: parse_config({"data": {**spec, "test_per_class": test_per_class}}))
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.field == f"data.{expected.field}"
+        assert got.message == expected.message

@@ -11,7 +11,7 @@ from akws import (
     save_features,
     write_manifest,
 )
-from akws.errors import DataError, ParseError
+from akws.errors import ConfigError, DataError, ParseError
 
 from oracles import nearest_centroid_fit, nearest_centroid_predict
 
@@ -56,16 +56,18 @@ class TestGenSynth:
 
     def test_spec_validation(self):
         cases = [
-            ((1, 10, 4, 5.0, 0.5, 0), "need at least 2 classes"),
-            ((3, 10, 4, 0.0, 0.5, 0), "cluster_separation must be > 0"),
-            ((3, 10, 4, 5.0, -0.1, 0), "noise_sigma must be >= 0"),
-            ((3, 10, 4, float("nan"), 0.5, 0), "cluster_separation must be finite"),
-            ((3, 10, 4, 5.0, float("inf"), 0), "noise_sigma must be finite"),
-            ((3, 10, 4, 5.0, 0.5, -1), "seed must be >= 0"),
+            ((1, 10, 4, 5.0, 0.5, 0), "classes: need at least 2 classes"),
+            ((3, 10, 4, 0.0, 0.5, 0), "separation: must be > 0"),
+            ((3, 10, 4, 5.0, -0.1, 0), "noise_sigma: must be >= 0"),
+            ((3, 10, 4, float("nan"), 0.5, 0), "separation: must be finite, got nan"),
+            ((3, 10, 4, 5.0, float("inf"), 0), "noise_sigma: must be finite, got inf"),
+            ((3, 10, 4, 5.0, 0.5, -1), "seed: must be >= 0"),
         ]
         for args, message in cases:
-            with pytest.raises(DataError, match=message):
+            with pytest.raises(ConfigError) as exc:
                 SynthSpec(*args)
+            assert str(exc.value) == message
+            assert exc.value.field == message.split(":")[0]
 
     def test_split_needs_test_rows(self):
         with pytest.raises(DataError, match="test_per_class must be >= 1"):

@@ -45,6 +45,12 @@ def test_epoch_count_validated():
         pretrain_extractor(train, hidden=8, epochs=0, lr=0.1, seed=0)
 
 
+def test_negative_seed_rejected():
+    train, _ = separable_data()
+    with pytest.raises(DataError, match="^seed must be >= 0, got -1$"):
+        pretrain_extractor(train, hidden=8, epochs=1, lr=0.1, seed=-1)
+
+
 def test_hidden_width_validated():
     train, _ = separable_data()
     with pytest.raises(ShapeError, match="hidden width must be >= 1"):

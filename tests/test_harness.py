@@ -22,8 +22,8 @@ from akws import (
     write_grid_csv,
 )
 from akws.errors import (
+    ConfigError,
     DataError,
-    InvalidSplitError,
     MetricUndefinedError,
     ParseError,
 )
@@ -83,8 +83,14 @@ class TestSplitTasks:
         assert all(len(s) == 1 for s in steps)
 
     def test_arithmetic_mismatch_rejected(self):
-        with pytest.raises(InvalidSplitError):
+        with pytest.raises(ConfigError, match="= 9, but there are 10 classes") as exc:
             split_tasks(range(10), 5, 2, 2, seed=0)
+        assert exc.value.field is None
+
+    def test_negative_seed_names_it(self):
+        with pytest.raises(ConfigError, match="^seed: must be >= 0$") as exc:
+            split_tasks(range(10), 5, 5, 1, seed=-1)
+        assert exc.value.field == "seed"
 
     def test_seed_changes_assignment(self):
         a = split_tasks(range(12), 6, 3, 2, seed=1)

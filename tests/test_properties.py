@@ -201,7 +201,7 @@ def test_many_small_tasks_track_joint_solution(gamma):
     # 1/gamma in every direction no batch has reached yet
     devs = []
     for seed in range(4):
-        ds, _ = gen_synth_split(SynthSpec(101, 8, 16, cluster_separation=6.0, noise_sigma=1.0, seed=seed), 1)
+        ds, _ = gen_synth_split(SynthSpec(101, 8, 16, separation=6.0, noise_sigma=1.0, seed=seed), 1)
         s = expand(ds.features, build_expansion(16, 128, seed, "relu"))
         batches = [
             (s[ds.labels == c], LabelMatrix.from_labels(ds.labels[ds.labels == c], class_ids=[c]))

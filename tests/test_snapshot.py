@@ -49,6 +49,18 @@ def test_classifier_without_state_is_not_written(tmp_path):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("cid", [-1, 2**32])
+def test_class_id_outside_u32_is_not_written(tmp_path, cid):
+    from akws.classifier import AnalyticClassifier
+
+    clf = AnalyticClassifier(weights=np.eye(2), afam=np.eye(2), gamma=1.0, class_ids=(3, cid), tasks_seen=1)
+    meta = SnapshotMeta(dim=2, seed=42, activation="relu")
+    path = tmp_path / "clf.bin"
+    with pytest.raises(SnapshotFormatError, match=f"^class id {cid} does not fit the snapshot's 32 unsigned bits$"):
+        save_snapshot(path, clf, meta)
+    assert not path.exists()
+
+
 def test_exact_byte_layout():
     from akws.classifier import AnalyticClassifier
 
