@@ -89,6 +89,17 @@ from . import lapack
 from .errors import DataError, ShapeError, StateError
 
 
+def _whole(values, what: str) -> np.ndarray:
+    """``values`` as int64; one with a fractional part raises ``DataError`` naming it as ``what``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":  # a cast to int64 would truncate 1.5 to 1
+        real = values.astype(np.float64)
+        whole = np.isfinite(real) & (real == np.trunc(real)) & (np.abs(real) < 2.0**63)
+        if not whole.all():
+            raise DataError(f"{what} {values[~whole][0]} is not an integer")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class LabelMatrix:
     """One-hot targets for a batch plus the global ids its columns mean.
@@ -108,31 +119,30 @@ class LabelMatrix:
             raise ShapeError(
                 f"{y.shape[1]} label columns but {len(self.class_ids)} class ids"
             )
-        if len(set(self.class_ids)) != len(self.class_ids):
+        class_ids = tuple(_whole(self.class_ids, "class id").tolist())
+        if len(set(class_ids)) != len(class_ids):
             raise DataError("duplicate class ids within one batch")
         if y.size and not np.all((y == 0.0) | (y == 1.0)):
             raise DataError("label entries must be 0 or 1")
         if y.shape[0] and not np.all(y.sum(axis=1) == 1.0):
             raise DataError("each label row must contain exactly one 1")
         object.__setattr__(self, "onehot", y)
-        object.__setattr__(self, "class_ids", tuple(int(c) for c in self.class_ids))
+        object.__setattr__(self, "class_ids", class_ids)
 
     @classmethod
     def from_labels(cls, labels, class_ids=None) -> "LabelMatrix":
-        """Build one-hot targets from integer labels; a label with a fractional part raises ``DataError``.
+        """Build one-hot targets from integer labels; a label or class id with a fractional part raises ``DataError``.
 
         ``class_ids`` fixes the column order (and may declare classes with
         no samples); by default columns follow sorted unique labels.
         """
-        labels = np.asarray(labels)
-        if labels.dtype.kind not in "biu":  # a cast to int64 would truncate 1.5 to 1
-            real = labels.astype(np.float64)
-            whole = np.isfinite(real) & (real == np.trunc(real)) & (np.abs(real) < 2.0**63)
-            if not whole.all():
-                raise DataError(f"label {labels[~whole][0]} is not an integer")
-        labels = labels.astype(np.int64, copy=False)
+        labels = _whole(labels, "label")
         # not np.unique: the first use of its hash table adds about 1 MB to peak RSS
-        ids = np.asarray(sorted(set(labels.tolist())) if class_ids is None else list(class_ids), dtype=np.int64)
+        ids = (
+            np.asarray(sorted(set(labels.tolist())), dtype=np.int64)
+            if class_ids is None
+            else _whole(list(class_ids), "class id")
+        )
         hits = labels[:, None] == ids  # the one-hot pattern, one lookup per column
         missing = ~hits.any(axis=1)
         if missing.any():
@@ -339,7 +349,9 @@ class NormalEquations:
             s = np.require(_check_batch(s_expanded, y), np.float64, "CW")
             e = s.shape[1]
             if self.rhs is None:
-                # zero pages are mapped on first write: those holding only the spare triangle stay unmapped
+                # numpy advises huge pages for arrays of 4 MiB or more (E >= 725); where the kernel
+                # takes the advice, writing the diagonal maps all of G, spare triangle too
+                # (+130 MB of RSS at E=4096 with transparent huge pages in madvise mode)
                 self.gram = np.zeros((e, e))
                 self.gram.flat[:: e + 1] = self.gamma
                 self.rhs = np.zeros((e, 0))

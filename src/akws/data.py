@@ -2,7 +2,10 @@
 
 Feature CSV format: header ``label,f0,f1,...,f{d-1}``; the label column
 is a non-negative integer global class id, features are decimal floats;
-UTF-8 with LF line endings.
+UTF-8 with LF line endings. ``load_features`` parses a file with numpy's
+C reader when every line passes the per-line rule's cheap checks, and
+with the per-line parser otherwise; that parser alone raises, so every
+``ParseError`` names the same line either way.
 
 Task manifest JSON: ``{"mfcc": {"dim": 40, "hop": 160}, "tasks": [{"id",
 "classes", "train", "test"}, ...]}``; the mfcc block records upstream
@@ -192,9 +195,9 @@ def read_text(path, what: str, error=ParseError) -> str:
         raise error(f"{what}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_features(path) -> LabeledDataset:
-    where = f"feature file {path}"
-    lines = read_text(path, where).split("\n")
+def _feature_lines(where: str, text: str) -> tuple[list[str], int]:
+    """A feature CSV's data lines and its feature count; a bad header raises ``ParseError``."""
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -202,10 +205,14 @@ def load_features(path) -> LabeledDataset:
     header = lines[0].split(",")
     if header[0] != "label" or len(header) < 2:
         raise ParseError(f"{where}: expected header 'label,f0,...'", line=1)
-    dim = len(header) - 1
-    feats = np.empty((len(lines) - 1, dim))
-    labels = np.empty(len(lines) - 1, dtype=np.int64)
-    for idx, line in enumerate(lines[1:], start=2):
+    return lines[1:], len(header) - 1
+
+
+def _parse_lines(where: str, lines: list[str], dim: int) -> LabeledDataset:
+    """The per-line parser: every refusal raises ``ParseError`` with the line it is on."""
+    feats = np.empty((len(lines), dim))
+    labels = np.empty(len(lines), dtype=np.int64)
+    for idx, line in enumerate(lines, start=2):
         cells = line.split(",")
         if len(cells) != dim + 1:
             raise ParseError(f"{where}: expected {dim + 1} columns, got {len(cells)}", line=idx)
@@ -225,6 +232,47 @@ def load_features(path) -> LabeledDataset:
     if bad.any():
         raise ParseError(f"{where}: non-finite feature value", line=int(np.argmax(bad)) + 2)
     return LabeledDataset(feats, labels)
+
+
+# The C reader strips these ASCII separators as whitespace; float() refuses them.
+_C_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_c(text: str, lines: list[str], dim: int) -> LabeledDataset | None:
+    """``_parse_lines``' dataset through numpy's C reader, or None where that parser might differ or raise.
+
+    ``lines`` are the data lines of ``text``. Each must have ``dim``
+    commas and a label that ``int()`` takes, as the per-line rule asks.
+    The C reader parses the ASCII float grammar of ``float()`` and refuses
+    what else ``float()`` takes (underscores, non-ASCII digits), so such
+    a file, like any that fails a check here, goes to the per-line parser.
+    """
+    if not lines or any(c in text for c in _C_READER_ONLY_SPACE):
+        return None
+    try:
+        for line in lines:
+            if line.count(",") != dim:
+                return None
+            int(line[: line.index(",")])
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    labels = table[:, 0]
+    if table.shape != (len(lines), dim + 1) or not ((labels >= 0) & (labels < 2**32)).all():
+        return None
+    feats = np.ascontiguousarray(table[:, 1:])
+    if not np.isfinite(feats).all():
+        return None
+    return LabeledDataset(feats, labels.astype(np.int64))
+
+
+def load_features(path) -> LabeledDataset:
+    """Read a feature CSV: numpy's C reader when it agrees with the per-line parser, that parser otherwise."""
+    where = f"feature file {path}"
+    text = read_text(path, where)
+    lines, dim = _feature_lines(where, text)
+    ds = _parse_c(text, lines, dim)
+    return ds if ds is not None else _parse_lines(where, lines, dim)
 
 
 def write_manifest(path, tasks: list[dict]) -> None:

@@ -5,8 +5,16 @@ by plain mini-batch SGD (batch 32, reshuffled each epoch from the seed).
 Only the hidden layer survives: after pretraining the model is frozen and
 ``extract`` returns hidden activations, which downstream stages treat as
 the fixed feature space.
+
+``loss_and_grads`` is the one gradient definition. The training loop
+gathers each epoch's shuffled rows once and takes batches as row slices,
+and the four parameter arrays and their gradients are views of one flat
+buffer each, so an SGD step is two numpy calls. The weights and loss
+history are bit-identical to a loop that makes one fresh array per
+operation (``tests/oracles.py``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,32 +43,50 @@ class ExtractorModel:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place over ``z``."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
-def loss_and_grads(params, x: np.ndarray, y_onehot: np.ndarray):
+def loss_and_grads(params, x: np.ndarray, cols: np.ndarray, out=None):
     """Cross-entropy loss and its analytic gradients for one batch.
 
-    ``params`` is the tuple (w1, b1, w2, b2); returns (loss, grads) with
-    grads in the same structure. Exposed so the gradients can be checked
-    against finite differences.
+    ``params`` is the tuple (w1, b1, w2, b2) and ``cols`` the label column
+    of each row of ``x``; returns (loss, grads) with grads in the same
+    structure as ``params``, written into ``out`` when it is given. Exposed
+    so the gradients can be checked against finite differences.
     """
     w1, b1, w2, b2 = params
+    gw1, gb1, gw2, gb2 = (np.empty_like(p) for p in params) if out is None else out
     n = x.shape[0]
-    z1 = x @ w1 + b1
+    rows = np.arange(n)
+    z1 = x @ w1
+    z1 += b1
     a1 = np.maximum(z1, 0.0)
-    probs = _softmax(a1 @ w2 + b2)
-    eps = np.finfo(np.float64).tiny
-    loss = -np.mean(np.log(np.sum(probs * y_onehot, axis=1) + eps))
-    dz2 = (probs - y_onehot) / n
-    gw2 = a1.T @ dz2
-    gb2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ w2.T) * (z1 > 0.0)
-    gw1 = x.T @ dz1
-    gb1 = dz1.sum(axis=0)
+    z2 = a1 @ w2
+    z2 += b2
+    probs = _softmax(z2)
+    picked = probs[rows, cols]  # each row's probability of its own label
+    picked += np.finfo(np.float64).tiny
+    loss = -np.mean(np.log(picked, out=picked))
+    # probs becomes dz2 = (probs - onehot) / n
+    probs[rows, cols] -= 1.0
+    probs /= n
+    np.matmul(a1.T, probs, out=gw2)
+    probs.sum(axis=0, out=gb2)
+    dz1 = probs @ w2.T
+    dz1 *= z1 > 0.0
+    np.matmul(x.T, dz1, out=gw1)
+    dz1.sum(axis=0, out=gb1)
     return loss, (gw1, gb1, gw2, gb2)
+
+
+def _views(flat: np.ndarray, shapes) -> tuple:
+    """Consecutive C-ordered views of ``flat``, one per shape."""
+    bounds = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return tuple(part.reshape(s) for part, s in zip(np.split(flat, bounds), shapes))
 
 
 def pretrain_extractor(
@@ -79,39 +105,41 @@ def pretrain_extractor(
         raise DataError(f"seed must be >= 0, got {seed}")
     if d0.n < 1:
         raise DataError("pretraining set is empty")
-    y = LabelMatrix.from_labels(d0.labels).onehot
-    n_classes = y.shape[1]
+    onehot = LabelMatrix.from_labels(d0.labels).onehot
+    n_classes = onehot.shape[1]
     if n_classes < 2:
         raise DataError(f"pretraining needs >= 2 classes, got {n_classes}")
     if hidden < 1:
         raise ShapeError(f"hidden width must be >= 1, got {hidden}")
 
     x = d0.features
+    cols = onehot.argmax(axis=1)
 
     rng = np.random.default_rng(seed)
     d_in = d0.dim
-    w1 = rng.standard_normal((d_in, hidden)) * np.sqrt(2.0 / d_in)
-    b1 = np.zeros(hidden)
-    w2 = rng.standard_normal((hidden, n_classes)) * np.sqrt(1.0 / hidden)
-    b2 = np.zeros(n_classes)
+    shapes = ((d_in, hidden), (hidden,), (hidden, n_classes), (n_classes,))
+    flat = np.zeros(sum(math.prod(s) for s in shapes))
+    params = _views(flat, shapes)
+    params[0][...] = rng.standard_normal((d_in, hidden)) * np.sqrt(2.0 / d_in)
+    params[2][...] = rng.standard_normal((hidden, n_classes)) * np.sqrt(1.0 / hidden)
+    grad_flat = np.empty_like(flat)
+    grads = _views(grad_flat, shapes)
 
     history = []
     for _ in range(epochs):
         order = rng.permutation(d0.n)
+        x_epoch, cols_epoch = x[order], cols[order]
         epoch_loss = 0.0
         for start in range(0, d0.n, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            loss, (gw1, gb1, gw2, gb2) = loss_and_grads((w1, b1, w2, b2), x[idx], y[idx])
-            epoch_loss += loss * len(idx)
-            w1 = w1 - lr * gw1
-            b1 = b1 - lr * gb1
-            w2 = w2 - lr * gw2
-            b2 = b2 - lr * gb2
+            batch = slice(start, start + BATCH_SIZE)
+            loss, _ = loss_and_grads(params, x_epoch[batch], cols_epoch[batch], grads)
+            epoch_loss += loss * min(BATCH_SIZE, d0.n - start)
+            grad_flat *= lr
+            flat -= grad_flat
         history.append(epoch_loss / d0.n)
-    model = ExtractorModel(w1=w1, b1=b1, w2=w2, b2=b2)
-    for arr in (model.w1, model.b1, model.w2, model.b2):
+    for arr in params:
         arr.flags.writeable = False
-    return model, history
+    return ExtractorModel(*params), history
 
 
 def extract(m: ExtractorModel, x: np.ndarray) -> np.ndarray:

@@ -51,9 +51,13 @@ def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
             "cannot snapshot a classifier without its autocorrelation state: it was consumed by an "
             "earlier update, or solved for its weights only"
         )
-    for cid in c.class_ids:
-        if not 0 <= cid < 2**32:
-            raise SnapshotFormatError(f"class id {cid} does not fit the snapshot's 32 unsigned bits")
+    for name, value in [("dim", meta.dim), ("tasks_seen", c.tasks_seen), *(("class id", cid) for cid in c.class_ids)]:
+        if not 0 <= value < 2**32:
+            raise SnapshotFormatError(f"{name} {value} does not fit the snapshot's 32 unsigned bits")
+    if meta.activation not in _ACTIVATION_CODE:
+        raise SnapshotFormatError(
+            f"activation {meta.activation!r} has no snapshot code; expected one of {sorted(_ACTIVATION_CODE)}"
+        )
     e, n_classes = c.weights.shape
     header = MAGIC + _HEADER.pack(
         FORMAT_VERSION,
@@ -123,7 +127,8 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
 def save_snapshot(path, c: AnalyticClassifier, meta: SnapshotMeta) -> None:
     """Write the snapshot to ``path`` without building it in memory first.
 
-    A classifier that cannot be stored raises before ``path`` is opened.
+    A classifier or header field that cannot be stored raises before
+    ``path`` is opened.
     """
     parts = _snapshot_parts(c, meta)
     with open(path, "wb") as fh:

@@ -5,6 +5,8 @@ numpy's solvers where the point is to check a solve), so that agreement
 between the package and an oracle is meaningful evidence. ``time_trend``
 is the slope test the timing gates use, and ``inject_faulty_updates``
 breaks the recursion for tests that the oracle check catches it.
+``pretrain_per_step`` is the extractor's SGD written one array per
+operation, the reference the library's loop must match bit for bit.
 """
 
 from dataclasses import replace
@@ -110,3 +112,46 @@ def inject_faulty_updates(monkeypatch, scale: float = 1e-3) -> None:
         return replace(out, weights=out.weights + noise)
 
     monkeypatch.setattr(akws.harness, "update", faulty)
+
+
+def pretrain_per_step(x: np.ndarray, labels: np.ndarray, hidden: int, epochs: int, lr: float, seed: int):
+    """The extractor's pretraining, one fresh array per operation: (w1, b1, w2, b2) and the loss history.
+
+    Same draws, batches and IEEE operations as ``akws.pretrain_extractor``,
+    with the targets as a one-hot matrix and each batch gathered by index.
+    """
+    classes = np.unique(labels)
+    y = (labels[:, None] == classes).astype(np.float64)
+    n, d_in = x.shape
+    rng = np.random.default_rng(seed)
+    w1 = rng.standard_normal((d_in, hidden)) * np.sqrt(2.0 / d_in)
+    b1 = np.zeros(hidden)
+    w2 = rng.standard_normal((hidden, classes.size)) * np.sqrt(1.0 / hidden)
+    b2 = np.zeros(classes.size)
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, 32):
+            idx = order[start : start + 32]
+            xb, yb = x[idx], y[idx]
+            z1 = xb @ w1 + b1
+            a1 = np.maximum(z1, 0.0)
+            z2 = a1 @ w2 + b2
+            z2 = z2 - z2.max(axis=1, keepdims=True)
+            ez = np.exp(z2)
+            probs = ez / ez.sum(axis=1, keepdims=True)
+            loss = -np.mean(np.log(np.sum(probs * yb, axis=1) + np.finfo(np.float64).tiny))
+            dz2 = (probs - yb) / len(idx)
+            gw2 = a1.T @ dz2
+            gb2 = dz2.sum(axis=0)
+            dz1 = (dz2 @ w2.T) * (z1 > 0.0)
+            gw1 = xb.T @ dz1
+            gb1 = dz1.sum(axis=0)
+            epoch_loss += loss * len(idx)
+            w1 = w1 - lr * gw1
+            b1 = b1 - lr * gb1
+            w2 = w2 - lr * gw2
+            b2 = b2 - lr * gb2
+        history.append(epoch_loss / n)
+    return (w1, b1, w2, b2), history

@@ -99,6 +99,24 @@ class TestLabelMatrix:
         with pytest.raises(DataError, match=f"^label {bad} is not an integer$"):
             LabelMatrix.from_labels(labels)
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: LabelMatrix.from_labels([1, 1], class_ids=[1.5]), "1.5"),
+            (lambda: LabelMatrix.from_labels([0, 2], class_ids=[0.0, 2.0, np.nan]), "nan"),
+            (lambda: LabelMatrix(np.ones((1, 1)), (2.7,)), "2.7"),
+            (lambda: LabelMatrix(np.eye(2), (3, np.inf)), "inf"),
+        ],
+    )
+    def test_non_integral_class_id_rejected(self, build, bad):
+        # int64 and int() casts would turn 1.5 into class 1 and 2.7 into class 2
+        with pytest.raises(DataError, match=f"^class id {bad} is not an integer$"):
+            build()
+
+    def test_integral_float_class_ids_become_ints(self):
+        y = LabelMatrix(np.eye(2), (3.0, np.int32(9)))
+        assert y.class_ids == (3, 9) and all(type(c) is int for c in y.class_ids)
+
     def test_integral_float_labels_accepted(self):
         y = LabelMatrix.from_labels(np.array([3.0, 5.0, 3.0]))
         assert y.class_ids == (3, 5)

@@ -5,6 +5,7 @@ from akws import SynthSpec, extract, gen_synth_split, pretrain_extractor
 from akws.data import LabeledDataset
 from akws.errors import DataError, ShapeError
 from akws.extractor import ExtractorModel, _softmax, loss_and_grads
+from oracles import pretrain_per_step
 
 
 def model_predict(model, x):
@@ -25,6 +26,26 @@ def test_pretrain_reaches_high_holdout_accuracy():
     assert np.mean(pred == test.labels) >= 0.95
     assert history[-1] <= history[0]
     assert history[-1] < np.log(3)  # beats the uniform predictor
+
+
+@pytest.mark.parametrize(
+    "classes, per_class, dim, hidden, epochs",
+    [
+        (3, 25, 8, 16, 3),  # 75 rows: the last batch of each epoch holds 11
+        (2, 40, 4, 6, 4),  # two classes, 80 rows
+        (4, 9, 3, 1, 5),  # hidden width 1
+        (22, 200, 40, 32, 2),  # the features workload's base task
+        (16, 200, 16, 64, 2),  # the bigbase workload's base task
+    ],
+)
+def test_pretraining_matches_per_step_reference_bit_for_bit(classes, per_class, dim, hidden, epochs):
+    train, _ = gen_synth_split(SynthSpec(classes, per_class, dim, 6.0, 1.0, seed=classes), 1)
+    train = LabeledDataset(train.features, 7 * train.labels + 3)  # class ids that are not column numbers
+    model, history = pretrain_extractor(train, hidden=hidden, epochs=epochs, lr=0.05, seed=dim)
+    reference, reference_history = pretrain_per_step(train.features, train.labels, hidden, epochs, 0.05, dim)
+    for got, want in zip((model.w1, model.b1, model.w2, model.b2), reference):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.array(history).tobytes() == np.array(reference_history).tobytes()
 
 
 def test_zero_learning_rate_rejected():
@@ -60,8 +81,7 @@ def test_hidden_width_validated():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 4))
-    y = np.zeros((5, 3))
-    y[np.arange(5), rng.integers(0, 3, 5)] = 1.0
+    cols = rng.integers(0, 3, 5)  # each row's label column
     w1 = rng.standard_normal((4, 6)) * 0.5
     b1 = rng.standard_normal(6) * 0.5
     w2 = rng.standard_normal((6, 3)) * 0.5
@@ -70,16 +90,16 @@ def test_gradients_match_finite_differences():
     # keep pre-activations clear of the rectifier kink
     assert np.min(np.abs(x @ w1 + b1)) > 1e-3
 
-    _, grads = loss_and_grads(params, x, y)
+    _, grads = loss_and_grads(params, x, cols)
     h = 1e-5
     for p_idx, p in enumerate(params):
         flat = p.ravel()
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = loss_and_grads(params, x, y)[0]
+            up = loss_and_grads(params, x, cols)[0]
             flat[j] = orig - h
-            down = loss_and_grads(params, x, y)[0]
+            down = loss_and_grads(params, x, cols)[0]
             flat[j] = orig
             fd = (up - down) / (2 * h)
             an = grads[p_idx].ravel()[j]

@@ -1,7 +1,9 @@
 """Fuzz tests of the input readers: every input loads or raises an AkwsError.
 
 Each reader gets raw bytes and near-valid text built from the tokens its
-format uses, plus values just outside what it accepts.
+format uses, plus values just outside what it accepts. ``load_features``
+is also checked against its own per-line parser: the two must give the
+same bytes or the same error.
 """
 
 import json
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akws import LabelMatrix, dump_snapshot, load_features, load_manifest, load_snapshot, read_grid_csv, recalibrate
-from akws.errors import AkwsError, SnapshotFormatError
+from akws.data import _feature_lines, _parse_c, _parse_lines, read_text
+from akws.errors import AkwsError, ParseError, SnapshotFormatError
 from akws.snapshot import SnapshotMeta
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -58,32 +61,109 @@ COUNTS = st.sampled_from([0, 1, 2, 5, -1, 2**32 - 1, 2**32, 2**63, 10**30])
 
 
 @st.composite
-def near_valid_csv(draw, valid_rows):
+def near_valid_csv(draw, valid_rows, cells=ODD_CELLS):
     """Well-formed rows with a few cells replaced, a cell added or removed, under one line ending."""
     rows = draw(valid_rows)
     for _ in range(draw(st.integers(0, 2))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+        row[draw(st.integers(0, len(row) - 1))] = draw(cells)
     row = rows[draw(st.integers(0, len(rows) - 1))]
     edit = draw(st.sampled_from(["none", "none", "add", "drop"]))
     if edit == "add":
-        row.append(draw(ODD_CELLS))
+        row.append(draw(cells))
     elif edit == "drop" and len(row) > 1:
         row.pop()
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(",".join(r) for r in rows)
 
 
 @st.composite
-def feature_rows(draw):
+def feature_rows(draw, labels=COUNTS):
     d, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     rows = [["label", *(f"f{i}" for i in range(d))]]
-    return rows + [[str(draw(COUNTS)), *(repr(draw(st.floats(-9, 9))) for _ in range(d))] for _ in range(n)]
+    return rows + [[str(draw(labels)), *(repr(draw(st.floats(-9, 9))) for _ in range(d))] for _ in range(n)]
 
 
 @FUZZ
 @given(data=near_valid_csv(feature_rows()))
 def test_load_features_loads_or_raises_typed_error(scratch, data):
     check_file(load_features, scratch, data)
+
+
+def per_line_features(path):
+    """``load_features`` through its per-line parser alone."""
+    where = f"feature file {path}"
+    return _parse_lines(where, *_feature_lines(where, read_text(path, where)))
+
+
+def outcome(parse, path):
+    """Arrays and labels as bytes, or the ParseError's message and line."""
+    try:
+        ds = parse(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+def assert_parsers_agree(path, data):
+    path.write_bytes(data.encode("utf-8"))
+    assert outcome(load_features, path) == outcome(per_line_features, path)
+
+
+# texts where numpy's C reader and float() or int() part ways or nearly do:
+# what float() alone takes (underscores, non-ASCII digits), what the C reader
+# alone strips (the ASCII separators 0x1c-0x1f), NUL, carriage returns inside
+# a line, whitespace both strip, non-finite values and labels beyond u32
+C_READER_CELLS = st.sampled_from(
+    ["1_0", "١", "٣.5", "\x00", "1\x00", "\x1c1", "1\x1d", "\x1e", "1\x1f", "1\r2", "\r1", " 1 ", "\t1\x0b",
+     "\xa01", "nan", "inf", "-inf", "1e999", "1e-400", "-0", "+.5", "1.", "1.0", "4294967296", "4294967295", "0x1", ""]
+)
+# mostly valid labels, so that a file is often valid but for its crafted cells
+LABELS = st.sampled_from([*map(str, range(16)), "1_0", "٣", " 2", "1.0", "4294967296", "\x1c1"])
+
+
+@st.composite
+def csv_with_blank_line(draw, text):
+    """``text`` with an empty line put in at a drawn place, or unchanged."""
+    lines = draw(text).split("\n")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=csv_with_blank_line(near_valid_csv(feature_rows(LABELS), C_READER_CELLS)))
+def test_load_features_equals_per_line_parser(scratch, data):
+    assert_parsers_agree(scratch, data)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "7,1_0,2",  # underscore
+        "7,١,2",  # non-ASCII digit
+        "7,1\x00,2",  # NUL byte
+        "7,1,2\n\n8,3,4",  # blank line
+        "7,nan,2",
+        "7,1,2,3",  # extra column
+        "7,1",  # missing column
+        "1.0,1,2",  # label with a fractional part
+        f"{2**32},1,2",  # label beyond u32
+        "7,1\x1c,2",  # a separator the C reader strips
+        "7,1,2\r\n8,3,4\r",  # CRLF line endings
+        "7,1,2\r8,3,4",  # carriage return inside a line
+        "0,1,2\n4294967295,-0,1e-400",  # accepted by both
+    ],
+)
+def test_crafted_cells_equal_per_line_parser(scratch, body):
+    assert_parsers_agree(scratch, "label,f0,f1\n" + body + "\n")
+
+
+def test_canonical_file_takes_the_c_reader(scratch):
+    scratch.write_text("label,f0,f1\n3,1.5,-2.0\n0,0.25,3.0\n", encoding="utf-8")
+    where = f"feature file {scratch}"
+    text = read_text(scratch, where)
+    ds = _parse_c(text, *_feature_lines(where, text))
+    assert ds is not None and outcome(lambda _: ds, scratch) == outcome(per_line_features, scratch)
 
 
 @st.composite

@@ -61,6 +61,27 @@ def test_class_id_outside_u32_is_not_written(tmp_path, cid):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "meta, tasks_seen, message",
+    [
+        (SnapshotMeta(dim=-1, seed=42, activation="relu"), 1, "^dim -1 does not fit the snapshot's 32 unsigned bits$"),
+        (SnapshotMeta(dim=2**32, seed=42, activation="relu"), 1, f"^dim {2**32} does not fit"),
+        (SnapshotMeta(dim=2, seed=42, activation="relu"), 2**32, f"^tasks_seen {2**32} does not fit"),
+        (SnapshotMeta(dim=2, seed=42, activation="tanh"), 1, "^activation 'tanh' has no snapshot code"),
+    ],
+)
+def test_header_field_outside_the_format_is_not_written(tmp_path, meta, tasks_seen, message):
+    from akws.classifier import AnalyticClassifier
+
+    clf = AnalyticClassifier(weights=np.eye(2), afam=np.eye(2), gamma=1.0, class_ids=(3, 9), tasks_seen=tasks_seen)
+    with pytest.raises(SnapshotFormatError, match=message):
+        dump_snapshot(clf, meta)
+    path = tmp_path / "clf.bin"
+    with pytest.raises(SnapshotFormatError, match=message):
+        save_snapshot(path, clf, meta)
+    assert not path.exists()
+
+
 def test_exact_byte_layout():
     from akws.classifier import AnalyticClassifier
 
