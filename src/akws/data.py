@@ -234,44 +234,41 @@ def _parse_lines(where: str, lines: list[str], dim: int) -> LabeledDataset:
     return LabeledDataset(feats, labels)
 
 
-# The C reader strips these ASCII separators as whitespace; float() refuses them.
-_C_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-
-
-def _parse_c(text: str, lines: list[str], dim: int) -> LabeledDataset | None:
+def _parse_c(lines: list[str], dim: int) -> LabeledDataset | None:
     """``_parse_lines``' dataset through numpy's C reader, or None where that parser might differ or raise.
 
-    ``lines`` are the data lines of ``text``. Each must have ``dim``
-    commas and a label that ``int()`` takes, as the per-line rule asks.
-    The C reader parses the ASCII float grammar of ``float()`` and refuses
-    what else ``float()`` takes (underscores, non-ASCII digits), so such
-    a file, like any that fails a check here, goes to the per-line parser.
+    Each line must have ``dim`` commas and a label that ``int()`` takes,
+    as the per-line rule asks. The C reader parses the ASCII float grammar
+    of ``float()`` and refuses what else ``float()`` takes (underscores,
+    non-ASCII digits), so such a file, like any that fails a check here,
+    goes to the per-line parser.
     """
-    if not lines or any(c in text for c in _C_READER_ONLY_SPACE):
-        return None
+    labels = []
     try:
         for line in lines:
             if line.count(",") != dim:
                 return None
-            int(line[: line.index(",")])
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+            labels.append(int(line[: line.index(",")]))
+        labels = np.array(labels, dtype=np.int64)
+        feats = np.loadtxt(lines, delimiter=",", comments=None, usecols=range(1, dim + 1), ndmin=2)
+    except (ValueError, OverflowError):  # OverflowError: a label beyond int64
         return None
-    labels = table[:, 0]
-    if table.shape != (len(lines), dim + 1) or not ((labels >= 0) & (labels < 2**32)).all():
+    if feats.shape != (len(lines), dim) or not ((labels >= 0) & (labels < 2**32)).all():
         return None
-    feats = np.ascontiguousarray(table[:, 1:])
     if not np.isfinite(feats).all():
         return None
-    return LabeledDataset(feats, labels.astype(np.int64))
+    return LabeledDataset(feats, labels)
 
 
 def load_features(path) -> LabeledDataset:
     """Read a feature CSV: numpy's C reader when it agrees with the per-line parser, that parser otherwise."""
     where = f"feature file {path}"
     text = read_text(path, where)
+    # the C reader strips the ASCII separators 0x1c-0x1f as whitespace, where float() refuses them
+    c_reader = not any(c in text for c in "\x1c\x1d\x1e\x1f")
     lines, dim = _feature_lines(where, text)
-    ds = _parse_c(text, lines, dim)
+    del text  # the parse needs only the lines; the text is as large again
+    ds = _parse_c(lines, dim) if c_reader and lines else None
     return ds if ds is not None else _parse_lines(where, lines, dim)
 
 

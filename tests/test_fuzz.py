@@ -112,13 +112,14 @@ def assert_parsers_agree(path, data):
 # texts where numpy's C reader and float() or int() part ways or nearly do:
 # what float() alone takes (underscores, non-ASCII digits), what the C reader
 # alone strips (the ASCII separators 0x1c-0x1f), NUL, carriage returns inside
-# a line, whitespace both strip, non-finite values and labels beyond u32
+# a line, whitespace both strip, non-finite values, and labels beyond u32
+# and int64
 C_READER_CELLS = st.sampled_from(
     ["1_0", "١", "٣.5", "\x00", "1\x00", "\x1c1", "1\x1d", "\x1e", "1\x1f", "1\r2", "\r1", " 1 ", "\t1\x0b",
      "\xa01", "nan", "inf", "-inf", "1e999", "1e-400", "-0", "+.5", "1.", "1.0", "4294967296", "4294967295", "0x1", ""]
 )
 # mostly valid labels, so that a file is often valid but for its crafted cells
-LABELS = st.sampled_from([*map(str, range(16)), "1_0", "٣", " 2", "1.0", "4294967296", "\x1c1"])
+LABELS = st.sampled_from([*map(str, range(16)), "1_0", "٣", " 2", "1.0", str(2**32), str(2**64), "\x1c1"])
 
 
 @st.composite
@@ -148,6 +149,7 @@ def test_load_features_equals_per_line_parser(scratch, data):
         "7,1",  # missing column
         "1.0,1,2",  # label with a fractional part
         f"{2**32},1,2",  # label beyond u32
+        f"{2**64},1,2",  # label beyond int64
         "7,1\x1c,2",  # a separator the C reader strips
         "7,1,2\r\n8,3,4\r",  # CRLF line endings
         "7,1,2\r8,3,4",  # carriage return inside a line
@@ -161,8 +163,7 @@ def test_crafted_cells_equal_per_line_parser(scratch, body):
 def test_canonical_file_takes_the_c_reader(scratch):
     scratch.write_text("label,f0,f1\n3,1.5,-2.0\n0,0.25,3.0\n", encoding="utf-8")
     where = f"feature file {scratch}"
-    text = read_text(scratch, where)
-    ds = _parse_c(text, *_feature_lines(where, text))
+    ds = _parse_c(*_feature_lines(where, read_text(scratch, where)))
     assert ds is not None and outcome(lambda _: ds, scratch) == outcome(per_line_features, scratch)
 
 
