@@ -241,7 +241,9 @@ def _parse_c(lines: list[str], dim: int) -> LabeledDataset | None:
     as the per-line rule asks. The C reader parses the ASCII float grammar
     of ``float()`` and refuses what else ``float()`` takes (underscores,
     non-ASCII digits), so such a file, like any that fails a check here,
-    goes to the per-line parser.
+    goes to the per-line parser. The C reader also takes the ASCII
+    separators 0x1c-0x1f as whitespace, which ``float()`` refuses;
+    ``load_features`` sends a file holding one to the per-line parser.
     """
     labels = []
     try:
@@ -264,8 +266,7 @@ def load_features(path) -> LabeledDataset:
     """Read a feature CSV: numpy's C reader when it agrees with the per-line parser, that parser otherwise."""
     where = f"feature file {path}"
     text = read_text(path, where)
-    # the C reader strips the ASCII separators 0x1c-0x1f as whitespace, where float() refuses them
-    c_reader = not any(c in text for c in "\x1c\x1d\x1e\x1f")
+    c_reader = not any(c in text for c in "\x1c\x1d\x1e\x1f")  # see _parse_c
     lines, dim = _feature_lines(where, text)
     del text  # the parse needs only the lines; the text is as large again
     ds = _parse_c(lines, dim) if c_reader and lines else None
