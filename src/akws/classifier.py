@@ -90,13 +90,16 @@ from .errors import DataError, ShapeError, StateError
 
 
 def _whole(values, what: str) -> np.ndarray:
-    """``values`` as int64; one with a fractional part raises ``DataError`` naming it as ``what``."""
+    """``values`` as int64; one fractional, or outside int64, raises ``DataError`` naming it as ``what``."""
     values = np.asarray(values)
-    if values.dtype.kind not in "biu":  # a cast to int64 would truncate 1.5 to 1
+    if values.dtype.kind not in "bi":  # a cast to int64 would truncate 1.5 to 1 and wrap uint64 2**63 to -2**63
         real = values.astype(np.float64)
-        whole = np.isfinite(real) & (real == np.trunc(real)) & (np.abs(real) < 2.0**63)
+        whole = np.isfinite(real) & (real == np.trunc(real))
         if not whole.all():
             raise DataError(f"{what} {values[~whole][0]} is not an integer")
+        inside = (values >= -(2**63)) & (values < 2**63)  # exact for uint64 and Python ints, as floats are not
+        if not inside.all():
+            raise DataError(f"{what} {values[~inside][0]} is outside int64")
     return values.astype(np.int64, copy=False)
 
 

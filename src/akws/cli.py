@@ -11,19 +11,20 @@ Commands:
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 input. A config that breaks the schema (a negative seed, a zero data
 dimension, a split that does not cover the classes, an expansion no
-wider than the features it expands), a ``gen`` data flag out of range
-(its error names the config key, as ``separation`` for ``--separation``:
-``SynthSpec`` checks both), a manifest or feature CSV that
-does not parse, manifest contents a run cannot use (a class in two
-tasks, files of different widths, a label outside its task's classes, a
-train file without rows), an input file that is not UTF-8 text, an
-expansion whose E x E state alone exceeds physical memory, synthetic
-data whose train and test features exceed it, or data whose
-first task has no test rows (so its accuracy, and ACC, are undefined) is
-invalid input; a data file that cannot be opened under ``run`` or
-``oracle-check``, a numerical failure such as a Woodbury kernel that is
-not positive definite, or running out of memory is a runtime failure.
-No command mutates its inputs.
+wider than the features it expands), a ``gen`` data or split flag out
+of range (``SynthSpec`` and ``check_split`` name the config key, as
+``base_count`` for ``--base``; only a ``--per-step`` that does not divide
+the classes left when ``--steps`` is omitted names the flag), a manifest
+or feature CSV that does not parse, manifest contents a run cannot use
+(a class in two tasks, files of different widths, a label outside its
+task's classes, a train file without rows), an input file that is not
+UTF-8 text, an expansion whose E x E state alone exceeds physical
+memory, synthetic data whose train and test features exceed it, or data
+whose first task has no test rows (so its accuracy, and ACC, are
+undefined) is invalid input; a data file that cannot be opened under
+``run`` or ``oracle-check``, a numerical failure such as a Woodbury
+kernel that is not positive definite, or running out of memory is a
+runtime failure. No command mutates its inputs.
 """
 
 import argparse
@@ -34,7 +35,7 @@ from dataclasses import asdict
 
 from .config import ManifestDataConfig, RunConfig, SplitConfig, SynthDataConfig, load_config, parse_config
 from .data import gen_synth_split, save_features, split_tasks, write_manifest
-from .errors import AkwsError, ConfigError, DataError, MetricUndefinedError, ParseError
+from .errors import AkwsError, ConfigError, MetricUndefinedError, ParseError
 from .expansion import ACTIVATIONS
 from .harness import (
     acc_bwt,
@@ -94,10 +95,10 @@ def _resolve_config(args) -> RunConfig:
 
 def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
     """Draw synthetic train and test sets and slice them into the split's tasks."""
+    order = split_tasks(range(data.classes), **asdict(split))  # gen's split check, before the memory check
     need = 8 * data.classes * (data.per_class + data.test_per_class) * data.dim
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any draw
         raise ConfigError(f"its train and test features need {need} bytes, more than physical memory", field="data")
-    order = split_tasks(range(data.classes), **asdict(split))
     train, test = gen_synth_split(data, data.test_per_class)
     return build_tasks(train, test, order)
 
@@ -120,20 +121,18 @@ def _assemble_tasks(cfg: RunConfig):
 
 
 def _cmd_gen(args) -> int:
-    base = args.base if args.base is not None else args.classes // 2
-    base_flag = f"--base {base}" + (" (the default, half of --classes)" if args.base is None else "")
-    if not 1 <= base <= args.classes:
-        raise ConfigError(f"{base_flag} must be between 1 and --classes {args.classes}")
-    if args.per_step < 1 and args.steps != 0:
-        raise ConfigError(f"--per-step {args.per_step} must be >= 1")
-    left = args.classes - base
-    steps = left // args.per_step if args.steps is None else args.steps
-    if steps < 0 or steps * args.per_step != left:
-        if args.steps is None:
-            rule = f"--per-step {args.per_step} must divide"
-        else:
-            rule = f"--steps {steps} x --per-step {args.per_step} must equal"
-        raise ConfigError(f"{rule} the {left} classes --classes {args.classes} leaves after {base_flag}")
+    base = args.classes // 2 if args.base is None else args.base
+    steps = args.steps
+    if steps is None:  # derived here, so this error is gen's own; check_split judges every split
+        left = args.classes - base
+        per_step = max(args.per_step, 1)  # a --per-step below 1 fails in check_split
+        if base >= 1 and left > 0 and left % per_step:  # a base out of range fails in check_split
+            default = " (the default, half of --classes)" if args.base is None else ""
+            raise ConfigError(
+                f"--per-step {args.per_step} must divide the {left} classes --classes {args.classes} "
+                f"leaves after --base {base}{default}"
+            )
+        steps = max(left, 0) // per_step  # a base above --classes leaves no steps: the counts fall short
     test_per_class = args.test_per_class
     if test_per_class is None:
         test_per_class = max(1, args.per_class // 5)
@@ -211,15 +210,12 @@ def main(argv=None) -> int:
         "oracle-check": _cmd_oracle_check,
         "metrics": _cmd_metrics,
     }
-    validation = {
-        "gen": (ConfigError, DataError),
-        "run": (ConfigError, ParseError, MetricUndefinedError),
-        "oracle-check": (ConfigError, ParseError, MetricUndefinedError),
-        "metrics": (ConfigError, ParseError, MetricUndefinedError, OSError),
-    }[args.command]
+    invalid = (ConfigError, ParseError, MetricUndefinedError)  # exit 2 under every command
+    if args.command == "metrics":  # a grid file it cannot open is its invalid input too
+        invalid += (OSError,)
     try:
         return handlers[args.command](args)
-    except validation as exc:
+    except invalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AkwsError, OSError, MemoryError) as exc:

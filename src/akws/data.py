@@ -7,10 +7,10 @@ C reader when every line passes the per-line rule's cheap checks, and
 with the per-line parser otherwise; that parser alone raises, so every
 ``ParseError`` names the same line either way.
 
-Task manifest JSON: ``{"mfcc": {"dim": 40, "hop": 160}, "tasks": [{"id",
-"classes", "train", "test"}, ...]}``; the mfcc block records upstream
-front-end provenance and is informational only. Task file paths are
-relative to the manifest's directory.
+Task manifest JSON: ``{"tasks": [{"id", "classes", "train", "test"},
+...]}``; other top-level keys (such as the ``mfcc`` block of older
+manifests) are ignored. Task file paths are relative to the manifest's
+directory.
 """
 
 import json
@@ -21,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-
-MANIFEST_MFCC_BLOCK = {"dim": 40, "hop": 160}
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -275,7 +272,7 @@ def load_features(path) -> LabeledDataset:
 
 def write_manifest(path, tasks: list[dict]) -> None:
     """Write a task manifest; ``tasks`` entries carry id/classes/train/test."""
-    doc = {"mfcc": dict(MANIFEST_MFCC_BLOCK), "tasks": tasks}
+    doc = {"tasks": tasks}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -23,7 +23,6 @@ class ExpansionMap:
 
     matrix: np.ndarray
     seed: int
-    expansion_size: int
     activation: str = "relu"
     dim: int = field(init=False)
 
@@ -48,7 +47,7 @@ def build_expansion(dim: int, expansion_size: int, seed: int, activation: str = 
             f"expansion size must exceed the feature dimension ({expansion_size} <= {dim})"
         )
     matrix = normal_matrix(dim, expansion_size, seed)
-    return ExpansionMap(matrix=matrix, seed=seed, expansion_size=expansion_size, activation=activation)
+    return ExpansionMap(matrix=matrix, seed=seed, activation=activation)
 
 
 def expand(x: np.ndarray, m: ExpansionMap, out: np.ndarray | None = None) -> np.ndarray:

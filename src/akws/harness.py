@@ -34,7 +34,7 @@ from .classifier import (
 )
 from .config import HarnessConfig
 from .data import LabeledDataset, load_features, load_manifest, read_text
-from .errors import DataError, MetricUndefinedError, ParseError
+from .errors import AkwsError, DataError, MetricUndefinedError, ParseError
 from .expansion import ExpansionMap, build_expansion, expand
 from .extractor import ExtractorModel, extract, pretrain_extractor
 
@@ -171,7 +171,14 @@ def acc_bwt(a: AccuracyMatrix) -> tuple[float, float, bool]:
 
 
 class _Pipeline:
-    """The one task loop, with the extraction, expansion and evaluation it runs."""
+    """The one task loop, with the extraction, expansion and evaluation it runs.
+
+    ``stage`` names the step of the loop running now (``extract``,
+    ``expand``, ``fit`` or ``evaluate``). An ``AkwsError`` raised there, in
+    task t, or in pretraining (task 0, ``pretrain``) is raised again as
+    itself, so its type and exit code stay, with the message
+    ``task t, <stage>: <message>``.
+    """
 
     def __init__(self, tasks: list[TaskData], config: HarnessConfig):
         if not tasks:
@@ -188,13 +195,17 @@ class _Pipeline:
         self.pretrain_time = 0.0
         t0 = time.perf_counter()
         if config.use_extractor:
-            self.extractor, _ = pretrain_extractor(
-                tasks[0].train,
-                hidden=config.extractor_hidden,
-                epochs=config.extractor_epochs,
-                lr=config.extractor_lr,
-                seed=config.seed,
-            )
+            try:
+                self.extractor, _ = pretrain_extractor(
+                    tasks[0].train,
+                    hidden=config.extractor_hidden,
+                    epochs=config.extractor_epochs,
+                    lr=config.extractor_lr,
+                    seed=config.seed,
+                )
+            except AkwsError as exc:
+                exc.args = (f"task 0, pretrain: {exc}",)
+                raise
             self.pretrain_time = time.perf_counter() - t0
             feature_dim = self.extractor.hidden_width
         else:
@@ -212,13 +223,16 @@ class _Pipeline:
 
     def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.extractor is not None:
+            self.stage = "extract"
             x = extract(self.extractor, x)
+        self.stage = "expand"
         return expand(x, self.expansion, out=out)
 
     def train_batch(self, t: int, rows: slice = slice(None)) -> tuple[np.ndarray, LabelMatrix]:
         """Task t's expanded training rows (all, or a slice of them) and their labels."""
         task = self.tasks[t]
         s = self.features(task.train.features[rows])
+        self.stage = "fit"
         y = LabelMatrix.from_labels(task.train.labels[rows], class_ids=task.classes)
         return s, y
 
@@ -240,7 +254,9 @@ class _Pipeline:
 
         A task with no test rows scores 0.0.
         """
-        pred = predict(clf, self.test_features(upto))
+        x = self.test_features(upto)
+        self.stage = "evaluate"
+        pred = predict(clf, x)
         hits = np.concatenate([[0], np.cumsum(pred == self.test_labels[: pred.size])])
         off = self.test_offsets[: upto + 2]
         sizes = np.diff(off)
@@ -264,13 +280,18 @@ class _Pipeline:
         fit_times = []
         clf = None
         for t in range(n):
-            t0 = time.perf_counter()
-            if t == 0:
-                clf = recalibrate(self.train_blocks(0), self.config.gamma)
-            else:
-                clf = update(clf, *self.train_batch(t))
-            fit_times.append(time.perf_counter() - t0)
-            pred = self.grid_row(clf, t, grid)
+            try:
+                t0 = time.perf_counter()
+                self.stage = "fit"
+                if t == 0:
+                    clf = recalibrate(self.train_blocks(0), self.config.gamma)
+                else:
+                    clf = update(clf, *self.train_batch(t))
+                fit_times.append(time.perf_counter() - t0)
+                pred = self.grid_row(clf, t, grid)
+            except AkwsError as exc:
+                exc.args = (f"task {t}, {self.stage}: {exc}",)
+                raise
             if on_task is not None:
                 on_task(t, clf, pred)
         return ExperimentResult(

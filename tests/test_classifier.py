@@ -91,12 +91,26 @@ class TestLabelMatrix:
             LabelMatrix.from_labels(labels, class_ids=class_ids)
 
 
+    @staticmethod
+    def fault(bad: str) -> str:
+        """What ``_whole`` says of ``bad``: an integral value is refused for its range."""
+        return "is outside int64" if bad.lstrip("-").isdigit() else "is not an integer"
+
     @pytest.mark.parametrize(
-        "labels, bad", [([1.5, 0.2], "1.5"), ([0.0, 2.5], "2.5"), ([1.0, np.nan], "nan"), ([np.inf], "inf")]
+        "labels, bad",
+        [
+            ([1.5, 0.2], "1.5"),
+            ([0.0, 2.5], "2.5"),
+            ([1.0, np.nan], "nan"),
+            ([np.inf], "inf"),
+            ([2**70], str(2**70)),
+            (np.array([2**63], dtype=np.uint64), str(2**63)),
+            (np.array([2**64 - 1, 2**63 - 1], dtype=np.uint64), str(2**64 - 1)),
+        ],
     )
     def test_non_integral_label_rejected(self, labels, bad):
-        # a cast to int64 would turn [1.5, 0.2] into classes (0, 1)
-        with pytest.raises(DataError, match=f"^label {bad} is not an integer$"):
+        # a cast to int64 would turn [1.5, 0.2] into classes (0, 1), and uint64 2**63 into -2**63
+        with pytest.raises(DataError, match=f"^label {bad} {self.fault(bad)}$"):
             LabelMatrix.from_labels(labels)
 
     @pytest.mark.parametrize(
@@ -106,11 +120,12 @@ class TestLabelMatrix:
             (lambda: LabelMatrix.from_labels([0, 2], class_ids=[0.0, 2.0, np.nan]), "nan"),
             (lambda: LabelMatrix(np.ones((1, 1)), (2.7,)), "2.7"),
             (lambda: LabelMatrix(np.eye(2), (3, np.inf)), "inf"),
+            (lambda: LabelMatrix(np.eye(1), (2**70,)), str(2**70)),
         ],
     )
     def test_non_integral_class_id_rejected(self, build, bad):
         # int64 and int() casts would turn 1.5 into class 1 and 2.7 into class 2
-        with pytest.raises(DataError, match=f"^class id {bad} is not an integer$"):
+        with pytest.raises(DataError, match=f"^class id {bad} {self.fault(bad)}$"):
             build()
 
     def test_integral_float_class_ids_become_ints(self):
@@ -120,6 +135,8 @@ class TestLabelMatrix:
     def test_integral_float_labels_accepted(self):
         y = LabelMatrix.from_labels(np.array([3.0, 5.0, 3.0]))
         assert y.class_ids == (3, 5)
+        # an unsigned label inside int64 keeps its value
+        assert LabelMatrix.from_labels(np.array([2**63 - 1], dtype=np.uint64)).class_ids == (2**63 - 1,)
         assert np.array_equal(y.onehot, self.loop_onehot([3, 5, 3], [3, 5]))
 
 

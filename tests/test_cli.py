@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from akws import harness
 from akws.cli import main
+from akws.errors import DataError, MetricUndefinedError
 
 from oracles import inject_faulty_updates
 
@@ -27,7 +29,7 @@ class TestGen:
         assert printed.endswith("manifest.json")
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["tasks"]) == 6  # 5 base classes + 5 single-class steps
-        assert manifest["mfcc"] == {"dim": 40, "hop": 160}
+        assert list(manifest) == ["tasks"]  # no made-up front-end block for synthetic data
         classes = [c for t in manifest["tasks"] for c in t["classes"]]
         assert sorted(classes) == list(range(10))
         for entry in manifest["tasks"]:
@@ -58,27 +60,24 @@ class TestGen:
             (("--seed", -1), "seed: must be >= 0"),
             (("--separation", "nan"), "separation: must be finite, got nan"),
             (("--noise", "inf"), "noise_sigma: must be finite, got inf"),
-            # a split that cannot cover --classes names each flag at fault
-            (("--per-step", 0), "--per-step 0 must be >= 1"),
-            (("--base", 12), "--base 12 must be between 1 and --classes 4"),
-            (("--base", 0), "--base 0 must be between 1 and --classes 4"),
+            # a split that cannot cover --classes fails as check_split checks it, naming the config key
+            (("--per-step", 0), "classes_per_step: must be >= 1 when step_count > 0"),
+            (("--base", 12), "base_count 12 + step_count 0 x classes_per_step 1 = 12, but there are 4 classes"),
+            (("--base", 0), "base_count: must be >= 1"),
+            (("--base", 0, "--per-step", 3), "base_count: must be >= 1"),
             (
                 ("--per-step", 3),
                 "--per-step 3 must divide the 2 classes --classes 4 leaves after --base 2 (the default, half of --classes)",
             ),
             (
                 ("--base", 1, "--steps", 2),
-                "--steps 2 x --per-step 1 must equal the 3 classes --classes 4 leaves after --base 1",
+                "base_count 1 + step_count 2 x classes_per_step 1 = 3, but there are 4 classes",
             ),
-            (
-                ("--steps", -1),
-                "--steps -1 x --per-step 1 must equal the 2 classes --classes 4 leaves after --base 2 "
-                "(the default, half of --classes)",
-            ),
+            (("--steps", -1), "step_count: must be >= 0"),
         ],
         ids=[
             "negative-seed", "nan-separation", "inf-noise", "zero-per-step", "base-above-classes", "zero-base",
-            "indivisible", "steps-short", "negative-steps",
+            "zero-base-indivisible", "indivisible", "steps-short", "negative-steps",
         ],
     )
     def test_bad_synth_flag_exits_2(self, tmp_path, capsys, flags, error):
@@ -259,8 +258,43 @@ class TestRun:
         assert "Traceback" not in got.stderr
         lines = got.stderr.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: ")
+        assert lines[0].startswith("error: task 1, fit: ")
         assert "not positive definite" in lines[0]
+
+    @pytest.mark.parametrize(
+        "stage, name, task, error, code",
+        [
+            ("pretrain", "pretrain_extractor", 0, DataError, 1),
+            ("extract", "extract", 3, DataError, 1),
+            ("expand", "expand", 3, DataError, 1),
+            ("fit", "recalibrate", 0, DataError, 1),
+            ("fit", "update", 3, DataError, 1),
+            ("evaluate", "predict", 3, MetricUndefinedError, 2),
+        ],
+    )
+    def test_failure_in_the_task_loop_names_its_task_and_stage(
+        self, tmp_path, capsys, monkeypatch, stage, name, task, error, code
+    ):
+        # each task is evaluated once, so a call made after `task` evaluations is in task `task`
+        evaluated = 0
+        predict = harness.predict
+
+        def counted_predict(*args):
+            nonlocal evaluated
+            evaluated += 1
+            return predict(*args)
+
+        monkeypatch.setattr(harness, "predict", counted_predict)
+        real = getattr(harness, name)
+
+        def failing(*args, **kwargs):
+            if evaluated == task:
+                raise error("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, failing)
+        assert run_cli("run", "--expansion", 48, "--out", tmp_path / "o") == code
+        assert capsys.readouterr().err == f"error: task {task}, {stage}: forced\n"
 
     @pytest.mark.parametrize("command", ["run", "oracle-check"])
     def test_empty_first_test_set_exits_2(self, tmp_path, capsys, command):

@@ -1,6 +1,10 @@
 """Config parsing: every document parses to finite, typed values or raises ConfigError."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 from dataclasses import fields
 
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akws import SynthSpec, split_tasks
+from akws.cli import main
 from akws.config import RunConfig, SplitConfig, SynthDataConfig, parse_config
 from akws.errors import ConfigError
 
@@ -162,6 +167,32 @@ def test_split_rule_is_split_tasks_in_both_places(classes, base_count, step_coun
         assert got is not None
         assert got.field == ("split" if expected.field is None else f"split.{expected.field}")
         assert got.message == expected.message
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    classes=st.integers(2, 8),
+    base=st.integers(-1, 9),
+    steps=st.integers(-1, 8),
+    per_step=st.integers(-1, 4),
+    seed=st.integers(-2, 3),
+)
+def test_gen_split_error_is_split_tasks_error(classes, base, steps, per_step, seed):
+    expected = _outcome(lambda: split_tasks(range(classes), base, steps, per_step, seed))
+    err = io.StringIO()
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+    ):
+        argv = ["gen", "--classes", classes, "--per-class", 1, "--dim", 1, "--base", base, "--steps", steps,
+                "--per-step", per_step, "--seed", seed, "--out", os.path.join(tmp, "d")]
+        code = main([str(a) for a in argv])
+    if expected is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert err.getvalue() == f"error: {expected}\n"
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, -1.0, 1.0])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,13 @@ class TestManifest:
         assert [t["id"] for t in tasks] == [0, 1]
         assert tasks[0]["classes"] == [0, 1]
         assert tasks[1]["train"].endswith("t1.csv")
+
+    def test_mfcc_block_is_ignored(self, tmp_path):
+        # manifests written before the block was dropped still load
+        entry = {"id": 0, "classes": [0], "train": "t0.csv", "test": "e0.csv"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"mfcc": {"dim": 40, "hop": 160}, "tasks": [entry]}))
+        assert [t["classes"] for t in load_manifest(path)] == [[0]]
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -107,7 +107,8 @@ def test_missing_symbol_run_exits_1_with_one_error_line(missing_symbol, tmp_path
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     # the first routine a run calls is the first fit's syrk
-    assert lines[0].startswith(f"error: LAPACK symbol {missing_symbol.replace('potrf', 'syrk')} not found in ")
+    syrk = missing_symbol.replace("potrf", "syrk")
+    assert lines[0].startswith(f"error: task 0, fit: LAPACK symbol {syrk} not found in ")
 
 
 def _python(script, *args):
