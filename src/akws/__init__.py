@@ -9,6 +9,7 @@ recursive updates coincide with joint training.
 from .classifier import (
     AnalyticClassifier,
     LabelMatrix,
+    full_afam,
     joint_solve,
     predict,
     recalibrate,
@@ -58,6 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticClassifier",
     "LabelMatrix",
+    "full_afam",
     "joint_solve",
     "predict",
     "recalibrate",

@@ -12,27 +12,36 @@ and the inverse factor itself,
 
 is carried forward as the feature autocorrelation state. Each block is
 added to ``NormalEquations`` and dropped before the next is read, so the
-first task's rows are never held whole: the first fit holds ``G`` (E x E)
-and one block. ``G`` starts as ``gamma I`` and lives in one triangle; one
-BLAS ``syrk`` per block adds ``S'T S'`` to that triangle in place, and
-``potrf`` then factors it where it lies. Every later batch refreshes
-``A`` through the Woodbury identity using only that batch's rows,
+first task's rows are never held whole: the first fit holds ``G`` and one
+block. Every later batch refreshes ``A`` through the Woodbury identity
+using only that batch's rows,
 
     A_t = A_{t-1} - A_{t-1} S'T (I + S' A_{t-1} S'T)^-1 S' A_{t-1},
 
 and moves the weights by ``A_t S'T (Y - S' W)``, with ``W`` padded by a
 zero column for each class the batch registers. The result is
 algebraically identical to re-solving the joint ridge problem over every
-batch seen so far, without retaining any past rows. ``NormalEquations``
-holds that joint system, E^2 + E*C numbers whatever the rows added, and
-is the oracle of tests and ``oracle_check``. Solving it for the weights
-alone keeps ``G``: its triangle is copied into the spare one and its
-diagonal aside, the triangle is factored in place, and both are copied
-back, so no E x E copy of ``G`` is made and the next batch adds to ``G``
-itself. The factor is that of the first fit, so both round alike.
+batch seen so far, without retaining any past rows.
 
-``update`` evaluates this in square-root form. With the Cholesky factor
-``K = I + S' A_{t-1} S'T = L L^T`` and
+The symmetric ``A`` and ``G`` are each held once, in LAPACK's rectangular
+full packed (RFP) storage: one triangle, E(E+1)/2 numbers, as a 1-D
+array (``lapack``'s one layout). The blocks of that array are ordinary
+strided matrices, so every routine on it runs at Level-3 speed, and the
+other triangle is never formed. ``full_afam`` unpacks ``A`` into a full
+E x E array for readers that want one.
+
+``NormalEquations`` holds the joint system, E(E+1)/2 + E*C numbers
+whatever the rows added, and is the oracle of tests and
+``oracle_check``. ``G`` starts as ``gamma`` on the RFP diagonal; one
+``sfrk`` per block adds ``S'T S'`` to it in place. ``pftrf`` factors it,
+``pftrs`` solves for the weights and ``pftri`` forms ``A`` over the
+factor. Solving for the weights alone factors a copy of ``G`` (E^2/2
+numbers) and keeps ``G``, so the next batch adds to ``G`` itself; the
+copy is factored by the same routine as the first fit's ``G``, so both
+round alike.
+
+``update`` evaluates the Woodbury step in square-root form. With the
+Cholesky factor ``K = I + S' A_{t-1} S'T = L L^T`` and
 
     Z = L^-1 [S' A_{t-1} | Y - S' W] = [Z_a | Z_r],
 
@@ -40,18 +49,12 @@ the refresh is ``A_t = A_{t-1} - Z_a^T Z_a``, and since
 ``A_t S'T = Z_a^T L^-1`` the new weights are ``W + Z_a^T Z_r``. Every
 batch takes this one step: a batch without rows has a 0 x 0 kernel,
 leaves ``A`` as it was and adds a zero column per class it registers.
-``Z_a^T Z_a`` is symmetric by construction, so one BLAS ``syrk`` call
-subtracts it from the upper triangle of ``A_{t-1}``'s own buffer (half
-the flops of the whole product), which is then mirrored onto the lower
-triangle. ``update`` therefore consumes its input: the new classifier
-holds that buffer. numpy's ``X.T @ X`` would allocate a fresh E x E
-result and fill both triangles; the direct ``syrk`` into ``A``, like the
-one into ``G``, does neither. No averaging ``(A + A^T) / 2`` is needed:
-the rounding error in ``Z_a`` enters both factors of ``Z_a^T Z_a``
-alike, so its triangles differ only by summation order. In the one-sided product
-``(S'A)^T (K^-1 S'A)`` the solve's error enters one factor only;
-averaging its triangles halved the antisymmetric part, and mirroring it
-instead lost accuracy.
+``S' A`` is formed from the RFP blocks: BLAS ``symm`` on the two
+diagonal triangles and a GEMM each way on the off-diagonal block. The
+refresh is one ``sfrk`` on ``A_{t-1}``'s own buffer (half the flops of
+the whole product), so ``update`` consumes its input: the new
+classifier holds that buffer. ``Z_a^T Z_a`` is symmetric by
+construction, and only one triangle of it is ever formed.
 
 LAPACK ``potrf`` factors ``K``, symmetric only to roundoff, in place from
 its lower triangle. ``Z`` comes from one in-place triangular solve (BLAS
@@ -59,16 +62,9 @@ its lower triangle. ``Z`` comes from one in-place triangular solve (BLAS
 per right-hand column is that of a GEMM column, so the C target columns
 add no more to the update than the GEMMs that form them.
 
-Wherever ``A`` is formed directly from a Cholesky factor ``L`` of the
-regularized Gram matrix, LAPACK ``potri`` computes ``(L L^T)^-1`` from
-``L`` in place, and the triangle it fills is mirrored onto the other.
-The Gram matrix is factored in place too (``potrf``, from the triangle
-``syrk`` filled), and the first-fit weights are solved in place by two
-triangular solves (``trsm``).
-
 All of this runs on one LAPACK: numpy's own OpenBLAS. numpy exposes no
-in-place Cholesky, triangular solve, Cholesky inverse or rank-k update,
-so ``lapack`` binds those few routines from the library numpy already
+in-place Cholesky, triangular solve, rank-k update or packed storage, so
+``lapack`` binds those few routines from the library numpy already
 loaded. A second LAPACK (scipy's, for instance) would bring its own
 OpenBLAS and its own thread pool; after a call into it those workers keep
 spinning, so numpy's GEMMs right after it compete with them for the same
@@ -79,7 +75,6 @@ Column order follows class registration order: ``update`` and
 first presents it. A class presented again keeps its column, which then
 sums the label correlations of every batch that holds it.
 """
-
 import math
 from dataclasses import dataclass
 
@@ -167,7 +162,8 @@ class AnalyticClassifier:
     """
 
     weights: np.ndarray  # E x C
-    afam: np.ndarray | None  # E x E, the regularized inverse Gram matrix; None if consumed or weights-only
+    # the regularized inverse Gram matrix in RFP storage, E(E+1)/2 numbers; None if consumed or weights-only
+    afam: np.ndarray | None
     gamma: float
     class_ids: tuple[int, ...] = ()  # global ids in column order
     tasks_seen: int = 0
@@ -185,9 +181,24 @@ class AnalyticClassifier:
         return list(self.class_ids)
 
     def state_elements(self) -> int:
-        """Persistent cross-task state size: E^2 + E*C + class ids."""
+        """Persistent cross-task state size: E(E+1)/2 + E*C + class ids."""
         e, c = self.weights.shape
-        return e * e + e * c + len(self.class_ids)
+        return e * (e + 1) // 2 + e * c + len(self.class_ids)
+
+
+def _no_state(c: AnalyticClassifier) -> None:
+    if c.afam is None:
+        raise StateError(
+            "this classifier has no autocorrelation state: it was consumed by an earlier update, "
+            "or solved for its weights only; update the result of the last update"
+        )
+
+
+def full_afam(c: AnalyticClassifier) -> np.ndarray:
+    """``c``'s state ``A`` unpacked into a new full symmetric E x E array."""
+    _no_state(c)
+    lower = lapack.tfttr(np.require(c.afam, np.float64, "CW"))
+    return lower + np.tril(lower, -1).T
 
 
 def _check_batch(s: np.ndarray, y: LabelMatrix) -> np.ndarray:
@@ -212,10 +223,6 @@ def _register(class_ids: tuple[int, ...], batch_ids) -> tuple[tuple[int, ...], l
     return tuple(col), cols
 
 
-# Edge of the square tiles ``_mirror_upper`` copies: a pair of 64 x 64 float64
-# tiles (64 KiB) stays in cache while one is read transposed.
-_TILE = 64
-_BELOW_DIAGONAL = np.tri(_TILE, k=-1, dtype=bool)
 # Scores ``predict`` computes per block of rows (256 KiB of float64). One
 # product over a whole run's test rows raised the peak RSS of the
 # ``features`` benchmark by about 10 MB; blocks of this size add nothing
@@ -223,44 +230,45 @@ _BELOW_DIAGONAL = np.tri(_TILE, k=-1, dtype=bool)
 _SCORE_BLOCK = 1 << 15
 
 
-def _mirror_upper(x: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of square ``x`` onto its lower one, in place.
+def _rfp_blocks(ar: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks of the order-``e`` RFP array ``ar``, as Fortran-ordered views.
 
-    Tile by tile, so the transposed walk stays in cache; the diagonal and
-    the upper triangle are left untouched. Returns ``x``.
+    With ``e1 = e - e // 2``, the matrix is ``[[A11, A21^T], [A21, A22]]``
+    with ``A11`` of order ``e1``. Returns ``A11`` (its lower triangle
+    holds it), ``A22`` (its upper triangle) and ``A21`` (e // 2 x e1).
+    Odd ``e`` puts them otherwise in the array than even ``e``.
     """
-    n = x.shape[0]
-    for i in range(0, n, _TILE):
-        d = x[i : i + _TILE, i : i + _TILE]
-        np.copyto(d, d.T, where=_BELOW_DIAGONAL[: len(d), : len(d)])
-        for j in range(i + _TILE, n, _TILE):
-            x[j : j + _TILE, i : i + _TILE] = x[i : i + _TILE, j : j + _TILE].T
-    return x
+    if lapack.rfp_order(ar) != e:
+        raise ShapeError(f"expected the RFP array of an order-{e} matrix, got {ar.size} numbers")
+    e2 = e // 2
+    e1 = e - e2
+    odd = e % 2
+    f = ar.reshape(-1, e if odd else e + 1).T
+    return f[1 - odd : 1 - odd + e1, :e1], f[:e2, odd : odd + e2], f[e1 + 1 - odd :, :e1]
 
 
 def _spd_factor(g: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of symmetric Fortran-ordered ``g``, computed in place.
+    """Lower Cholesky factor of symmetric ``g``, computed in place.
 
-    Consumes ``g``: LAPACK reads its lower triangle and writes the factor
-    over it. Returns ``g``. ``name`` names the matrix in the error raised
-    when it is not positive definite.
+    ``g`` is Fortran-ordered, of which LAPACK reads the lower triangle,
+    or an RFP array. Consumes ``g``: the factor is written over it.
+    Returns ``g``. ``name`` names the matrix in the error raised when it
+    is not positive definite.
     """
-    if lapack.potrf("L", g) != 0:
+    if (lapack.pftrf(g) if g.ndim == 1 else lapack.potrf("L", g)) != 0:
         raise DataError(f"{name} is not positive definite")
     return g
 
 
 def _materialize_inverse(factor: np.ndarray) -> np.ndarray:
-    """Explicit inverse of ``L L^T`` from its lower Cholesky factor.
+    """Explicit inverse of ``L L^T`` in RFP from its RFP Cholesky factor.
 
-    ``potri`` fills the lower triangle of the Fortran-ordered factor, which
-    is the upper triangle of its C-ordered transpose; that is then mirrored.
-    Consumes ``factor``: ``potri`` overwrites it.
+    Consumes ``factor``: ``pftri`` writes the inverse over it. Returns it.
     """
-    info = lapack.potri("L", factor)
+    info = lapack.pftri(factor)
     if info != 0:
-        raise DataError(f"cannot invert the regularized Gram matrix (LAPACK potri info={info})")
-    return _mirror_upper(factor.T)
+        raise DataError(f"cannot invert the regularized Gram matrix (LAPACK pftri info={info})")
+    return factor
 
 
 def recalibrate(blocks, gamma: float) -> AnalyticClassifier:
@@ -287,28 +295,33 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     re-present registered classes (sample streaming); their columns then
     also receive the batch's label correlations, as in ``joint_solve``.
     """
-    if c.afam is None:
-        raise StateError(
-            "this classifier has no autocorrelation state: it was consumed by an earlier update, "
-            "or solved for its weights only; update the result of the last update"
-        )
-    s = _check_batch(s_t_expanded, y_t)
+    _no_state(c)
+    s = np.require(_check_batch(s_t_expanded, y_t), np.float64, "CW")  # C-ordered: s.T is Fortran-ordered
     e = c.expansion_size
     if s.shape[1] != e:
         raise ShapeError(f"expected expanded width {e}, got {s.shape[1]}")
     class_ids, cols = _register(c.class_ids, y_t.class_ids)
     n = s.shape[0]
     n_cols = c.n_classes
-    a = np.require(c.afam, np.float64, "CW")  # written over; a copy only if afam is not writeable C-ordered float64
+    a = np.require(c.afam, np.float64, "CW")  # written over; a copy only if afam is not writeable float64
+    a11, a22, a21 = _rfp_blocks(a, e)
+    e1 = len(a11)
     rhs = np.empty((n, e + len(class_ids)))  # [S A_{t-1} | Y - S W], W padded with zero columns
-    np.matmul(s, a, out=rhs[:, :e])
+    sa = rhs[:, :e]
+    # S A = [S1 A11 + S2 A21 | S1 A21^T + S2 A22]: a GEMM each way on A21, then
+    # symm adds the diagonal blocks; symm on the transposes, A (S1|S2)^T, keeps
+    # every operand Fortran-ordered
+    np.matmul(s[:, e1:], a21, out=sa[:, :e1])
+    np.matmul(s[:, :e1], a21.T, out=sa[:, e1:])
+    lapack.symm("L", "L", 1.0, a11, s[:, :e1].T, 1.0, sa[:, :e1].T)
+    lapack.symm("L", "U", 1.0, a22, s[:, e1:].T, 1.0, sa[:, e1:].T)
     r = rhs[:, e:]
     np.matmul(s, c.weights, out=r[:, :n_cols])
     # not np.negative(out=): numpy 2.4 miscomputes it on some strided views
     r[:, :n_cols] *= -1.0
     r[:, n_cols:] = 0.0
     r[:, cols] += y_t.onehot
-    k = np.add(np.eye(n), rhs[:, :e] @ s.T, order="F")  # Fortran-ordered: potrf reads K's lower triangle
+    k = np.add(np.eye(n), sa @ s.T, order="F")  # Fortran-ordered: potrf reads K's lower triangle
     chol = _spd_factor(k, "the Woodbury kernel I + S A S^T")
     # Z = L^-1 [S A_{t-1} | Y - S W] in place: the Fortran-ordered rhs.T is
     # its transpose, so Z^T = rhs.T (L^T)^-1
@@ -316,10 +329,7 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     za = rhs[:, :e]
 
     c.afam = None  # consumed: nothing below can raise, and A_t is written over A_{t-1}
-    # A_t = A_{t-1} - Z_a^T Z_a on the upper triangle of C-ordered A, which is
-    # the lower one of its Fortran-ordered transpose
-    lapack.syrk("L", "N", -1.0, za.T, 1.0, a.T)
-    _mirror_upper(a)
+    lapack.sfrk(-1.0, za.T, 1.0, a)  # A_t = A_{t-1} - Z_a^T Z_a
 
     weights = za.T @ rhs[:, e:]  # A_t S'T (Y - S W) = Z_a^T Z_r
     weights[:, :n_cols] += c.weights
@@ -331,9 +341,7 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
 class NormalEquations:
     """The ridge system ``G W = B``, ``G = sum S'T S' + gamma I`` and ``B = sum S'T Y``, of the tasks added.
 
-    ``G`` is kept in the upper triangle of the C-ordered ``gram``, which
-    is the lower one of its Fortran-ordered transpose that ``syrk`` and
-    ``potrf`` read; its strict lower triangle is scratch space.
+    ``gram`` holds ``G`` in RFP storage.
     """
 
     def __init__(self, gamma: float):
@@ -348,19 +356,17 @@ class NormalEquations:
     def add(self, blocks) -> None:
         """Add one task, given as an iterable of ``(S', Y)`` row blocks, one block at a time."""
         for s_expanded, y in blocks:
-            # C-ordered, so s.T is the Fortran-ordered operand syrk reads
+            # C-ordered, so s.T is the Fortran-ordered operand sfrk reads
             s = np.require(_check_batch(s_expanded, y), np.float64, "CW")
             e = s.shape[1]
             if self.rhs is None:
-                # numpy advises huge pages for arrays of 4 MiB or more (E >= 725); where the kernel
-                # takes the advice, writing the diagonal maps all of G, spare triangle too
-                # (+130 MB of RSS at E=4096 with transparent huge pages in madvise mode)
-                self.gram = np.zeros((e, e))
-                self.gram.flat[:: e + 1] = self.gamma
+                self.gram = np.zeros(e * (e + 1) // 2)
+                for block in _rfp_blocks(self.gram, e)[:2]:
+                    np.fill_diagonal(block, self.gamma)
                 self.rhs = np.zeros((e, 0))
             elif e != len(self.rhs):
                 raise ShapeError(f"inconsistent expanded widths: {len(self.rhs)} vs {e}")
-            lapack.syrk("L", "N", 1.0, s.T, 1.0, self.gram.T)
+            lapack.sfrk(1.0, s.T, 1.0, self.gram)
             self.class_ids, cols = _register(self.class_ids, y.class_ids)
             self.rhs = np.pad(self.rhs, ((0, 0), (0, len(self.class_ids) - self.rhs.shape[1])))
             self.rhs[:, cols] += s.T @ y.onehot
@@ -370,31 +376,22 @@ class NormalEquations:
     def solve(self, inverse: bool = True) -> AnalyticClassifier:
         """The weights; ``inverse`` also forms ``A = G^-1`` over ``G``, spending it, else ``G`` is kept.
 
-        Either way ``G``'s triangle is factored in place, so a first fit and
-        the weights-only solve of the same blocks give the same bits. To keep
-        ``G``, its triangle is first copied into the spare one and its
-        diagonal aside, and both are copied back after the solve.
+        To keep ``G``, a copy of it is factored. Either way the same routine
+        factors the same bits, so a first fit and the weights-only solve of
+        the same blocks give the same weights.
         """
         if self.gram is None:
             raise ShapeError("no system to solve: no batch was added, or it was solved in place")
-        gram = self.gram
         if inverse:
-            self.gram = None
+            factor, self.gram = self.gram, None
         else:
-            diagonal = gram.diagonal().copy()
-            _mirror_upper(gram)
-        try:
-            factor = _spd_factor(gram.T, "the regularized Gram matrix")
-            rhs = self.rhs.copy(order="F")  # solved in place
-            lapack.trsm("L", "L", "N", "N", 1.0, factor, rhs)  # L L^T W = S'T Y
-            lapack.trsm("L", "L", "T", "N", 1.0, factor, rhs)
-        finally:
-            if not inverse:
-                _mirror_upper(gram.T)  # G's triangle back from the spare one
-                gram.flat[:: len(gram) + 1] = diagonal
+            factor = self.gram.copy()
+        _spd_factor(factor, "the regularized Gram matrix")
+        weights = self.rhs.copy(order="F")  # solved in place: L L^T W = S'T Y
+        lapack.pftrs(factor, weights)
         afam = _materialize_inverse(factor) if inverse else None
         return AnalyticClassifier(
-            weights=rhs, afam=afam, gamma=self.gamma, class_ids=self.class_ids, tasks_seen=self.tasks_seen
+            weights=weights, afam=afam, gamma=self.gamma, class_ids=self.class_ids, tasks_seen=self.tasks_seen
         )
 
 

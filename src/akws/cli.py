@@ -106,8 +106,9 @@ def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
 def _assemble_tasks(cfg: RunConfig):
     h = cfg.harness
     e = h.expansion_size
-    if 8 * e * e > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any allocation
-        raise ConfigError(f"its {e} x {e} state needs {8 * e * e} bytes, more than physical memory", field="expansion")
+    need = 8 * (e * (e + 1) // 2)  # the packed E x E state
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any allocation
+        raise ConfigError(f"its {e} x {e} state needs {need} bytes, more than physical memory", field="expansion")
     d = cfg.data
     if isinstance(d, ManifestDataConfig):
         tasks = tasks_from_manifest(d.path)
@@ -172,8 +173,9 @@ def _cmd_run(args) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_grid_csv(os.path.join(args.out, "grid.csv"), result.accuracy)
-    e = result.expansion
-    meta = SnapshotMeta(dim=e.dim, seed=e.seed, activation=e.activation)
+    e, x = result.expansion, result.extractor
+    layer = (x.w1, x.b1) if x is not None else (None, None)
+    meta = SnapshotMeta(e.dim, e.seed, e.activation, *layer)
     save_snapshot(os.path.join(args.out, "snapshot.bin"), result.classifier, meta)
     print(f"ACC={doc['acc']!r} BWT={doc['bwt']!r} TT={doc['tt_mean']!r}")
     return 0

@@ -175,9 +175,9 @@ class _Pipeline:
 
     ``stage`` names the step of the loop running now (``extract``,
     ``expand``, ``fit`` or ``evaluate``). An ``AkwsError`` raised there, in
-    task t, or in pretraining (task 0, ``pretrain``) is raised again as
-    itself, so its type and exit code stay, with the message
-    ``task t, <stage>: <message>``.
+    task t, in pretraining (task 0, ``pretrain``) or in the oracle's
+    callback after task t (``oracle``) is raised again as itself, so its
+    type and exit code stay, with the message ``task t, <stage>: <message>``.
     """
 
     def __init__(self, tasks: list[TaskData], config: HarnessConfig):
@@ -273,7 +273,8 @@ class _Pipeline:
         is released as part of its fit, before evaluation. After step t's
         grid row, ``on_task(t, clf, pred)`` sees the fitted classifier (the
         next step's update consumes its ``afam``; its weights stay valid)
-        and the predictions on tasks 0..t.
+        and the predictions on tasks 0..t; its failures are named as the
+        oracle's.
         """
         n = len(self.tasks)
         grid = np.full((n, n), np.nan)
@@ -293,7 +294,11 @@ class _Pipeline:
                 exc.args = (f"task {t}, {self.stage}: {exc}",)
                 raise
             if on_task is not None:
-                on_task(t, clf, pred)
+                try:
+                    on_task(t, clf, pred)
+                except AkwsError as exc:
+                    exc.args = (f"task {t}, oracle: {exc}",)
+                    raise
         return ExperimentResult(
             accuracy=AccuracyMatrix.from_grid(grid, self.test_sizes),
             classifier=clf,

@@ -3,9 +3,9 @@
 numpy's wheels bundle an OpenBLAS built with 64-bit integers (ILP64)
 whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix, such as
 ``scipy_dpotrf_64_``. Binding them through ``ctypes`` gives the package a
-Cholesky factor, a Cholesky inverse, a triangular solve and a symmetric
-rank-k update on the very library, and so the very thread pool, that
-runs numpy's ``matmul``.
+Cholesky factor, a triangular solve, symmetric products and rank-k
+updates, and the rectangular full packed (RFP) routines, on the very
+library, and so the very thread pool, that runs numpy's ``matmul``.
 Symbols are looked up through the handle of numpy's linalg extension
 module, which resolves them in the library that module links.
 
@@ -17,6 +17,11 @@ which is Fortran-ordered and needs no copy. A column slice of a
 Fortran-ordered array, such as the transpose of ``x[:, :k]``, is passed
 as it is: its column stride becomes the leading dimension.
 
+A symmetric matrix in RFP storage is a 1-D array of its E(E+1)/2
+numbers, in LAPACK's layout for TRANSR="N" and UPLO="L"; the RFP
+routines here take that one layout (Gustavson, Wasniewski, Dongarra and
+Langou, ACM TOMS 2010).
+
 Supported installs are numpy's own wheels. A numpy built against another
 BLAS (a distribution or conda package) lacks these symbols; the first
 call then raises ``AkwsError`` naming the symbol and the library searched.
@@ -24,6 +29,7 @@ call then raises ``AkwsError`` naming the symbol and the library searched.
 
 import ctypes
 import functools
+import math
 
 import numpy as np
 
@@ -39,12 +45,24 @@ _LEN = ctypes.c_size_t
 
 _SIGNATURES = {
     "potrf": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
-    "potri": (_CHAR, _INT, _DOUBLE, _INT, _INT, _LEN),
     "trsm": (
         _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT,
         _LEN, _LEN, _LEN, _LEN,
     ),
     "syrk": (_CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _LEN, _LEN),
+    "symm": (
+        _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT,
+        _LEN, _LEN,
+    ),
+    "sfrk": (
+        _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _DOUBLE,
+        _LEN, _LEN, _LEN,
+    ),
+    "pftrf": (_CHAR, _CHAR, _INT, _DOUBLE, _INT, _LEN, _LEN),
+    "pftri": (_CHAR, _CHAR, _INT, _DOUBLE, _INT, _LEN, _LEN),
+    "pftrs": (_CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _LEN, _LEN),
+    "trttf": (_CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _LEN, _LEN),
+    "tfttr": (_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _LEN, _LEN),
 }
 
 
@@ -128,20 +146,6 @@ def potrf(uplo: str, a: np.ndarray) -> int:
     return _info("potrf", info)
 
 
-def potri(uplo: str, factor: np.ndarray) -> int:
-    """Inverse of ``A`` from ``potrf``'s factor, written over the ``uplo`` triangle.
-
-    Returns LAPACK's ``info``: ``k > 0`` if the factor's k-th diagonal
-    entry is zero.
-    """
-    _matrix(factor, square=True)
-    info = ctypes.c_int64()
-    _routine("potri")(
-        uplo.encode(), _int(factor.shape[0]), _ptr(factor), _ld(factor), ctypes.byref(info), 1
-    )
-    return _info("potri", info)
-
-
 def trsm(side: str, uplo: str, transa: str, diag: str, alpha: float, a: np.ndarray, b: np.ndarray) -> None:
     """Triangular solve in place on ``b``: ``alpha op(a)^-1 b`` (side "L") or ``alpha b op(a)^-1`` ("R")."""
     _matrix(a, square=True)
@@ -159,7 +163,8 @@ def syrk(uplo: str, trans: str, alpha: float, a: np.ndarray, beta: float, c: np.
     """Symmetric rank-k update in place on the ``uplo`` triangle of ``c``.
 
     ``c = alpha a a^T + beta c`` (trans "N") or ``alpha a^T a + beta c``
-    ("T"). The other triangle of ``c`` is neither read nor written.
+    ("T"). The other triangle of ``c`` is neither read nor written. Only
+    the tests' full-storage reference update calls it.
     """
     _matrix(a)
     _matrix(c, square=True)
@@ -170,3 +175,104 @@ def syrk(uplo: str, trans: str, alpha: float, a: np.ndarray, beta: float, c: np.
         uplo.encode(), trans.encode(), _int(n), _int(k), ctypes.byref(ctypes.c_double(alpha)),
         _ptr(a), _ld(a), ctypes.byref(ctypes.c_double(beta)), _ptr(c), _ld(c), 1, 1,
     )
+
+
+def symm(side: str, uplo: str, alpha: float, a: np.ndarray, b: np.ndarray, beta: float, c: np.ndarray) -> None:
+    """Symmetric product in place on ``c``: ``alpha a b + beta c`` (side "L") or ``alpha b a + beta c`` ("R").
+
+    Only the ``uplo`` triangle of ``a`` is read.
+    """
+    _matrix(a, square=True)
+    _matrix(b)
+    _matrix(c)
+    m, n = c.shape
+    if b.shape != c.shape or a.shape[0] != (m if side == "L" else n):
+        raise ShapeError(f"symmetric operand is {a.shape}, others {b.shape} and {c.shape} (side {side})")
+    _routine("symm")(
+        side.encode(), uplo.encode(), _int(m), _int(n), ctypes.byref(ctypes.c_double(alpha)),
+        _ptr(a), _ld(a), _ptr(b), _ld(b), ctypes.byref(ctypes.c_double(beta)), _ptr(c), _ld(c), 1, 1,
+    )
+
+
+def rfp_order(ar: np.ndarray) -> int:
+    """Order n of the symmetric matrix held by the RFP array ``ar``, n(n+1)/2 numbers."""
+    if not (
+        isinstance(ar, np.ndarray)
+        and ar.ndim == 1
+        and ar.dtype == np.float64
+        and ar.flags.c_contiguous
+        and ar.flags.writeable
+    ):
+        raise ShapeError("RFP operands must be writeable 1-D contiguous float64 arrays")
+    n = (math.isqrt(8 * ar.size + 1) - 1) // 2
+    if n * (n + 1) // 2 != ar.size:
+        raise ShapeError(f"{ar.size} numbers are not the RFP array of a symmetric matrix")
+    return n
+
+
+def sfrk(alpha: float, a: np.ndarray, beta: float, c: np.ndarray) -> None:
+    """Symmetric rank-k update in place on the RFP array ``c``: ``c = alpha a a^T + beta c``."""
+    _matrix(a)
+    n, k = a.shape
+    if n != rfp_order(c):
+        raise ShapeError(f"operand is {a.shape}, result of order {rfp_order(c)}")
+    _routine("sfrk")(
+        b"N", b"L", b"N", _int(n), _int(k), ctypes.byref(ctypes.c_double(alpha)), _ptr(a), _ld(a),
+        ctypes.byref(ctypes.c_double(beta)), _ptr(c), 1, 1, 1,
+    )
+
+
+def pftrf(ar: np.ndarray) -> int:
+    """Cholesky factor of the RFP array ``ar``, written over it.
+
+    Returns LAPACK's ``info``: 0 on success, ``k > 0`` if the leading
+    minor of order k is not positive definite.
+    """
+    info = ctypes.c_int64()
+    _routine("pftrf")(b"N", b"L", _int(rfp_order(ar)), _ptr(ar), ctypes.byref(info), 1, 1)
+    return _info("pftrf", info)
+
+
+def pftri(factor: np.ndarray) -> int:
+    """Inverse of ``A`` from ``pftrf``'s factor, written over it in RFP.
+
+    Returns LAPACK's ``info``: ``k > 0`` if the factor's k-th diagonal
+    entry is zero.
+    """
+    info = ctypes.c_int64()
+    _routine("pftri")(b"N", b"L", _int(rfp_order(factor)), _ptr(factor), ctypes.byref(info), 1, 1)
+    return _info("pftri", info)
+
+
+def pftrs(factor: np.ndarray, b: np.ndarray) -> None:
+    """Solve ``A x = b`` in place on ``b`` from ``pftrf``'s factor of ``A``."""
+    _matrix(b)
+    n = rfp_order(factor)
+    if b.shape[0] != n:
+        raise ShapeError(f"factor of order {n}, right-hand side {b.shape}")
+    info = ctypes.c_int64()
+    _routine("pftrs")(
+        b"N", b"L", _int(n), _int(b.shape[1]), _ptr(factor), _ptr(b), _ld(b), ctypes.byref(info), 1, 1
+    )
+    _info("pftrs", info)
+
+
+def trttf(a: np.ndarray) -> np.ndarray:
+    """The RFP array of the symmetric matrix whose lower triangle ``a`` holds."""
+    _matrix(a, square=True)
+    n = a.shape[0]
+    ar = np.empty(n * (n + 1) // 2)
+    info = ctypes.c_int64()
+    _routine("trttf")(b"N", b"L", _int(n), _ptr(a), _ld(a), _ptr(ar), ctypes.byref(info), 1, 1)
+    _info("trttf", info)
+    return ar
+
+
+def tfttr(ar: np.ndarray) -> np.ndarray:
+    """A Fortran-ordered square array whose lower triangle holds the RFP array ``ar``; the rest is 0."""
+    n = rfp_order(ar)
+    a = np.zeros((n, n), order="F")
+    info = ctypes.c_int64()
+    _routine("tfttr")(b"N", b"L", _int(n), _ptr(ar), _ptr(a), _ld(a), ctypes.byref(info), 1, 1)
+    _info("tfttr", info)
+    return a

@@ -7,12 +7,17 @@ is the slope test the timing gates use, and ``inject_faulty_updates``
 breaks the recursion for tests that the oracle check catches it.
 ``pretrain_per_step`` is the extractor's SGD written one array per
 operation, the reference the library's loop must match bit for bit.
+``full_storage_update`` is the Woodbury update on a full E x E state,
+refreshed by ``syrk`` on one triangle and mirrored onto the other, the
+reference for the library's update on packed storage.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
+from akws import lapack
+from akws.classifier import AnalyticClassifier, LabelMatrix, _check_batch, _register, _spd_factor
 from akws.errors import MetricUndefinedError
 
 
@@ -155,3 +160,51 @@ def pretrain_per_step(x: np.ndarray, labels: np.ndarray, hidden: int, epochs: in
             b2 = b2 - lr * gb2
         history.append(epoch_loss / n)
     return (w1, b1, w2, b2), history
+
+
+# Edge of the square tiles ``mirror_upper`` copies: a pair of 64 x 64 float64
+# tiles (64 KiB) stays in cache while one is read transposed.
+_TILE = 64
+_BELOW_DIAGONAL = np.tri(_TILE, k=-1, dtype=bool)
+
+
+def mirror_upper(x: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of square ``x`` onto its lower one, in place, tile by tile; returns ``x``."""
+    n = x.shape[0]
+    for i in range(0, n, _TILE):
+        d = x[i : i + _TILE, i : i + _TILE]
+        np.copyto(d, d.T, where=_BELOW_DIAGONAL[: len(d), : len(d)])
+        for j in range(i + _TILE, n, _TILE):
+            x[j : j + _TILE, i : i + _TILE] = x[i : i + _TILE, j : j + _TILE].T
+    return x
+
+
+def full_storage_update(c: AnalyticClassifier, s: np.ndarray, y: LabelMatrix) -> AnalyticClassifier:
+    """``akws.update`` on a classifier whose ``afam`` is a full C-ordered E x E array.
+
+    The square-root Woodbury step with ``S A`` as one GEMM and the refresh
+    ``A - Z_a^T Z_a`` by ``syrk`` on the upper triangle, then mirrored.
+    Consumes ``c.afam``.
+    """
+    s = _check_batch(s, y)
+    e = c.expansion_size
+    class_ids, cols = _register(c.class_ids, y.class_ids)
+    n, n_cols = s.shape[0], c.n_classes
+    a = np.require(c.afam, np.float64, "CW")
+    rhs = np.empty((n, e + len(class_ids)))
+    np.matmul(s, a, out=rhs[:, :e])
+    r = rhs[:, e:]
+    np.matmul(s, c.weights, out=r[:, :n_cols])
+    r[:, :n_cols] *= -1.0
+    r[:, n_cols:] = 0.0
+    r[:, cols] += y.onehot
+    chol = _spd_factor(np.add(np.eye(n), rhs[:, :e] @ s.T, order="F"), "the Woodbury kernel")
+    lapack.trsm("R", "L", "T", "N", 1.0, chol, rhs.T)
+    za = rhs[:, :e]
+    lapack.syrk("L", "N", -1.0, za.T, 1.0, a.T)  # the upper triangle of C-ordered A
+    mirror_upper(a)
+    weights = za.T @ rhs[:, e:]
+    weights[:, :n_cols] += c.weights
+    return AnalyticClassifier(
+        weights=weights, afam=a, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
+    )

@@ -19,11 +19,22 @@ from akws import (
     relative_frobenius,
     update,
 )
-from akws import classifier
-from akws.classifier import NormalEquations, _materialize_inverse, _mirror_upper, _spd_factor
+from akws import classifier, full_afam, lapack
+from akws.classifier import NormalEquations, _materialize_inverse, _spd_factor
 from akws.errors import DataError, ShapeError, StateError
 
-from oracles import ridge_normal_equations
+from oracles import full_storage_update, mirror_upper, ridge_normal_equations
+
+
+def packed(full):
+    """The RFP array of symmetric ``full``."""
+    return lapack.trttf(np.asfortranarray(full, dtype=np.float64))
+
+
+def unpacked(ar):
+    """The full symmetric matrix of the RFP array ``ar``."""
+    lower = lapack.tfttr(ar)
+    return lower + np.tril(lower, -1).T
 
 
 def random_batch(rng, n, e, class_ids):
@@ -144,7 +155,7 @@ class TestRecalibrate:
     def test_identity_example(self):
         clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
         assert np.allclose(clf.weights, 0.5 * np.eye(2), atol=1e-15)
-        assert np.allclose(clf.afam, 0.5 * np.eye(2), atol=1e-15)
+        assert np.allclose(full_afam(clf), 0.5 * np.eye(2), atol=1e-15)
         assert clf.gamma == 1.0
         assert clf.tasks_seen == 1
         assert clf.class_ids == (0, 1)
@@ -214,7 +225,7 @@ class TestRecalibrate:
             spectrum = np.linalg.eigvalsh(s.T @ s + gamma * np.eye(e))
             bound = 10 * eps * spectrum[-1] / spectrum[0]
             assert relative_frobenius(got.weights, whole.weights) <= bound
-            assert relative_frobenius(got.afam, whole.afam) <= bound
+            assert relative_frobenius(full_afam(got), full_afam(whole)) <= bound
 
 
 class TestUpdate:
@@ -228,18 +239,20 @@ class TestUpdate:
         assert out.tasks_seen == before.tasks_seen + 1
 
     def test_chain_with_empty_batches_matches_joint(self):
-        # an empty batch with no new classes is one more task, as in joint_solve
+        # an empty batch with no new classes is one more task, as in joint_solve;
+        # odd and even E pack A differently
         rng = np.random.default_rng(4)
-        empty = (np.zeros((0, 8)), LabelMatrix(np.zeros((0, 0)), ()))
-        batches = [random_batch(rng, 20, 8, range(3)), empty, random_batch(rng, 15, 8, range(3, 5)), empty]
-        clf = recalibrate([batches[0]], 0.1)
-        for b in batches[1:]:
-            clf = update(clf, *b)
-        joint = joint_solve(batches, 0.1)
-        assert relative_frobenius(clf.weights, joint.weights) < 1e-9
-        assert relative_frobenius(clf.afam, joint.afam) < 1e-9
-        assert clf.class_ids == joint.class_ids
-        assert clf.tasks_seen == joint.tasks_seen == 4
+        for e in (8, 9):
+            empty = (np.zeros((0, e)), LabelMatrix(np.zeros((0, 0)), ()))
+            batches = [random_batch(rng, 20, e, range(3)), empty, random_batch(rng, 15, e, range(3, 5)), empty]
+            clf = recalibrate([batches[0]], 0.1)
+            for b in batches[1:]:
+                clf = update(clf, *b)
+            joint = joint_solve(batches, 0.1)
+            assert relative_frobenius(clf.weights, joint.weights) < 1e-9
+            assert relative_frobenius(full_afam(clf), full_afam(joint)) < 1e-9
+            assert clf.class_ids == joint.class_ids
+            assert clf.tasks_seen == joint.tasks_seen == 4
 
     def test_empty_batch_with_new_classes_registers_zero_columns(self):
         clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
@@ -274,15 +287,16 @@ class TestUpdate:
         # buffer, negated in place; at E=6 the first update's rows are 8 wide,
         # where numpy 2.4's np.negative(out=) miscomputes such a view
         rng = np.random.default_rng(14)
-        batches = [random_batch(rng, 12, 6, [0])]
-        batches += [random_batch(rng, 9, 6, [t]) for t in range(1, 5)]
-        batches += [random_batch(rng, 11, 6, [5, 6])]
-        clf = recalibrate([batches[0]], 0.1)
-        for b in batches[1:]:
-            clf = update(clf, *b)
-        joint = joint_solve(batches, 0.1)
-        assert clf.class_ids == joint.class_ids
-        assert relative_frobenius(clf.weights, joint.weights) < 1e-9
+        for e in (6, 5):
+            batches = [random_batch(rng, 12, e, [0])]
+            batches += [random_batch(rng, 9, e, [t]) for t in range(1, 5)]
+            batches += [random_batch(rng, 11, e, [5, 6])]
+            clf = recalibrate([batches[0]], 0.1)
+            for b in batches[1:]:
+                clf = update(clf, *b)
+            joint = joint_solve(batches, 0.1)
+            assert clf.class_ids == joint.class_ids
+            assert relative_frobenius(clf.weights, joint.weights) < 1e-9
 
     def test_width_mismatch(self):
         clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
@@ -300,13 +314,13 @@ class TestUpdate:
         assert relative_frobenius(out.weights, joint.weights) < 1e-9
         assert np.all(out.weights[:, 2] == 0.0)
         # spectrum stays positive definite
-        assert np.all(np.linalg.eigvalsh(out.afam) > 0.0)
+        assert np.all(np.linalg.eigvalsh(full_afam(out)) > 0.0)
 
     def test_consumes_input_state_and_keeps_its_weights(self):
         # the refreshed state is written over the input's, which keeps its weights
         rng = np.random.default_rng(6)
-        # E=130 and E=600 span several mirror tiles
-        for e in (5, 130, 600):
+        # odd and even E pack A differently
+        for e in (5, 129, 130, 600):
             b0 = random_batch(rng, 12, e, range(2))
             b1 = random_batch(rng, 9, e, range(2, 4))
             clf = recalibrate([b0], 0.1)
@@ -316,7 +330,7 @@ class TestUpdate:
             assert clf.afam is None
             assert out.afam is state
             assert np.array_equal(clf.weights, w_before)
-            assert relative_frobenius(out.afam, joint_solve([b0, b1], 0.1).afam) < 1e-9
+            assert relative_frobenius(full_afam(out), full_afam(joint_solve([b0, b1], 0.1))) < 1e-9
 
     def test_second_update_of_consumed_input_raises(self):
         rng = np.random.default_rng(15)
@@ -356,41 +370,62 @@ class TestUpdate:
 
     def test_afam_exactly_symmetric_after_chain(self):
         # (130, 200): updates of more rows than columns; on two BLAS threads a
-        # whole-matrix GEMM refresh in place of syrk + mirror is not exactly
-        # symmetric there, and symmetric at the other two inputs
+        # whole-matrix GEMM refresh is not exactly symmetric there. A holds one
+        # triangle, so it is symmetric by construction, odd E as even
         rng = np.random.default_rng(9)
-        for e, rows in ((130, 7), (600, 7), (130, 200)):
+        for e, rows in ((130, 7), (600, 7), (130, 200), (129, 7), (129, 200)):
             out = recalibrate([random_batch(rng, 40, e, range(2))], 0.1)
             for t in range(1, 6):
                 out = update(out, *random_batch(rng, rows, e, range(2 * t, 2 * t + 2)))
-            assert np.array_equal(out.afam, out.afam.T)
+            assert out.afam.shape == (e * (e + 1) // 2,)
+            full = full_afam(out)
+            assert np.array_equal(full, full.T)
 
     @pytest.mark.parametrize("n", [9, 300])
     def test_refresh_matches_full_form(self, n):
-        # the upper triangle refreshed in place and mirrored, against the whole product
+        # the packed triangle refreshed in place, against the whole product
         rng = np.random.default_rng(13)
-        clf = recalibrate([random_batch(rng, 40, 600, range(2))], 0.1)
-        s, y = random_batch(rng, n, 600, range(2, 4))
-        a = clf.afam
-        sa = s @ a
-        z = np.linalg.solve(np.linalg.cholesky(np.eye(n) + sa @ s.T), sa)
-        full = a - z.T @ z.copy()  # the whole product, both triangles
-        out = update(clf, s, y)
-        assert relative_frobenius(out.afam, full) < 1e-14
+        for e in (600, 599):
+            clf = recalibrate([random_batch(rng, 40, e, range(2))], 0.1)
+            s, y = random_batch(rng, n, e, range(2, 4))
+            a = full_afam(clf)
+            sa = s @ a
+            z = np.linalg.solve(np.linalg.cholesky(np.eye(n) + sa @ s.T), sa)
+            full = a - z.T @ z.copy()  # the whole product, both triangles
+            out = update(clf, s, y)
+            assert relative_frobenius(full_afam(out), full) < 1e-14
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 129, 130, 512])
+    def test_matches_full_storage_reference_over_a_chain(self, e):
+        # the same arithmetic on packed and on full storage; S A is summed by
+        # blocks in one and at once in the other. gamma of at least E plus the
+        # chain's 168 rows keeps cond(G) below 3, so the two differ at a few
+        # ulps; on an ill-conditioned chain they differ by about cond(G) eps
+        rng = np.random.default_rng(e)
+        batches = [random_batch(rng, 16, e, range(2))]
+        batches += [random_batch(rng, 8, e, range(2 * t, 2 * t + 2)) for t in range(1, 20)]
+        got = recalibrate([batches[0]], e + 168.0)
+        ref = replace(got, afam=full_afam(got))
+        for b in batches[1:]:
+            got = update(got, *b)
+            ref = full_storage_update(ref, *b)
+        assert got.class_ids == ref.class_ids
+        assert relative_frobenius(got.weights, ref.weights) <= 1e-14
+        assert relative_frobenius(full_afam(got), ref.afam) <= 1e-14
 
     def test_kernel_not_positive_definite_is_a_data_error(self):
         rng = np.random.default_rng(11)
         clf = recalibrate([random_batch(rng, 12, 6, range(2))], 0.1)
-        broken = replace(clf, afam=-np.eye(6))
+        broken = replace(clf, afam=packed(-np.eye(6)))
         batch = random_batch(rng, 5, 6, range(2, 4))
         with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
             update(broken, *batch)
         # the failed update did not consume its input
-        assert np.array_equal(broken.afam, -np.eye(6))
+        assert np.array_equal(full_afam(broken), -np.eye(6))
         with pytest.raises(DataError, match="Woodbury kernel"):
             update(broken, *batch)
         out = update(broken, np.zeros((0, 6)), LabelMatrix(np.zeros((0, 0)), ()))
-        assert np.array_equal(out.afam, -np.eye(6))
+        assert np.array_equal(full_afam(out), -np.eye(6))
 
     def test_chain_runs_without_scipy(self):
         # with scipy unimportable, a chain of updates still matches the joint solve
@@ -400,34 +435,36 @@ class TestUpdate:
             "import numpy as np\n"
             "from akws import LabelMatrix, joint_solve, recalibrate, relative_frobenius, update\n"
             "rng = np.random.default_rng(12)\n"
-            "def batch(n, ids):\n"
-            "    return rng.standard_normal((n, 40)), LabelMatrix.from_labels(rng.choice(ids, n), ids)\n"
-            "batches = [batch(30, [0, 1])] + [batch(9, [2 * t, 2 * t + 1]) for t in range(1, 6)]\n"
-            "out = recalibrate([batches[0]], 0.1)\n"
-            "for s, y in batches[1:]:\n"
-            "    out = update(out, s, y)\n"
-            "joint = joint_solve(batches, 0.1)\n"
-            "assert out.class_ids == joint.class_ids\n"
-            "print(relative_frobenius(out.weights, joint.weights))\n"
+            "for e in (40, 41):\n"
+            "    def batch(n, ids):\n"
+            "        return rng.standard_normal((n, e)), LabelMatrix.from_labels(rng.choice(ids, n), ids)\n"
+            "    batches = [batch(30, [0, 1])] + [batch(9, [2 * t, 2 * t + 1]) for t in range(1, 6)]\n"
+            "    out = recalibrate([batches[0]], 0.1)\n"
+            "    for s, y in batches[1:]:\n"
+            "        out = update(out, s, y)\n"
+            "    joint = joint_solve(batches, 0.1)\n"
+            "    assert out.class_ids == joint.class_ids\n"
+            "    print(relative_frobenius(out.weights, joint.weights))\n"
         )
         got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert got.returncode == 0, got.stderr
-        assert float(got.stdout) < 1e-9
+        assert all(float(dev) < 1e-9 for dev in got.stdout.split())
 
 
 class TestKernels:
     @pytest.mark.parametrize("e", [1, 63, 64, 65, 130, 257])
     def test_mirror_upper_bit_identical_to_whole_matrix_form(self, e):
         x = np.random.default_rng(e).standard_normal((e, e))
-        assert np.array_equal(_mirror_upper(x.copy()), np.triu(x) + np.triu(x, 1).T)
+        assert np.array_equal(mirror_upper(x.copy()), np.triu(x) + np.triu(x, 1).T)
 
     def test_materialize_inverse_symmetric_and_accurate(self):
         rng = np.random.default_rng(10)
-        s = rng.standard_normal((150, 130))
-        gram = s.T @ s + 0.1 * np.eye(130)
-        inv = _materialize_inverse(_spd_factor(gram.copy(order="F"), "the Gram matrix"))
-        assert np.array_equal(inv, inv.T)
-        assert relative_frobenius(inv, np.linalg.inv(gram)) < 1e-12
+        for e in (130, 129):
+            s = rng.standard_normal((150, e))
+            gram = s.T @ s + 0.1 * np.eye(e)
+            inv = _materialize_inverse(_spd_factor(packed(gram), "the Gram matrix"))
+            assert inv.shape == (e * (e + 1) // 2,)
+            assert relative_frobenius(unpacked(inv), np.linalg.inv(gram)) < 1e-12
 
     @pytest.mark.parametrize("fit", ["recalibrate", "joint_solve"])
     def test_gram_not_positive_definite_is_a_data_error(self, fit):
@@ -442,8 +479,8 @@ class TestKernels:
             calls[fit]()
 
     def test_materialize_inverse_rejects_singular_factor(self):
-        with pytest.raises(DataError, match="potri info=1"):
-            _materialize_inverse(np.zeros((3, 3), order="F"))
+        with pytest.raises(DataError, match="pftri info=1"):
+            _materialize_inverse(np.zeros(6))
 
 
 class TestJointSolve:
@@ -453,7 +490,7 @@ class TestJointSolve:
         joint = joint_solve([b], 0.2)
         direct = recalibrate([b], 0.2)
         assert relative_frobenius(joint.weights, direct.weights) < 1e-12
-        assert relative_frobenius(joint.afam, direct.afam) < 1e-12
+        assert relative_frobenius(full_afam(joint), full_afam(direct)) < 1e-12
 
     def test_order_permutes_columns_only(self):
         rng = np.random.default_rng(2)
@@ -492,12 +529,12 @@ class TestJointSolve:
         whole = joint_solve([both], 0.1)
         assert split.class_ids == whole.class_ids == (0, 1, 2)
         assert relative_frobenius(split.weights, whole.weights) < 1e-12
-        assert relative_frobenius(split.afam, whole.afam) < 1e-12
+        assert relative_frobenius(full_afam(split), full_afam(whole)) < 1e-12
 
     def test_adding_and_solving_for_weights_allocate_no_gram_sized_buffer(self):
-        # syrk adds S'T S to G's triangle in place, and the weights-only solve
-        # factors G's triangle where it lies: numpy's s.T @ s, or a copy of G,
-        # would each allocate E x E (8 MB here)
+        # sfrk adds S'T S to packed G in place, and the weights-only solve
+        # factors a packed copy of G (4 MB here): numpy's s.T @ s would
+        # allocate E x E (8 MB)
         e = 1024
         rng = np.random.default_rng(7)
         normal = NormalEquations(0.1)
@@ -513,14 +550,14 @@ class TestJointSolve:
             assert peak < 8 * e * e, f"{peak / 1e6:.2f} MB"
 
     def test_failed_weights_only_solve_keeps_the_system(self):
-        # a Gram matrix that is not positive definite: potrf stops part way
-        # through G's triangle, which the spare one then restores
+        # a Gram matrix that is not positive definite: pftrf stops part way
+        # through the copy of G it factors, and G stays as it was
         normal = NormalEquations(1e-10)
         normal.add([(np.full((2, 3), 1e8), LabelMatrix.from_labels([0, 1]))])
         before = normal.gram.copy()
         with pytest.raises(DataError, match="Gram matrix is not positive definite"):
             normal.solve(inverse=False)
-        assert np.array_equal(np.triu(normal.gram), np.triu(before))
+        assert np.array_equal(normal.gram, before)
 
     def test_normal_equations_solved_per_prefix_equal_joint_solve(self):
         # the oracle's path: one accumulator, solved after every batch it adds
@@ -553,11 +590,11 @@ class TestAfamDirect:
     """The state formed directly, (S^T S + gamma I)^-1, as joint_solve returns it."""
 
     def test_no_batches_is_scaled_identity(self):
-        out = joint_solve([(np.zeros((0, 3)), LabelMatrix(np.zeros((0, 0)), ()))], 2.0).afam
+        out = full_afam(joint_solve([(np.zeros((0, 3)), LabelMatrix(np.zeros((0, 0)), ()))], 2.0))
         assert np.allclose(out, 0.5 * np.eye(3), atol=1e-15)
 
     def test_identity_batch(self):
-        out = joint_solve([(np.eye(2), LabelMatrix.from_labels([0, 1]))], 1.0).afam
+        out = full_afam(joint_solve([(np.eye(2), LabelMatrix.from_labels([0, 1]))], 1.0))
         assert np.allclose(out, 0.5 * np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -574,8 +611,8 @@ class TestAfamDirect:
         y1 = LabelMatrix.from_labels(rng.integers(0, 2, 9), class_ids=range(2))
         y2 = LabelMatrix.from_labels(rng.integers(2, 4, 14), class_ids=range(2, 4))
         clf = update(recalibrate([(s1, y1)], 0.7), s2, y2)
-        direct = joint_solve([(s1, y1), (s2, y2)], 0.7).afam
-        assert relative_frobenius(clf.afam, direct) < 1e-10
+        direct = full_afam(joint_solve([(s1, y1), (s2, y2)], 0.7))
+        assert relative_frobenius(full_afam(clf), direct) < 1e-10
 
 
 class TestPredict:

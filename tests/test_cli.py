@@ -235,17 +235,18 @@ class TestRun:
         assert got.returncode == results["missing_key"].returncode != 0
 
     def test_kernel_not_positive_definite_is_one_error_line(self, tmp_path):
-        # a first fit whose carried A is -I makes the first update's kernel indefinite
+        # a first fit whose carried A is -I, packed, makes the first update's kernel indefinite
         script = (
             "import sys\n"
             "from dataclasses import replace\n"
             "import numpy as np\n"
             "import akws.harness as h\n"
+            "from akws import lapack\n"
             "from akws.cli import main\n"
             "fit = h.recalibrate\n"
             "def broken(*args):\n"
             "    clf = fit(*args)\n"
-            "    return replace(clf, afam=-np.eye(clf.expansion_size))\n"
+            "    return replace(clf, afam=lapack.trttf(np.asfortranarray(-np.eye(clf.expansion_size))))\n"
             "h.recalibrate = broken\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
@@ -546,6 +547,24 @@ class TestOracleCheck:
         assert run_cli("oracle-check", "--config", cfg) == 0
         assert "ORACLE PASS" in capsys.readouterr().out
 
+    def test_joint_side_failure_names_its_task(self, capsys, monkeypatch):
+        # the oracle solves for the weights only once per task, so the 4th such solve is task 3's
+        solve = harness.NormalEquations.solve
+        calls = 0
+
+        def failing(self, inverse=True):
+            nonlocal calls
+            calls += not inverse
+            if calls == 4:
+                raise DataError("forced joint failure")
+            return solve(self, inverse)
+
+        monkeypatch.setattr(harness.NormalEquations, "solve", failing)
+        assert run_cli("oracle-check", "--expansion", 48) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("prefix") == 0  # the report is printed after the loop
+        assert captured.err == "error: task 3, oracle: forced joint failure\n"
+
 
 class TestMetricsCmd:
     def test_round_trip_matches_run(self, tmp_path, capsys):
@@ -657,7 +676,7 @@ def test_oversized_expansion_exits_2_before_any_work(tmp_path, capsys, monkeypat
     monkeypatch.setattr(akws.cli, "gen_synth_split", unreached)
     extra = ("--out", tmp_path / "o") if command == "run" else ()
     assert run_cli(command, "--expansion", expansion, *extra) == 2
-    need = f"its {expansion} x {expansion} state needs {8 * expansion**2} bytes, more than physical memory"
+    need = f"its {expansion} x {expansion} state needs {4 * expansion * (expansion + 1)} bytes, more than physical memory"
     assert capsys.readouterr().err == f"error: expansion: {need}\n"
     assert not (tmp_path / "o").exists()
 

@@ -8,6 +8,7 @@ same bytes or the same error.
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -204,40 +205,61 @@ def test_load_manifest_loads_or_raises_typed_error(scratch, data):
     check_file(load_manifest, scratch, data)
 
 
-def valid_snapshot():
+def valid_snapshots():
+    """Version 2 snapshots of E=3, without and with an extractor layer, and one of version 1."""
     clf = recalibrate([(np.eye(3), LabelMatrix(np.eye(3), (3, 9, 4)))], 1.0)
-    return dump_snapshot(clf, SnapshotMeta(dim=2, seed=42, activation="relu"))
+    meta = SnapshotMeta(dim=2, seed=42, activation="relu")
+    layer = SnapshotMeta(2, 42, "relu", np.arange(8.0).reshape(4, 2), np.ones(2))
+    v1 = b"AKWS" + struct.pack("<IIIIQBdII", 1, 3, 3, 2, 42, 1, 1.0, 1, 3)
+    v1 += b"".join(struct.pack("<II", cid, col) for col, cid in enumerate(clf.class_ids))
+    v1 += (0.5 * np.eye(3)).astype("<f8").tobytes() * 2
+    return dump_snapshot(clf, meta), dump_snapshot(clf, layer), v1
 
 
-VALID_SNAPSHOT = valid_snapshot()
+VALID_SNAPSHOT, VALID_WITH_EXTRACTOR, VALID_VERSION_1 = valid_snapshots()
 U32 = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+
+
+def sealed(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @st.composite
 def mutated_snapshots(draw):
-    """A valid snapshot with bytes overwritten, cut off or appended."""
-    blob = bytearray(VALID_SNAPSHOT)
+    """A valid snapshot of either version with bytes overwritten, cut off or appended."""
+    blob = bytearray(draw(st.sampled_from([VALID_SNAPSHOT, VALID_WITH_EXTRACTOR, VALID_VERSION_1])))
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(blob) - 1))
         blob[at] = draw(st.integers(0, 255))
     blob = blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
-    return bytes(blob) + draw(st.binary(max_size=16))
+    blob = bytes(blob) + draw(st.binary(max_size=16))
+    # resealed, the mutation reaches the checks behind the CRC
+    return sealed(blob[:-4]) if draw(st.booleans()) else blob
 
 
 @st.composite
 def crafted_snapshots(draw):
-    """A well-formed header with arbitrary fields and registry; the payload is often of the declared size."""
+    """A well-formed header with arbitrary fields and registry; the payload is often of the declared size.
+
+    Version 2 blobs often end in their valid CRC.
+    """
+    version = draw(st.integers(0, 3))
     e, c = draw(U32), draw(U32)
     count = c if draw(st.booleans()) else draw(U32)
     gamma = draw(st.floats() | st.just(1.0))
-    header = struct.pack(
-        "<IIIIQBdII", draw(st.integers(0, 2)), e, c, draw(U32), draw(st.integers(0, 2**64 - 1)),
-        draw(st.integers(0, 3)), gamma, draw(U32), count,
-    )
+    dim, x_in = draw(U32), draw(U32)
+    x_hidden = dim if draw(st.booleans()) else draw(U32)
+    fields = [version, e, c, dim, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 3)), gamma, draw(U32)]
+    if version == 2:
+        header = struct.pack("<IIIIQBdIIII", *fields, x_in, x_hidden, count)
+        size = 8 * (e * c + e * (e + 1) // 2 + x_in * x_hidden + x_hidden)
+    else:
+        header = struct.pack("<IIIIQBdII", *fields, count)
+        size = 8 * (e * c + e * e)
     entries = b"".join(struct.pack("<II", draw(U32), draw(U32)) for _ in range(min(count, 4)))
-    size = 8 * (e * c + e * e)
     payload = bytes(size) if size <= 512 and draw(st.booleans()) else draw(st.binary(max_size=200))
-    return b"AKWS" + header + entries + payload
+    blob = b"AKWS" + header + entries + payload
+    return sealed(blob) if version == 2 and draw(st.booleans()) else blob
 
 
 @FUZZ
@@ -255,12 +277,12 @@ NON_FINITE = st.sampled_from(
 
 @st.composite
 def poisoned_snapshots(draw):
-    """A valid snapshot with one or more weight or state entries made non-finite."""
-    blob = bytearray(VALID_SNAPSHOT)
-    payload = len(blob) - 8 * (3 * 3 + 3 * 3)
-    for entry in draw(st.sets(st.integers(0, 17), min_size=1, max_size=3)):
+    """A valid snapshot with one or more weight, state or extractor entries made non-finite, resealed."""
+    blob = bytearray(VALID_WITH_EXTRACTOR[:-4])
+    payload = len(blob) - 8 * (3 * 3 + 6 + 4 * 2 + 2)
+    for entry in draw(st.sets(st.integers(0, 24), min_size=1, max_size=3)):
         blob[payload + 8 * entry : payload + 8 * entry + 8] = draw(NON_FINITE)
-    return bytes(blob)
+    return sealed(bytes(blob))
 
 
 @FUZZ

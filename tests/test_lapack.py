@@ -15,6 +15,15 @@ def spd(e, seed=0):
     return s.T @ s + 0.1 * np.eye(e)
 
 
+def packed(g):
+    return lapack.trttf(np.asfortranarray(g))
+
+
+def unpacked(ar):
+    lower = lapack.tfttr(ar)
+    return lower + np.tril(lower, -1).T
+
+
 def lower_factor(g):
     """``potrf``'s factor of C-ordered ``g``, read as a Fortran-ordered view."""
     factor = g.copy().T
@@ -22,6 +31,7 @@ def lower_factor(g):
     return factor
 
 
+# odd and even orders: RFP lays out odd and even E differently
 @pytest.mark.parametrize("e", [1, 7, 130])
 class TestRoutines:
     def test_potrf_matches_cholesky(self, e):
@@ -29,15 +39,58 @@ class TestRoutines:
         got = np.tril(lower_factor(g))
         assert np.allclose(got, np.linalg.cholesky(g), rtol=0, atol=1e-12 * np.abs(g).max())
 
-    def test_potri_matches_inv(self, e):
+    def test_pftri_matches_inv(self, e):
         g = spd(e)
-        factor = lower_factor(g)
-        assert lapack.potri("L", factor) == 0
+        factor = packed(g)
+        assert lapack.pftrf(factor) == 0
+        assert lapack.pftri(factor) == 0
         want = np.linalg.inv(g)
-        got = np.tril(factor)
-        assert np.linalg.norm(got - np.tril(want)) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(unpacked(factor) - want) <= 1e-12 * np.linalg.norm(want)
 
-    # the variants the classifier calls: joint_solve's two, update's one
+    def test_packing_round_trips_exactly(self, e):
+        g = spd(e)
+        ar = packed(g)
+        assert ar.shape == (e * (e + 1) // 2,)
+        assert lapack.rfp_order(ar) == e
+        assert np.array_equal(unpacked(ar), g)
+        assert np.array_equal(np.triu(lapack.tfttr(ar), 1), np.zeros((e, e)))
+
+    def test_pftrf_matches_potrf_and_pftrs_solves(self, e):
+        g = spd(e)
+        factor = packed(g)
+        assert lapack.pftrf(factor) == 0
+        want = np.tril(lower_factor(g))
+        got = np.tril(lapack.tfttr(factor))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        b = np.random.default_rng(4).standard_normal((e, 5))
+        x = b.copy(order="F")
+        lapack.pftrs(factor, x)
+        assert np.linalg.norm(x - np.linalg.solve(g, b)) <= 1e-10 * np.linalg.norm(x)
+
+    def test_sfrk_updates_the_packed_matrix(self, e):
+        # the operand is a column slice of a wider buffer, as in update: leading dimension e + 4
+        x = np.random.default_rng(3).standard_normal((9, e + 4))[:, :e]
+        g = spd(e)
+        c = packed(g)
+        lapack.sfrk(-1.0, x.T, 1.0, c)
+        want = g - x.T @ x
+        assert np.linalg.norm(unpacked(c) - want) <= 1e-12 * np.linalg.norm(want)
+        before = c.copy()
+        lapack.sfrk(-1.0, np.empty((0, e + 4))[:, :e].T, 1.0, c)  # no rows: a no-op
+        assert np.array_equal(c, before)
+
+    @pytest.mark.parametrize("uplo", ["U", "L"])
+    def test_symm_reads_the_named_triangle_only(self, e, uplo):
+        g = spd(e)
+        a = np.asfortranarray(np.triu(g) if uplo == "U" else np.tril(g))  # the other triangle is 0
+        b = np.random.default_rng(5).standard_normal((e, 6)).copy(order="F")
+        c0 = np.random.default_rng(6).standard_normal((e, 6))
+        c = c0.copy(order="F")
+        lapack.symm("L", uplo, 1.0, a, b, 1.0, c)
+        want = g @ b + c0
+        assert np.linalg.norm(c - want) <= 1e-12 * np.linalg.norm(want)
+
+    # the variant update calls (R-L-T) and the two of a solve from potrf's factor
     @pytest.mark.parametrize("side, uplo, transa", [("L", "L", "N"), ("L", "L", "T"), ("R", "L", "T")])
     def test_trsm_matches_solve(self, e, side, uplo, transa):
         factor = lower_factor(spd(e))  # its upper triangle still holds g, which trsm must not read
@@ -84,6 +137,15 @@ def test_operands_must_be_fortran_ordered():
         lapack.potrf("L", np.eye(3)[:, :2].copy())  # C-ordered 3 x 2
     with pytest.raises(ValueError, match="square"):
         lapack.potrf("L", np.zeros((3, 2), order="F"))
+    with pytest.raises(ValueError, match="1-D contiguous float64"):
+        lapack.pftrf(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="5 numbers are not the RFP array"):
+        lapack.pftrf(np.zeros(5))
+
+
+def test_every_bound_routine_resolves():
+    for name in lapack._SIGNATURES:
+        assert lapack._routine(name) is not None
 
 
 @pytest.fixture
@@ -106,9 +168,9 @@ def test_missing_symbol_run_exits_1_with_one_error_line(missing_symbol, tmp_path
     assert main(["run", "--expansion", "48", "--out", str(tmp_path / "o")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    # the first routine a run calls is the first fit's syrk
-    syrk = missing_symbol.replace("potrf", "syrk")
-    assert lines[0].startswith(f"error: task 0, fit: LAPACK symbol {syrk} not found in ")
+    # the first routine a run calls is the first fit's sfrk
+    sfrk = missing_symbol.replace("potrf", "sfrk")
+    assert lines[0].startswith(f"error: task 0, fit: LAPACK symbol {sfrk} not found in ")
 
 
 def _python(script, *args):

@@ -1,10 +1,11 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from akws import LabelMatrix, recalibrate, update
-from akws.classifier import NormalEquations
+from akws import LabelMatrix, full_afam, recalibrate, update
+from akws.classifier import AnalyticClassifier, NormalEquations
 from akws.errors import SnapshotFormatError, StateError
 from akws.snapshot import (
     SnapshotMeta,
@@ -18,6 +19,15 @@ from akws.snapshot import (
 def tiny_classifier():
     clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (3, 9)))], 1.0)
     return clf, SnapshotMeta(dim=2, seed=42, activation="relu")
+
+
+def sealed(body: bytes) -> bytes:
+    """``body`` followed by its CRC32, as version 2 ends."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# 0.5 I of order 2 in RFP: A22, then A11, then A21
+HALF_EYE_RFP = np.array([0.5, 0.5, 0.0])
 
 
 def test_round_trip(tmp_path):
@@ -53,7 +63,7 @@ def test_classifier_without_state_is_not_written(tmp_path):
 def test_class_id_outside_u32_is_not_written(tmp_path, cid):
     from akws.classifier import AnalyticClassifier
 
-    clf = AnalyticClassifier(weights=np.eye(2), afam=np.eye(2), gamma=1.0, class_ids=(3, cid), tasks_seen=1)
+    clf = AnalyticClassifier(weights=np.eye(2), afam=HALF_EYE_RFP, gamma=1.0, class_ids=(3, cid), tasks_seen=1)
     meta = SnapshotMeta(dim=2, seed=42, activation="relu")
     path = tmp_path / "clf.bin"
     with pytest.raises(SnapshotFormatError, match=f"^class id {cid} does not fit the snapshot's 32 unsigned bits$"):
@@ -73,7 +83,9 @@ def test_class_id_outside_u32_is_not_written(tmp_path, cid):
 def test_header_field_outside_the_format_is_not_written(tmp_path, meta, tasks_seen, message):
     from akws.classifier import AnalyticClassifier
 
-    clf = AnalyticClassifier(weights=np.eye(2), afam=np.eye(2), gamma=1.0, class_ids=(3, 9), tasks_seen=tasks_seen)
+    clf = AnalyticClassifier(
+        weights=np.eye(2), afam=HALF_EYE_RFP, gamma=1.0, class_ids=(3, 9), tasks_seen=tasks_seen
+    )
     with pytest.raises(SnapshotFormatError, match=message):
         dump_snapshot(clf, meta)
     path = tmp_path / "clf.bin"
@@ -82,31 +94,130 @@ def test_header_field_outside_the_format_is_not_written(tmp_path, meta, tasks_se
     assert not path.exists()
 
 
-def test_exact_byte_layout():
-    from akws.classifier import AnalyticClassifier
+# version 1 of the exact classifier below: A as E x E values, no extractor, no CRC
+VERSION_1_BYTES = b"".join(
+    [
+        b"AKWS",
+        struct.pack("<IIII", 1, 2, 2, 2),  # version, E, C, d
+        struct.pack("<Q", 42),
+        struct.pack("<B", 1),  # relu
+        struct.pack("<d", 1.0),
+        struct.pack("<I", 1),  # tasks seen
+        struct.pack("<I", 2),  # registry entries
+        struct.pack("<II", 3, 0),
+        struct.pack("<II", 9, 1),
+        np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes(),  # weights
+        np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes(),  # afam
+    ]
+)
 
+
+def exact_classifier():
     # exact matrix values, independent of any solver rounding
     clf = AnalyticClassifier(
-        weights=0.5 * np.eye(2), afam=0.5 * np.eye(2), gamma=1.0, class_ids=(3, 9), tasks_seen=1
+        weights=0.5 * np.eye(2), afam=HALF_EYE_RFP.copy(), gamma=1.0, class_ids=(3, 9), tasks_seen=1
     )
-    meta = SnapshotMeta(dim=2, seed=42, activation="relu")
-    blob = dump_snapshot(clf, meta)
-    expected = b"".join(
-        [
-            b"AKWS",
-            struct.pack("<IIII", 1, 2, 2, 2),  # version, E, C, d
-            struct.pack("<Q", 42),
-            struct.pack("<B", 1),  # relu
-            struct.pack("<d", 1.0),
-            struct.pack("<I", 1),  # tasks seen
-            struct.pack("<I", 2),  # registry entries
-            struct.pack("<II", 3, 0),
-            struct.pack("<II", 9, 1),
-            np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes(),  # weights
-            np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes(),  # afam
-        ]
+    return clf, SnapshotMeta(dim=2, seed=42, activation="relu")
+
+
+def test_exact_byte_layout():
+    blob = dump_snapshot(*exact_classifier())
+    expected = sealed(
+        b"".join(
+            [
+                b"AKWS",
+                struct.pack("<IIII", 2, 2, 2, 2),  # version, E, C, d
+                struct.pack("<Q", 42),
+                struct.pack("<B", 1),  # relu
+                struct.pack("<d", 1.0),
+                struct.pack("<I", 1),  # tasks seen
+                struct.pack("<II", 0, 0),  # no extractor
+                struct.pack("<I", 2),  # registry entries
+                struct.pack("<II", 3, 0),
+                struct.pack("<II", 9, 1),
+                np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes(),  # weights
+                struct.pack("<3d", 0.5, 0.5, 0.0),  # afam in RFP
+            ]
+        )
     )
     assert blob == expected
+
+
+def test_version_1_bytes_load_as_the_version_2_round_trip():
+    clf, meta = exact_classifier()
+    want, want_meta = load_snapshot(dump_snapshot(clf, meta))
+    got, got_meta = load_snapshot(VERSION_1_BYTES)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.afam, want.afam)
+    assert np.array_equal(got.afam, clf.afam)
+    assert (got.gamma, got.class_ids, got.tasks_seen) == (want.gamma, want.class_ids, want.tasks_seen)
+    assert got_meta == want_meta == meta
+    assert got_meta.w1 is got_meta.b1 is None
+    # a version 1 file of a fitted classifier packs to its state
+    fitted = recalibrate([(np.eye(3), LabelMatrix(np.eye(3), (1, 2, 3)))], 0.5)
+    fitted = update(fitted, np.ones((2, 3)), LabelMatrix(np.eye(2), (4, 5)))
+    v1 = VERSION_1_BYTES[:4] + struct.pack("<IIIIQBdII", 1, 3, 5, 2, 42, 1, 0.5, 2, 5)
+    v1 += b"".join(struct.pack("<II", cid, col) for col, cid in enumerate(fitted.class_ids))
+    v1 += fitted.weights.astype("<f8").tobytes() + full_afam(fitted).astype("<f8").tobytes()
+    back, _ = load_snapshot(v1)
+    assert np.array_equal(back.afam, fitted.afam)
+    assert np.array_equal(back.weights, fitted.weights)
+
+
+@pytest.mark.parametrize("extractor", [True, False])
+def test_round_trip_with_and_without_extractor(extractor):
+    clf, _ = tiny_classifier()
+    rng = np.random.default_rng(1)
+    layer = (rng.standard_normal((5, 2)), rng.standard_normal(2)) if extractor else (None, None)
+    meta = SnapshotMeta(2, 42, "relu", *layer)
+    blob = dump_snapshot(clf, meta)
+    back, back_meta = load_snapshot(blob)
+    assert np.array_equal(back.afam, clf.afam)
+    assert back_meta == meta
+    if extractor:
+        assert np.array_equal(back_meta.w1, layer[0])
+        assert np.array_equal(back_meta.b1, layer[1])
+        assert len(blob) == len(dump_snapshot(clf, SnapshotMeta(2, 42, "relu"))) + 8 * (5 * 2 + 2)
+    else:
+        assert back_meta.w1 is back_meta.b1 is None
+
+
+@pytest.mark.parametrize(
+    "w1, b1",
+    [
+        (np.ones((5, 3)), np.ones(3)),  # 3 wide, for an expansion of d=2
+        (np.ones((5, 2)), np.ones(3)),
+        (np.ones((0, 2)), np.ones(2)),  # no inputs
+        (np.ones((5, 2)), None),
+    ],
+)
+def test_extractor_that_does_not_feed_the_expansion_is_not_written(w1, b1):
+    clf, _ = tiny_classifier()
+    with pytest.raises(SnapshotFormatError, match="extractor layer"):
+        dump_snapshot(clf, SnapshotMeta(2, 42, "relu", w1, b1))
+
+
+def test_flipped_payload_byte_fails_the_crc():
+    clf, meta = tiny_classifier()
+    blob = dump_snapshot(clf, SnapshotMeta(2, 42, "relu", np.ones((3, 2)), np.zeros(2)))
+    payload = len(blob) - 4 - 8 * (2 * 2 + 3 + 3 * 2 + 2)
+    for at in range(payload, len(blob)):
+        for bit in (0, 7):
+            flipped = bytearray(blob)
+            flipped[at] ^= 1 << bit
+            with pytest.raises(SnapshotFormatError, match="^CRC32 mismatch"):
+                load_snapshot(bytes(flipped))
+
+
+def test_extractor_widths_must_feed_the_expansion():
+    clf, meta = tiny_classifier()
+    blob = bytearray(dump_snapshot(clf, meta))
+    widths = 4 + struct.calcsize("<IIIIQBdI")
+    for x_in, x_hidden in [(0, 2), (1, 0), (1, 3)]:
+        body = blob[:widths] + struct.pack("<II", x_in, x_hidden) + blob[widths + 8 : -4]
+        body += bytes(8 * (x_in * x_hidden + x_hidden))
+        with pytest.raises(SnapshotFormatError, match="extractor widths"):
+            load_snapshot(sealed(bytes(body)))
 
 
 def test_serialization_deterministic():
@@ -119,10 +230,10 @@ def test_element_count_matches_serialized_payload():
     clf = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 1)), (4,)))
     blob = dump_snapshot(clf, meta)
     e, c = clf.weights.shape
-    header = 4 + 16 + 8 + 1 + 8 + 4 + 4 + 8 * len(clf.class_ids)
-    matrix_doubles = (len(blob) - header) // 8
-    assert matrix_doubles == e * e + e * c
-    assert clf.state_elements() == e * e + e * c + len(clf.class_ids)
+    header = 4 + 16 + 8 + 1 + 8 + 4 + 8 + 4 + 8 * len(clf.class_ids)
+    matrix_doubles = (len(blob) - header - 4) // 8  # the CRC32 ends the file
+    assert matrix_doubles == e * (e + 1) // 2 + e * c
+    assert clf.state_elements() == e * (e + 1) // 2 + e * c + len(clf.class_ids)
 
 
 def test_bad_magic_rejected():
@@ -158,9 +269,10 @@ def test_identity_activation_code(tmp_path):
 
 def crafted_blob(registry, gamma=1.0):
     """An E=2, two-class snapshot whose registry holds ``registry``'s (id, column) entries."""
-    header = struct.pack("<IIIIQBdII", 1, 2, 2, 2, 42, 1, gamma, 1, len(registry))
+    header = struct.pack("<IIIIQBdIIII", 2, 2, 2, 2, 42, 1, gamma, 1, 0, 0, len(registry))
     entries = b"".join(struct.pack("<II", cid, col) for cid, col in registry.items())
-    return b"AKWS" + header + entries + 2 * np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes()
+    weights = np.asarray(0.5 * np.eye(2)).astype("<f8").tobytes()
+    return sealed(b"AKWS" + header + entries + weights + HALF_EYE_RFP.astype("<f8").tobytes())
 
 
 def test_registry_entries_load_in_column_order():
@@ -170,7 +282,7 @@ def test_registry_entries_load_in_column_order():
 
 def test_truncated_header_rejected():
     blob = crafted_blob({3: 0, 9: 1})
-    header = len(blob) - 8 * (2 * 2 + 2 * 2)
+    header = len(blob) - 4 - 8 * (2 * 2 + 3)
     for truncated in [b"AKWS\x01\x00", *(blob[:cut] for cut in range(header))]:
         with pytest.raises(SnapshotFormatError):
             load_snapshot(truncated)
@@ -188,11 +300,11 @@ def test_registry_columns_must_be_a_permutation(registry):
 
 
 def test_duplicate_registry_class_id_rejected():
-    blob = bytearray(crafted_blob({3: 0, 9: 1}))
+    blob = bytearray(crafted_blob({3: 0, 9: 1})[:-4])
     entry = blob.index(struct.pack("<II", 9, 1))
     blob[entry : entry + 4] = struct.pack("<I", 3)
     with pytest.raises(SnapshotFormatError, match="registry must map"):
-        load_snapshot(bytes(blob))
+        load_snapshot(sealed(bytes(blob)))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
@@ -202,13 +314,13 @@ def test_gamma_must_be_finite_and_positive(gamma):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("block, entry", [("weights", 1), ("autocorrelation matrix", 7)], ids=["weights", "state"])
+@pytest.mark.parametrize("block, entry", [("weights", 1), ("autocorrelation matrix", 6)], ids=["weights", "state"])
 def test_non_finite_matrix_entry_rejected(block, entry, value):
-    blob = bytearray(crafted_blob({3: 0, 9: 1}))
-    at = len(blob) - 8 * (2 * 2 + 2 * 2) + 8 * entry  # weights are entries 0..3, the state 4..7
+    blob = bytearray(crafted_blob({3: 0, 9: 1})[:-4])
+    at = len(blob) - 8 * (2 * 2 + 3) + 8 * entry  # weights are entries 0..3, the state 4..6
     blob[at : at + 8] = struct.pack("<d", value)
     with pytest.raises(SnapshotFormatError, match=f"^{block} block holds a non-finite number$"):
-        load_snapshot(bytes(blob))
+        load_snapshot(sealed(bytes(blob)))
 
 
 def test_saved_file_equals_dump(tmp_path):
