@@ -12,6 +12,7 @@ from .classifier import (
     full_afam,
     joint_solve,
     predict,
+    prior,
     recalibrate,
     update,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "full_afam",
     "joint_solve",
     "predict",
+    "prior",
     "recalibrate",
     "update",
     "LabeledDataset",

@@ -29,6 +29,7 @@ from .classifier import (
     LabelMatrix,
     NormalEquations,
     predict,
+    prior,
     recalibrate,
     update,
 )
@@ -42,6 +43,15 @@ from .extractor import ExtractorModel, extract, pretrain_extractor
 # its expanded rows are never held whole: at E=4096 a block is 8 MB where
 # a 3200-row base batch is 105 MB.
 _FIT_BLOCK = 256
+
+
+def _first_fit_by_update(rows: int, e: int) -> bool:
+    """Whether a base task of ``rows`` rows at width ``e`` is fit by ``update`` from ``prior``.
+
+    That route costs about 3nE^2 + 3n^2 E flops and the Gram route
+    (``recalibrate``) about nE^2 + E^3; they cross at 3n = E.
+    """
+    return 3 * rows < e
 
 
 @dataclass(frozen=True)
@@ -268,8 +278,11 @@ class _Pipeline:
         """Fit task 0 in closed form, absorb each later task by one update.
 
         Returns the run's one record (``ExperimentResult``): the final
-        classifier, the accuracy grid and each fit's wall time. Task 0
-        reaches ``recalibrate`` as ``train_blocks(0)``; every later batch
+        classifier, the accuracy grid and each fit's wall time. Task 0 of
+        n rows at width E takes one of two routes (``_first_fit_by_update``).
+        When 3n < E it is one ``update`` of ``prior(E, gamma)`` by its
+        whole batch (the kernel route). Otherwise it reaches ``recalibrate``
+        as ``train_blocks(0)`` (the Gram route). Every later batch
         is released as part of its fit, before evaluation. After step t's
         grid row, ``on_task(t, clf, pred)`` sees the fitted classifier (the
         next step's update consumes its ``afam``; its weights stay valid)
@@ -277,6 +290,7 @@ class _Pipeline:
         oracle's.
         """
         n = len(self.tasks)
+        e, gamma = self.config.expansion_size, self.config.gamma
         grid = np.full((n, n), np.nan)
         fit_times = []
         clf = None
@@ -284,10 +298,10 @@ class _Pipeline:
             try:
                 t0 = time.perf_counter()
                 self.stage = "fit"
-                if t == 0:
-                    clf = recalibrate(self.train_blocks(0), self.config.gamma)
+                if t == 0 and not _first_fit_by_update(self.tasks[0].train.n, e):
+                    clf = recalibrate(self.train_blocks(0), gamma)
                 else:
-                    clf = update(clf, *self.train_batch(t))
+                    clf = update(clf if t else prior(e, gamma), *self.train_batch(t))
                 fit_times.append(time.perf_counter() - t0)
                 pred = self.grid_row(clf, t, grid)
             except AkwsError as exc:
@@ -353,9 +367,11 @@ def oracle_check(tasks: list[TaskData], config: HarnessConfig) -> OracleReport:
 
     The joint side keeps no batch: after the loop fits task t, the task's
     rows are expanded again in the blocks of ``train_blocks`` and added to
-    the normal equations, which are then solved for the weights. Task 0's
-    joint solution is the first fit's own computation, so its deviation
-    is exactly 0.
+    the normal equations, which are then solved for the weights. On the
+    Gram route task 0's joint solution is the first fit's own computation,
+    so its deviation is exactly 0. On the kernel route (3n < E, see
+    ``_Pipeline.run``) the first fit is an ``update``, and prefix 0
+    compares two computations like every later prefix.
     """
     pipe = _Pipeline(tasks, config)
     n_tasks = len(tasks)
@@ -457,6 +473,7 @@ def results_dict(result: ExperimentResult, config_echo: dict) -> dict:
         "bwt_undefined": bwt_undefined,
         "tt": tt,
         "tt_mean": float(np.mean(tt)) if tt else 0.0,
+        # the first fit's time, whichever route it took
         "stage_times": {"pretrain": result.pretrain_time, "recalibrate": result.fit_times[0]},
         "extra_memory_elements": result.classifier.state_elements(),
         "A": [float(v) for v in result.accuracy.a_vector],

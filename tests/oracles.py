@@ -65,6 +65,18 @@ def ridge_normal_equations(s: np.ndarray, y: np.ndarray, gamma: float) -> np.nda
     return gaussian_solve(gram, s.T @ y)
 
 
+def ridge_augmented_lstsq(s: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
+    """Ridge weights as the least-squares solution of ``[S; sqrt(gamma) I] W = [Y; 0]``.
+
+    No Gram matrix is formed, so the error is of order eps * cond(S_aug),
+    the square root of the normal equations' cond(S'T S + gamma I).
+    """
+    e = s.shape[1]
+    s_aug = np.vstack([s, np.sqrt(gamma) * np.eye(e)])
+    y_aug = np.vstack([y, np.zeros((e, y.shape[1]))])
+    return np.linalg.lstsq(s_aug, y_aug, rcond=None)[0]
+
+
 def nearest_centroid_fit(x: np.ndarray, labels: np.ndarray):
     classes = sorted(set(labels.tolist()))
     centroids = np.stack([x[labels == c].mean(axis=0) for c in classes])

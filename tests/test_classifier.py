@@ -15,6 +15,7 @@ from akws import (
     gen_synth_split,
     joint_solve,
     predict,
+    prior,
     recalibrate,
     relative_frobenius,
     update,
@@ -23,7 +24,7 @@ from akws import classifier, full_afam, lapack
 from akws.classifier import NormalEquations, _materialize_inverse, _spd_factor
 from akws.errors import DataError, ShapeError, StateError
 
-from oracles import full_storage_update, mirror_upper, ridge_normal_equations
+from oracles import full_storage_update, mirror_upper, ridge_augmented_lstsq, ridge_normal_equations
 
 
 def packed(full):
@@ -226,6 +227,40 @@ class TestRecalibrate:
             bound = 10 * eps * spectrum[-1] / spectrum[0]
             assert relative_frobenius(got.weights, whole.weights) <= bound
             assert relative_frobenius(full_afam(got), full_afam(whole)) <= bound
+
+
+class TestPrior:
+    @pytest.mark.parametrize("e", [1, 2, 5, 128, 129])
+    def test_is_the_scaled_identity(self, e):
+        clf = prior(e, 0.3)
+        assert np.array_equal(full_afam(clf), np.eye(e) / 0.3)
+        assert clf.weights.shape == (e, 0)
+        assert clf.class_ids == ()
+        assert clf.tasks_seen == 0
+        assert clf.gamma == 0.3
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, 1e-320])
+    def test_rejects_a_ridge_without_a_finite_inverse(self, gamma):
+        with pytest.raises(DataError, match="ridge parameter"):
+            prior(4, gamma)
+
+    def test_rejects_a_width_below_one(self):
+        with pytest.raises(ShapeError, match="expanded width"):
+            prior(0, 0.1)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1e-4, 1e-8])
+    def test_update_of_prior_matches_the_augmented_qr_reference(self, gamma):
+        # 60 ReLU rows at E=256: the kernel-route first fit never forms G,
+        # so its error does not grow with cond(G) as joint_solve's does.
+        # Measured at 1 and 2 BLAS threads: 3.7e-14, 1.4e-12 and 6.8e-12
+        # at the three gammas, against 9.6e-11, 1.0e-7 and 9.4e-4 for joint_solve
+        ds, _ = gen_synth_split(SynthSpec(4, 15, 16, 6.0, 1.0, seed=5), 1)
+        s = expand(ds.features, build_expansion(16, 256, 5, "relu"))
+        y = LabelMatrix.from_labels(ds.labels, class_ids=range(4))
+        got = update(prior(256, gamma), s, y)
+        assert got.tasks_seen == 1
+        assert got.class_ids == (0, 1, 2, 3)
+        assert relative_frobenius(got.weights, ridge_augmented_lstsq(s, y.onehot, gamma)) <= 1e-9
 
 
 class TestUpdate:

@@ -265,6 +265,43 @@ class TestRunExperiment:
         entry(tasks, FAST)
         assert calls == ["recalibrate"] + ["update"] * (len(tasks) - 1)
 
+    @pytest.mark.parametrize(
+        "rows, e, by_update",
+        [(100, 2048, True), (3200, 4096, False), (4400, 512, False), (500, 128, False), (40, 120, False)],
+        ids=["stream", "bigbase", "features", "default", "3n=E"],
+    )
+    def test_first_fit_route_rule(self, rows, e, by_update):
+        import akws.harness
+
+        assert akws.harness._first_fit_by_update(rows, e) is by_update
+
+    @pytest.mark.parametrize("entry", [run_experiment, oracle_check])
+    def test_small_base_is_fit_by_update_from_the_prior(self, entry, monkeypatch):
+        # a base of 2 x 12 rows at E=96, no extractor: 3n < E takes the kernel route
+        import akws.harness
+
+        calls = []
+
+        def counted(name, fit):
+            def call(*args):
+                calls.append(name)
+                return fit(*args)
+
+            return call
+
+        for name in ("recalibrate", "update"):
+            monkeypatch.setattr(akws.harness, name, counted(name, getattr(akws.harness, name)))
+        train, test = gen_synth_split(SynthSpec(8, 12, 12, 6.0, 1.0, seed=4), 10)
+        tasks = build_tasks(train, test, split_tasks(range(8), 2, 3, 2, seed=4))
+        cfg = HarnessConfig(gamma=0.1, expansion_size=96, activation="relu", seed=3, use_extractor=False)
+        result = entry(tasks, cfg)
+        assert calls == ["update"] * len(tasks)
+        if entry is oracle_check:
+            assert result.max_deviation <= 1e-9
+            assert result.min_agreement == 1.0
+        else:
+            assert result.classifier.tasks_seen == len(tasks)
+
     def test_first_fit_expands_one_block_of_rows_at_a_time(self, monkeypatch):
         # a base of 3 x 250 training rows spans three blocks; every test set
         # and later task has fewer rows than one block

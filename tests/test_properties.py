@@ -13,6 +13,7 @@ from akws import (
     full_afam,
     gen_synth_split,
     joint_solve,
+    prior,
     recalibrate,
     relative_frobenius,
     update,
@@ -90,6 +91,33 @@ def test_streamed_updates_equal_joint_solution(seed, n_tasks, e, gamma):
     joint = joint_solve(batches, gamma)
     assert clf.class_ids == joint.class_ids
     assert relative_frobenius(clf.weights, joint.weights) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    e=st.integers(1, 24),
+    rows=st.floats(0.0, 1.0),
+    gamma=st.sampled_from(GAMMAS),
+    relu=st.booleans(),
+    idle_class=st.booleans(),
+)
+def test_update_of_prior_equals_joint_solution(seed, e, rows, gamma, relu, idle_class):
+    # the kernel-route first fit: n from 0 to E rows, ReLU or identity rows,
+    # and optionally a declared class no row presents
+    rng = np.random.default_rng(seed)
+    n = round(rows * e)
+    s = rng.standard_normal((n, e))
+    if relu:
+        s = np.maximum(s, 0.0)
+    k = int(rng.integers(1, 4))
+    y = LabelMatrix.from_labels(rng.integers(0, k, n), class_ids=range(k + idle_class))
+    got = update(prior(e, gamma), s, y)
+    joint = joint_solve([(s, y)], gamma)
+    assert got.class_ids == joint.class_ids
+    assert got.tasks_seen == joint.tasks_seen == 1
+    assert relative_frobenius(got.weights, joint.weights) < 1e-9
+    assert relative_frobenius(full_afam(got), full_afam(joint)) < 1e-10
 
 
 # E from 1: odd and even E, and the orders 1-3, pack A differently
