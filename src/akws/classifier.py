@@ -65,6 +65,14 @@ the whole product), so ``update`` consumes its input: the new
 classifier holds that buffer. ``Z_a^T Z_a`` is symmetric by
 construction, and only one triangle of it is ever formed.
 
+The weights grow in place too. ``W`` is the leading C columns of a
+Fortran-ordered E x capacity array, whose capacity doubles when a batch
+registers more classes than fit. One GEMM writes ``-S' W`` into the
+residual, and one more, with beta = 1, adds ``Z_a^T Z_r`` into that
+array after the new columns are zeroed. So no update allocates new
+weights while the array has room, and the input's weights are consumed
+with its ``A``.
+
 LAPACK ``potrf`` factors ``K``, symmetric only to roundoff, in place from
 its lower triangle. ``Z`` comes from one in-place triangular solve (BLAS
 ``trsm``) on the buffer that holds ``[S' A_{t-1} | Y - S' W]``. Its cost
@@ -166,11 +174,11 @@ class AnalyticClassifier:
     """Closed-form classifier state: weights, autocorrelation, class ids.
 
     ``update`` consumes the state it is given: the refreshed ``afam`` is
-    written over the input's, whose ``afam`` then becomes None. The
-    input's weights stay valid for ``predict``.
+    written over the input's and the new weights into the array the
+    input's weights view, whose ``afam`` and ``weights`` then become None.
     """
 
-    weights: np.ndarray  # E x C
+    weights: np.ndarray | None  # E x C, maybe the leading columns of a wider array; None if consumed
     # the regularized inverse Gram matrix in RFP storage, E(E+1)/2 numbers; None if consumed or weights-only
     afam: np.ndarray | None
     gamma: float
@@ -201,6 +209,35 @@ def _no_state(c: AnalyticClassifier) -> None:
             "this classifier has no autocorrelation state: it was consumed by an earlier update, "
             "or solved for its weights only; update the result of the last update"
         )
+
+
+def _weight_buffer(w: np.ndarray, cols: int) -> np.ndarray:
+    """A Fortran-ordered E x capacity array whose leading columns hold ``w``, with room for ``cols`` columns.
+
+    That is the array ``w`` views, when ``w`` is its leading column block
+    and it has the room. Otherwise it is a new array with twice the
+    capacity, or ``cols`` columns if that is more, into which ``w`` is
+    copied.
+    """
+    buf = w if w.base is None else w.base
+    if (
+        isinstance(buf, np.ndarray)
+        and buf.dtype == np.float64
+        and buf.ndim == 2
+        and buf.shape[0] == w.shape[0]
+        and buf.flags.f_contiguous
+        and buf.flags.writeable
+        and w.flags.f_contiguous
+        and w.ctypes.data == buf.ctypes.data
+    ):
+        if buf.shape[1] >= cols:
+            return buf
+        room = buf.shape[1]
+    else:
+        room = w.shape[1]
+    grown = np.empty((w.shape[0], max(cols, 2 * room)), order="F")
+    grown[:, : w.shape[1]] = w
+    return grown
 
 
 def full_afam(c: AnalyticClassifier) -> np.ndarray:
@@ -299,10 +336,12 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
 
     Returns a new classifier whose weights equal the joint ridge solution
     over every batch seen so far. Consumes ``c``: the new state is written
-    over ``c.afam``, which becomes None, while ``c.weights`` stay valid.
-    A batch that is rejected leaves ``c`` as it was. A batch may
-    re-present registered classes (sample streaming); their columns then
-    also receive the batch's label correlations, as in ``joint_solve``.
+    over ``c.afam`` and the new weights into the array ``c.weights``
+    views, growing it when it is full (``_weight_buffer``); both fields
+    become None. A batch that is rejected leaves ``c`` as it was. A batch
+    may re-present registered classes (sample streaming); their columns
+    then also receive the batch's label correlations, as in
+    ``joint_solve``.
     """
     _no_state(c)
     s = np.require(_check_batch(s_t_expanded, y_t), np.float64, "CW")  # C-ordered: s.T is Fortran-ordered
@@ -312,6 +351,7 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     class_ids, cols = _register(c.class_ids, y_t.class_ids)
     n = s.shape[0]
     n_cols = c.n_classes
+    w = _weight_buffer(c.weights, len(class_ids))  # if it is c's own, written only once nothing below can raise
     a = np.require(c.afam, np.float64, "CW")  # written over; a copy only if afam is not writeable float64
     a11, a22, a21 = _rfp_blocks(a, e)
     e1 = len(a11)
@@ -325,9 +365,7 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     lapack.symm("L", "L", 1.0, a11, s[:, :e1].T, 1.0, sa[:, :e1].T)
     lapack.symm("L", "U", 1.0, a22, s[:, e1:].T, 1.0, sa[:, e1:].T)
     r = rhs[:, e:]
-    np.matmul(s, c.weights, out=r[:, :n_cols])
-    # not np.negative(out=): numpy 2.4 miscomputes it on some strided views
-    r[:, :n_cols] *= -1.0
+    lapack.gemm("T", "N", -1.0, w[:, :n_cols], s.T, 0.0, r[:, :n_cols].T)  # -S W, as its transpose
     r[:, n_cols:] = 0.0
     r[:, cols] += y_t.onehot
     k = np.add(np.eye(n), sa @ s.T, order="F")  # Fortran-ordered: potrf reads K's lower triangle
@@ -337,11 +375,12 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     lapack.trsm("R", "L", "T", "N", 1.0, chol, rhs.T)
     za = rhs[:, :e]
 
-    c.afam = None  # consumed: nothing below can raise, and A_t is written over A_{t-1}
+    c.afam = c.weights = None  # consumed: nothing below can raise, and A_t is written over A_{t-1}
     lapack.sfrk(-1.0, za.T, 1.0, a)  # A_t = A_{t-1} - Z_a^T Z_a
 
-    weights = za.T @ rhs[:, e:]  # A_t S'T (Y - S W) = Z_a^T Z_r
-    weights[:, :n_cols] += c.weights
+    weights = w[:, : len(class_ids)]
+    weights[:, n_cols:] = 0.0
+    lapack.gemm("N", "T", 1.0, za.T, rhs[:, e:].T, 1.0, weights)  # W + A_t S'T (Y - S W) = W + Z_a^T Z_r
     return AnalyticClassifier(
         weights=weights, afam=a, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
     )
@@ -446,8 +485,11 @@ def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:
     """Global class id of the best-scoring column per row.
 
     Ties resolve to the lowest column index, i.e. the earliest-registered
-    class, so predictions are deterministic.
+    class, so predictions are deterministic. A classifier consumed by
+    ``update`` raises ``StateError``.
     """
+    if c.weights is None:
+        raise StateError("this classifier was consumed by an earlier update; predict with the result of the last update")
     if c.n_classes < 1:
         raise ShapeError("classifier has no registered classes")
     x = np.asarray(x_expanded, dtype=np.float64)

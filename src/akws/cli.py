@@ -19,7 +19,8 @@ or feature CSV that does not parse, manifest contents a run cannot use
 (a class in two tasks, files of different widths, a label outside its
 task's classes, a train file without rows), an input file that is not
 UTF-8 text, an expansion whose E x E state alone exceeds physical
-memory, synthetic data whose train and test features exceed it, or data
+memory, or whose state and expanded test rows (m_test x E) together
+exceed it, synthetic data whose train and test features exceed it, or data
 whose first task has no test rows (so its accuracy, and ACC, are
 undefined) is invalid input; a data file that cannot be opened under
 ``run`` or ``oracle-check``, a numerical failure such as a Woodbury
@@ -93,11 +94,15 @@ def _resolve_config(args) -> RunConfig:
     return parse_config(doc)
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
     """Draw synthetic train and test sets and slice them into the split's tasks."""
     order = split_tasks(range(data.classes), **asdict(split))  # gen's split check, before the memory check
     need = 8 * data.classes * (data.per_class + data.test_per_class) * data.dim
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any draw
+    if need > _physical_memory():  # refused before any draw
         raise ConfigError(f"its train and test features need {need} bytes, more than physical memory", field="data")
     train, test = gen_synth_split(data, data.test_per_class)
     return build_tasks(train, test, order)
@@ -106,14 +111,22 @@ def _synth_tasks(data: SynthDataConfig, split: SplitConfig):
 def _assemble_tasks(cfg: RunConfig):
     h = cfg.harness
     e = h.expansion_size
-    need = 8 * (e * (e + 1) // 2)  # the packed E x E state
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # refused before any allocation
-        raise ConfigError(f"its {e} x {e} state needs {need} bytes, more than physical memory", field="expansion")
+    state = 8 * (e * (e + 1) // 2)  # the packed E x E state
+    if state > _physical_memory():  # refused before any data is read or drawn
+        raise ConfigError(f"its {e} x {e} state needs {state} bytes, more than physical memory", field="expansion")
     d = cfg.data
     if isinstance(d, ManifestDataConfig):
         tasks = tasks_from_manifest(d.path)
     else:
         tasks = _synth_tasks(d, cfg.split)
+    # the run holds every task's expanded test rows in one m x E buffer next to the state
+    m = sum(task.test.n for task in tasks)
+    need = state + 8 * m * e
+    if need > _physical_memory():  # refused before the run allocates either
+        raise ConfigError(
+            f"its {e} x {e} state and {m} expanded test rows need {need} bytes, more than physical memory",
+            field="expansion",
+        )
     if tasks:  # an empty manifest fails in the harness
         width = h.extractor_hidden if h.use_extractor else tasks[0].train.dim
         if h.expansion_size <= width:

@@ -285,9 +285,9 @@ class _Pipeline:
         as ``train_blocks(0)`` (the Gram route). Every later batch
         is released as part of its fit, before evaluation. After step t's
         grid row, ``on_task(t, clf, pred)`` sees the fitted classifier (the
-        next step's update consumes its ``afam``; its weights stay valid)
-        and the predictions on tasks 0..t; its failures are named as the
-        oracle's.
+        next step's update consumes it, ``afam`` and ``weights``, so read
+        it there) and the predictions on tasks 0..t; its failures are named
+        as the oracle's.
         """
         n = len(self.tasks)
         e, gamma = self.config.expansion_size, self.config.gamma

@@ -3,8 +3,8 @@
 numpy's wheels bundle an OpenBLAS built with 64-bit integers (ILP64)
 whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix, such as
 ``scipy_dpotrf_64_``. Binding them through ``ctypes`` gives the package a
-Cholesky factor, a triangular solve, symmetric products and rank-k
-updates, and the rectangular full packed (RFP) routines, on the very
+Cholesky factor, a triangular solve, a general product written into a
+given array, symmetric products and rank-k updates, and the rectangular full packed (RFP) routines, on the very
 library, and so the very thread pool, that runs numpy's ``matmul``.
 Symbols are looked up through the handle of numpy's linalg extension
 module, which resolves them in the library that module links.
@@ -48,6 +48,10 @@ _SIGNATURES = {
     "trsm": (
         _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT,
         _LEN, _LEN, _LEN, _LEN,
+    ),
+    "gemm": (
+        _CHAR, _CHAR, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT,
+        _LEN, _LEN,
     ),
     "syrk": (_CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _LEN, _LEN),
     "symm": (
@@ -156,6 +160,25 @@ def trsm(side: str, uplo: str, transa: str, diag: str, alpha: float, a: np.ndarr
         side.encode(), uplo.encode(), transa.encode(), diag.encode(),
         _int(b.shape[0]), _int(b.shape[1]), ctypes.byref(ctypes.c_double(alpha)),
         _ptr(a), _ld(a), _ptr(b), _ld(b), 1, 1, 1, 1,
+    )
+
+
+def gemm(transa: str, transb: str, alpha: float, a: np.ndarray, b: np.ndarray, beta: float, c: np.ndarray) -> None:
+    """General product in place on ``c``: ``c = alpha op(a) op(b) + beta c``.
+
+    ``op(x)`` is ``x`` (trans "N") or ``x^T`` ("T"). With ``beta`` 0 the
+    old contents of ``c`` are not read, so they may be uninitialized.
+    """
+    _matrix(a)
+    _matrix(b)
+    _matrix(c)
+    m, k = a.shape if transa == "N" else a.shape[::-1]
+    kb, n = b.shape if transb == "N" else b.shape[::-1]
+    if k != kb or (m, n) != c.shape:
+        raise ShapeError(f"operands are {a.shape} and {b.shape}, result {c.shape} (trans {transa}{transb})")
+    _routine("gemm")(
+        transa.encode(), transb.encode(), _int(m), _int(n), _int(k), ctypes.byref(ctypes.c_double(alpha)),
+        _ptr(a), _ld(a), _ptr(b), _ld(b), ctypes.byref(ctypes.c_double(beta)), _ptr(c), _ld(c), 1, 1,
     )
 
 

@@ -79,7 +79,11 @@ def _extractor_widths(meta: SnapshotMeta) -> tuple[int, int]:
 
 
 def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
-    """The snapshot's byte runs in file order, CRC last; the matrices are not copied."""
+    """The snapshot's byte runs in file order, CRC last; only matrices that are not C-ordered are copied.
+
+    ``update`` leaves the weights as the leading columns of a wider
+    Fortran-ordered array; they are written row-major, as E x C.
+    """
     if c.afam is None:
         raise StateError(
             "cannot snapshot a classifier without its autocorrelation state: it was consumed by an "

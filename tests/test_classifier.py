@@ -351,32 +351,58 @@ class TestUpdate:
         # spectrum stays positive definite
         assert np.all(np.linalg.eigvalsh(full_afam(out)) > 0.0)
 
-    def test_consumes_input_state_and_keeps_its_weights(self):
-        # the refreshed state is written over the input's, which keeps its weights
+    def test_consumes_input_state_and_weights(self):
+        # the refreshed state is written over the input's, and the new weights
+        # into the array the input's weights view once it has room
         rng = np.random.default_rng(6)
         # odd and even E pack A differently
         for e in (5, 129, 130, 600):
             b0 = random_batch(rng, 12, e, range(2))
             b1 = random_batch(rng, 9, e, range(2, 4))
+            b2 = random_batch(rng, 7, e, range(1, 4))  # no new class: the first update's array has room
             clf = recalibrate([b0], 0.1)
-            w_before = clf.weights.copy()
             state = clf.afam
             out = update(clf, *b1)
-            assert clf.afam is None
+            assert clf.afam is None and clf.weights is None
             assert out.afam is state
-            assert np.array_equal(clf.weights, w_before)
-            assert relative_frobenius(full_afam(out), full_afam(joint_solve([b0, b1], 0.1))) < 1e-9
+            grown = out.weights.base
+            assert grown.shape == (e, 4) and grown.flags.f_contiguous
+            again = update(out, *b2)
+            assert out.afam is None and out.weights is None
+            assert again.weights.base is grown
+            joint = joint_solve([b0, b1, b2], 0.1)
+            assert relative_frobenius(again.weights, joint.weights) < 1e-9
+            assert relative_frobenius(full_afam(again), full_afam(joint)) < 1e-9
+
+    def test_weights_grow_by_doubling_over_a_long_chain(self):
+        # 70 one-class updates after a two-class base: the array the weights
+        # view doubles when full, so it is reallocated log2(C) times, not once
+        # per update
+        rng = np.random.default_rng(18)
+        batches = [random_batch(rng, 6, 12, range(2))]
+        batches += [random_batch(rng, 3, 12, [t]) for t in range(2, 72)]
+        clf = recalibrate([batches[0]], 0.1)
+        arrays = []
+        for b in batches[1:]:
+            clf = update(clf, *b)
+            if not arrays or clf.weights.base is not arrays[-1]:
+                arrays.append(clf.weights.base)
+        assert [a.shape[1] for a in arrays] == [4, 8, 16, 32, 64, 128]
+        joint = joint_solve(batches, 0.1)
+        assert clf.class_ids == joint.class_ids
+        assert relative_frobenius(clf.weights, joint.weights) < 1e-9
 
     def test_second_update_of_consumed_input_raises(self):
         rng = np.random.default_rng(15)
         clf = recalibrate([random_batch(rng, 12, 6, range(2))], 0.1)
         x = rng.standard_normal((20, 6))
-        pred_before = predict(clf, x)
         batch = random_batch(rng, 5, 6, range(2, 4))
-        update(clf, *batch)
+        out = update(clf, *batch)
         with pytest.raises(StateError, match="consumed by an earlier update"):
             update(clf, *batch)
-        assert np.array_equal(predict(clf, x), pred_before)
+        with pytest.raises(StateError, match="consumed by an earlier update"):
+            predict(clf, x)
+        assert predict(out, x).shape == (20,)
 
     def test_weights_only_solve_cannot_be_updated(self):
         rng = np.random.default_rng(17)
@@ -440,7 +466,7 @@ class TestUpdate:
         batches = [random_batch(rng, 16, e, range(2))]
         batches += [random_batch(rng, 8, e, range(2 * t, 2 * t + 2)) for t in range(1, 20)]
         got = recalibrate([batches[0]], e + 168.0)
-        ref = replace(got, afam=full_afam(got))
+        ref = replace(got, weights=got.weights.copy(), afam=full_afam(got))  # update consumes both
         for b in batches[1:]:
             got = update(got, *b)
             ref = full_storage_update(ref, *b)

@@ -681,6 +681,28 @@ def test_oversized_expansion_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+def test_state_and_test_rows_beyond_physical_memory_exit_2_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # the default config: E=128, and 10 classes of 25 test rows; the state
+    # and the train and test features fit, the state and the expanded test
+    # rows do not
+    import akws.cli
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(akws.cli, "run_experiment", unreached)
+    monkeypatch.setattr(akws.cli, "oracle_check", unreached)
+    need = 8 * (128 * 129 // 2) + 8 * 250 * 128
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+    monkeypatch.setattr(akws.cli.os, "sysconf", memory.__getitem__)
+    extra = ("--out", tmp_path / "o") if command == "run" else ()
+    assert run_cli(command, *extra) == 2
+    why = f"its 128 x 128 state and 250 expanded test rows need {need} bytes, more than physical memory"
+    assert capsys.readouterr().err == f"error: expansion: {why}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "oracle-check", "gen"])
 @pytest.mark.parametrize("per_class", [10**12, 10**30])
 def test_oversized_synth_data_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command, per_class):

@@ -7,7 +7,7 @@ import pytest
 from akws import lapack
 from akws.classifier import _spd_factor
 from akws.cli import main
-from akws.errors import AkwsError, DataError
+from akws.errors import AkwsError, DataError, ShapeError
 
 
 def spd(e, seed=0):
@@ -100,6 +100,24 @@ class TestRoutines:
         lapack.trsm(side, uplo, transa, "N", 1.0, factor, x)
         want = np.linalg.solve(op, b) if side == "L" else np.linalg.solve(op.T, b.T).T
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    # update's two products: -S W into the residual, and W + Z_a^T Z_r into the weights' array
+    @pytest.mark.parametrize("transa, transb", [("T", "N"), ("N", "T")])
+    def test_gemm_writes_and_adds_into_a_column_slice(self, e, transa, transb):
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((e, 5)), rng.standard_normal((5, 6))
+        a = np.asfortranarray(x if transa == "N" else x.T)
+        b = np.asfortranarray(y if transb == "N" else y.T)
+        buffer = np.full((e, 9), np.nan, order="F")
+        c = buffer[:, :6]
+        lapack.gemm(transa, transb, -1.0, a, b, 0.0, c)  # beta 0: the NaNs in c are not read
+        want = -(x @ y)
+        assert np.linalg.norm(c - want) <= 1e-12 * np.linalg.norm(want)
+        lapack.gemm(transa, transb, 2.0, a, b, 1.0, c)
+        assert np.linalg.norm(c + want) <= 1e-12 * np.linalg.norm(want)
+        assert np.isnan(buffer[:, 6:]).all()
+        with pytest.raises(ShapeError):
+            lapack.gemm(transa, transb, 1.0, a, b, 1.0, buffer[:, :7])
 
     @pytest.mark.parametrize("uplo", ["U", "L"])
     def test_syrk_updates_the_named_triangle_only(self, e, uplo):

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,35 @@ def test_round_trip(tmp_path):
     assert back.class_ids == clf.class_ids == (3, 9, 11)
     assert back.tasks_seen == clf.tasks_seen
     assert back_meta == meta
+
+
+def one_class_chain(rng, e, steps):
+    """A two-class first fit at width ``e``, then ``steps`` one-class updates."""
+    clf = recalibrate([(rng.standard_normal((10, e)), LabelMatrix.from_labels([0, 1] * 5))], 0.1)
+    for cid in range(2, 2 + steps):
+        clf = update(clf, rng.standard_normal((4, e)), LabelMatrix.from_labels([cid] * 4))
+    return clf
+
+
+def test_weights_in_a_wider_array_are_written_as_their_contiguous_copy():
+    clf = one_class_chain(np.random.default_rng(19), 7, 1)  # 3 classes, in an array of 4 columns
+    assert clf.weights.base.shape == (7, 4)
+    meta = SnapshotMeta(dim=7, seed=42, activation="relu")
+    contiguous = replace(clf, weights=np.ascontiguousarray(clf.weights))
+    assert dump_snapshot(clf, meta) == dump_snapshot(contiguous, meta)
+
+
+def test_update_of_a_loaded_snapshot_equals_the_next_update_in_memory():
+    # the loaded weights are C-ordered and copied into a new array; the
+    # chain's own array has room for the re-presented class, not for the new one
+    rng = np.random.default_rng(20)
+    clf = one_class_chain(rng, 9, 2)  # 4 classes, in an array of 4 columns
+    meta = SnapshotMeta(dim=9, seed=42, activation="relu")
+    loaded, _ = load_snapshot(dump_snapshot(clf, meta))
+    for labels in ([3, 3, 0, 1, 2], [4, 5, 4, 5, 3]):
+        batch = rng.standard_normal((5, 9)), LabelMatrix.from_labels(labels)
+        loaded, clf = update(loaded, *batch), update(clf, *batch)
+        assert dump_snapshot(loaded, meta) == dump_snapshot(clf, meta)
 
 
 def test_classifier_without_state_is_not_written(tmp_path):
