@@ -4,8 +4,9 @@ numpy's wheels bundle an OpenBLAS built with 64-bit integers (ILP64)
 whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix, such as
 ``scipy_dpotrf_64_``. Binding them through ``ctypes`` gives the package a
 Cholesky factor, a triangular solve, a general product written into a
-given array, symmetric products and rank-k updates, and the rectangular full packed (RFP) routines, on the very
-library, and so the very thread pool, that runs numpy's ``matmul``.
+given array, symmetric products and rank-k updates, and the rectangular
+full packed (RFP) routines, on the very library, and so the very thread
+pool, that runs numpy's ``matmul``.
 Symbols are looked up through the handle of numpy's linalg extension
 module, which resolves them in the library that module links.
 
