@@ -198,7 +198,7 @@ class AnalyticClassifier:
         return list(self.class_ids)
 
     def state_elements(self) -> int:
-        """Persistent cross-task state size: E(E+1)/2 + E*C + class ids."""
+        """Cross-task state size as a snapshot stores it, E(E+1)/2 + E*C + C; unused weight columns not counted."""
         e, c = self.weights.shape
         return e * (e + 1) // 2 + e * c + len(self.class_ids)
 
@@ -387,9 +387,11 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
 
 
 def _ridge(gamma: float) -> float:
-    """``gamma`` as a float; one that is not finite and > 0 raises ``DataError``."""
+    """``gamma`` as a float; one not finite and > 0, or whose 1/gamma overflows (in ``A``), raises ``DataError``."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise DataError(f"ridge parameter must be finite and > 0, got {gamma}")
+    if not math.isfinite(1.0 / gamma):
+        raise DataError(f"ridge parameter {gamma} has no finite inverse")
     return float(gamma)
 
 
@@ -406,15 +408,11 @@ def prior(e: int, gamma: float) -> AnalyticClassifier:
 
     ``update`` of it by a task's batch fits that task as ``recalibrate``
     does, in about 3nE^2 + 3n^2 E flops for n rows instead of nE^2 + E^3.
-    A ``gamma`` whose reciprocal is not finite raises ``DataError``.
     """
     gamma = _ridge(gamma)
     if e < 1:
         raise ShapeError(f"expanded width must be >= 1, got {e}")
-    inverse = 1.0 / gamma
-    if not math.isfinite(inverse):
-        raise DataError(f"ridge parameter {gamma} has no finite inverse")
-    return AnalyticClassifier(weights=np.zeros((e, 0)), afam=_packed_diagonal(e, inverse), gamma=gamma)
+    return AnalyticClassifier(weights=np.zeros((e, 0)), afam=_packed_diagonal(e, 1.0 / gamma), gamma=gamma)
 
 
 class NormalEquations:

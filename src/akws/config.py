@@ -26,8 +26,9 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
+from .classifier import _ridge
 from .data import SynthSpec, check_split, read_text
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .expansion import ACTIVATIONS
 
 
@@ -168,8 +169,10 @@ def parse_config(doc: dict) -> RunConfig:
             check_split(data.classes, **asdict(split))
         except ConfigError as exc:
             raise ConfigError(exc.message, field="split" if exc.field is None else f"split.{exc.field}") from None
-    if cfg["gamma"] <= 0:
-        raise ConfigError("must be > 0", field="gamma")
+    try:
+        _ridge(cfg["gamma"])
+    except DataError as exc:
+        raise ConfigError(str(exc), field="gamma") from None
     if cfg["expansion_size"] < 2:
         raise ConfigError("must be >= 2", field="expansion")
     if cfg["activation"] not in ACTIVATIONS:

@@ -18,8 +18,8 @@ class ShapeError(AkwsError, ValueError):
 class DataError(AkwsError, ValueError):
     """Data or a training setting violates a value constraint (NaN/Inf
     entries, an empty task, too few classes, a duplicate class id within
-    one batch, a ridge parameter that is not finite and positive, a
-    non-positive learning rate)."""
+    one batch, a ridge parameter that is not finite and positive or whose
+    reciprocal is not finite, a non-positive learning rate)."""
 
 
 class MetricUndefinedError(AkwsError, ValueError):
@@ -45,7 +45,7 @@ class ConfigError(AkwsError, ValueError):
 
 
 class SnapshotFormatError(AkwsError, ValueError):
-    """Classifier snapshot bytes are malformed or of unknown version, or a
+    """Classifier snapshot bytes are malformed or of a version not read, or a
     classifier holds a class id the format cannot store."""
 
 

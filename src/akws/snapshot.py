@@ -1,9 +1,9 @@
 """Binary snapshot of a trained classifier and the frozen layers before it.
 
-Layout, version 2 (all little-endian):
+Layout, version 3 (all little-endian):
 
     magic   4 bytes  b"AKWS"
-    u32     format version (2)
+    u32     format version (3)
     u32     E   expansion size
     u32     C   registered class count
     u32     d   pre-expansion feature dimension
@@ -21,9 +21,10 @@ Layout, version 2 (all little-endian):
     f64[]   extractor ``b1``, hidden width values
     u32     CRC32 of every byte before it
 
-Version 1 files still load. Version 1 has no extractor fields, stores the
-autocorrelation matrix as E*E values row-major, both triangles, and ends
-without a CRC; its matrix is packed into RFP storage on load.
+The seed names the matrix ``expansion.normal_matrix`` draws from it.
+Versions 1 and 2 are refused, naming their version: their seed names a
+matrix of the generator used before version 3, so it would not rebuild
+their run's expansion. Version 3 has version 2's layout.
 """
 
 import math
@@ -33,16 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lapack
-from .classifier import AnalyticClassifier
-from .errors import ShapeError, SnapshotFormatError, StateError
+from .classifier import AnalyticClassifier, _ridge
+from .errors import DataError, ShapeError, SnapshotFormatError, StateError
 
 MAGIC = b"AKWS"
-FORMAT_VERSION = 2
-# Fixed header after the magic, per version: version, E, C, d, seed,
-# activation, gamma, tasks seen, [extractor input and hidden width,]
-# registry entry count.
-_HEADERS = {1: struct.Struct("<IIIIQBdII"), 2: struct.Struct("<IIIIQBdIIII")}
+FORMAT_VERSION = 3
+# Fixed header after the magic: version, E, C, d, seed, activation, gamma,
+# tasks seen, extractor input and hidden width, registry entry count.
+_HEADER = struct.Struct("<IIIIQBdIIII")
 _CRC = struct.Struct("<I")
 
 _ACTIVATION_CODE = {"identity": 0, "relu": 1}
@@ -105,7 +104,7 @@ def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
     e, n_classes = c.weights.shape
     if np.shape(c.afam) != (e * (e + 1) // 2,):
         raise ShapeError(f"autocorrelation state of shape {np.shape(c.afam)} is not the RFP array of order {e}")
-    header = MAGIC + _HEADERS[FORMAT_VERSION].pack(
+    header = MAGIC + _HEADER.pack(
         FORMAT_VERSION,
         e,
         n_classes,
@@ -134,35 +133,36 @@ def dump_snapshot(c: AnalyticClassifier, meta: SnapshotMeta) -> bytes:
 
 
 def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
-    """Classifier and meta of a version 2 or version 1 snapshot."""
+    """Classifier and meta of a version 3 snapshot."""
     if blob[:4] != MAGIC:
         raise SnapshotFormatError("bad magic; not a classifier snapshot")
     try:
         (version,) = struct.unpack_from("<I", blob, len(MAGIC))
-        if version not in _HEADERS:
-            raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        fields = _HEADERS[version].unpack_from(blob, len(MAGIC))
-        _, e, n_classes, dim, seed, act_code, gamma, tasks_seen, *x_widths, reg_count = fields
+        if version != FORMAT_VERSION:
+            older = f": its seed names a matrix of the generator used before version {FORMAT_VERSION}"
+            raise SnapshotFormatError(f"unsupported snapshot version {version}{older if version in (1, 2) else ''}")
+        fields = _HEADER.unpack_from(blob, len(MAGIC))
+        _, e, n_classes, dim, seed, act_code, gamma, tasks_seen, x_in, x_hidden, reg_count = fields
         if reg_count != n_classes:
             raise SnapshotFormatError(f"{reg_count} registry entries for {n_classes} classes")
-        off = len(MAGIC) + _HEADERS[version].size
+        off = len(MAGIC) + _HEADER.size
         entries = struct.unpack_from(f"<{2 * reg_count}I", blob, off)
     except struct.error as exc:
         raise SnapshotFormatError(f"truncated header: {exc}") from None
     off += 8 * reg_count
-    x_in, x_hidden = x_widths or (0, 0)
-    state = e * (e + 1) // 2 if version == 2 else e * e
-    need = 8 * (e * n_classes + state + x_in * x_hidden + x_hidden) + (_CRC.size if version == 2 else 0)
+    state = e * (e + 1) // 2
+    need = 8 * (e * n_classes + state + x_in * x_hidden + x_hidden) + _CRC.size
     if len(blob) - off != need:
         raise SnapshotFormatError(f"payload size mismatch: expected {need} bytes, got {len(blob) - off}")
-    if version == 2:
-        (crc,) = _CRC.unpack_from(blob, len(blob) - _CRC.size)
-        if zlib.crc32(memoryview(blob)[: len(blob) - _CRC.size]) != crc:
-            raise SnapshotFormatError("CRC32 mismatch: the snapshot is corrupt")
+    (crc,) = _CRC.unpack_from(blob, len(blob) - _CRC.size)
+    if zlib.crc32(memoryview(blob)[: len(blob) - _CRC.size]) != crc:
+        raise SnapshotFormatError("CRC32 mismatch: the snapshot is corrupt")
     if act_code not in _ACTIVATION_NAME:
         raise SnapshotFormatError(f"unknown activation code {act_code}")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise SnapshotFormatError(f"ridge parameter must be finite and > 0, got {gamma}")
+    try:
+        _ridge(gamma)
+    except DataError as exc:
+        raise SnapshotFormatError(str(exc)) from None
     if (x_in == 0) != (x_hidden == 0) or x_hidden not in (0, dim):
         raise SnapshotFormatError(f"extractor widths {x_in} x {x_hidden} do not feed a {dim}-wide expansion")
     ids, cols = entries[0::2], entries[1::2]
@@ -173,7 +173,7 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
     blocks = {}
     for name, shape in [
         ("weights", (e, n_classes)),
-        ("autocorrelation matrix", (state,) if version == 2 else (e, e)),
+        ("autocorrelation matrix", (state,)),
         ("extractor w1", (x_in, x_hidden)),
         ("extractor b1", (x_hidden,)),
     ]:
@@ -183,10 +183,8 @@ def load_snapshot(blob: bytes) -> tuple[AnalyticClassifier, SnapshotMeta]:
             raise SnapshotFormatError(f"{name} block holds a non-finite number")
         blocks[name] = block
         off += 8 * count
-    afam = blocks["autocorrelation matrix"]
-    if version == 1:
-        afam = lapack.trttf(afam.T)  # its upper triangle, read as the lower one of the Fortran transpose
     class_ids = tuple(cid for _, cid in sorted(zip(cols, ids)))
+    afam = blocks["autocorrelation matrix"]
     clf = AnalyticClassifier(
         weights=blocks["weights"], afam=afam, gamma=gamma, class_ids=class_ids, tasks_seen=tasks_seen
     )

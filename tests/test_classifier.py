@@ -189,6 +189,12 @@ class TestRecalibrate:
         with pytest.raises(DataError, match="must be finite and > 0"):
             joint_solve([(np.eye(2), y)], gamma)
 
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-320])
+    def test_gamma_without_a_finite_inverse(self, gamma):
+        # the Gram route's pftri would put an infinity in A, and report no error
+        with pytest.raises(DataError, match="has no finite inverse"):
+            NormalEquations(gamma)
+
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             recalibrate([(np.zeros((3, 2)), LabelMatrix(np.eye(2), (0, 1)))], 1.0)

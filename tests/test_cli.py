@@ -3,9 +3,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from akws import harness
+from akws import build_expansion, expand, harness, predict, read_grid_csv, read_snapshot
 from akws.cli import main
 from akws.errors import DataError, MetricUndefinedError
 
@@ -516,6 +517,45 @@ def test_non_finite_value_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert run_cli(*args) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--expansion", 2048)], ids=["gram-route", "kernel-route"])
+def test_gamma_without_a_finite_inverse_exits_2_before_any_work(tmp_path, capsys, monkeypatch, flags):
+    import akws.cli
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("task data built")
+
+    monkeypatch.setattr(akws.cli, "gen_synth_split", unreached)
+    assert run_cli("run", "--gamma", "1e-320", *flags, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == "error: gamma: ridge parameter 1e-320 has no finite inverse\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_snapshot_seed_rebuilds_the_run_expansion(tmp_path, monkeypatch):
+    # a seed beyond 64 bits is stored modulo 2**64, and that stored seed draws the run's matrix
+    import akws.cli
+
+    run_experiment = akws.cli.run_experiment
+    runs = []
+
+    def recorded(tasks, config):
+        runs.append((tasks, run_experiment(tasks, config)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(akws.cli, "run_experiment", recorded)
+    out = tmp_path / "o"
+    assert run_cli("run", "--seed", 2**64 + 5, "--expansion", 48, "--out", out) == 0
+    (tasks, result), = runs
+    clf, meta = read_snapshot(out / "snapshot.bin")
+    assert meta.seed == 5
+    rebuilt = build_expansion(meta.dim, clf.expansion_size, meta.seed, meta.activation)
+    assert rebuilt.matrix.tobytes() == result.expansion.matrix.tobytes()
+    last = read_grid_csv(out / "grid.csv").grid[-1]
+    for t, task in enumerate(tasks):
+        hidden = np.maximum(task.test.features @ meta.w1 + meta.b1, 0.0)
+        pred = predict(clf, expand(hidden, rebuilt))
+        assert np.mean(pred == task.test.labels) == last[t]
 
 
 class TestOracleCheck:

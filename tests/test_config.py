@@ -89,6 +89,18 @@ def test_non_finite_float_names_its_field(doc, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, 1e-320])
+def test_gamma_follows_the_classifier_ridge_rule(gamma):
+    # 1/1e-320 overflows: the classifier's state would start with an infinity
+    with pytest.raises(ConfigError, match="^gamma: ridge parameter") as exc:
+        parse_config({"gamma": gamma})
+    assert exc.value.field == "gamma"
+
+
+def test_small_gamma_with_a_finite_inverse_passes():
+    assert parse_config({"gamma": 1e-300}).harness.gamma == 1e-300
+
+
 def test_defaults_come_from_the_dataclasses():
     cfg = parse_config({"split": {"base_count": 5, "step_count": 5, "classes_per_step": 1}})
     assert cfg.data == SynthDataConfig()

@@ -206,17 +206,14 @@ def test_load_manifest_loads_or_raises_typed_error(scratch, data):
 
 
 def valid_snapshots():
-    """Version 2 snapshots of E=3, without and with an extractor layer, and one of version 1."""
+    """Snapshots of E=3, without and with an extractor layer."""
     clf = recalibrate([(np.eye(3), LabelMatrix(np.eye(3), (3, 9, 4)))], 1.0)
     meta = SnapshotMeta(dim=2, seed=42, activation="relu")
     layer = SnapshotMeta(2, 42, "relu", np.arange(8.0).reshape(4, 2), np.ones(2))
-    v1 = b"AKWS" + struct.pack("<IIIIQBdII", 1, 3, 3, 2, 42, 1, 1.0, 1, 3)
-    v1 += b"".join(struct.pack("<II", cid, col) for col, cid in enumerate(clf.class_ids))
-    v1 += (0.5 * np.eye(3)).astype("<f8").tobytes() * 2
-    return dump_snapshot(clf, meta), dump_snapshot(clf, layer), v1
+    return dump_snapshot(clf, meta), dump_snapshot(clf, layer)
 
 
-VALID_SNAPSHOT, VALID_WITH_EXTRACTOR, VALID_VERSION_1 = valid_snapshots()
+VALID_SNAPSHOT, VALID_WITH_EXTRACTOR = valid_snapshots()
 U32 = st.integers(0, 4) | st.integers(0, 2**32 - 1)
 
 
@@ -226,8 +223,8 @@ def sealed(body: bytes) -> bytes:
 
 @st.composite
 def mutated_snapshots(draw):
-    """A valid snapshot of either version with bytes overwritten, cut off or appended."""
-    blob = bytearray(draw(st.sampled_from([VALID_SNAPSHOT, VALID_WITH_EXTRACTOR, VALID_VERSION_1])))
+    """A valid snapshot with bytes overwritten, cut off or appended."""
+    blob = bytearray(draw(st.sampled_from([VALID_SNAPSHOT, VALID_WITH_EXTRACTOR])))
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(blob) - 1))
         blob[at] = draw(st.integers(0, 255))
@@ -241,25 +238,21 @@ def mutated_snapshots(draw):
 def crafted_snapshots(draw):
     """A well-formed header with arbitrary fields and registry; the payload is often of the declared size.
 
-    Version 2 blobs often end in their valid CRC.
+    Blobs often end in their valid CRC.
     """
-    version = draw(st.integers(0, 3))
+    version = draw(st.integers(0, 4))
     e, c = draw(U32), draw(U32)
     count = c if draw(st.booleans()) else draw(U32)
     gamma = draw(st.floats() | st.just(1.0))
     dim, x_in = draw(U32), draw(U32)
     x_hidden = dim if draw(st.booleans()) else draw(U32)
     fields = [version, e, c, dim, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 3)), gamma, draw(U32)]
-    if version == 2:
-        header = struct.pack("<IIIIQBdIIII", *fields, x_in, x_hidden, count)
-        size = 8 * (e * c + e * (e + 1) // 2 + x_in * x_hidden + x_hidden)
-    else:
-        header = struct.pack("<IIIIQBdII", *fields, count)
-        size = 8 * (e * c + e * e)
+    header = struct.pack("<IIIIQBdIIII", *fields, x_in, x_hidden, count)
+    size = 8 * (e * c + e * (e + 1) // 2 + x_in * x_hidden + x_hidden)
     entries = b"".join(struct.pack("<II", draw(U32), draw(U32)) for _ in range(min(count, 4)))
     payload = bytes(size) if size <= 512 and draw(st.booleans()) else draw(st.binary(max_size=200))
     blob = b"AKWS" + header + entries + payload
-    return sealed(blob) if version == 2 and draw(st.booleans()) else blob
+    return sealed(blob) if draw(st.booleans()) else blob
 
 
 @FUZZ

@@ -4,47 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from akws.prng import normal_matrix, splitmix64_next, u64_stream
-
-MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def reference_stream(seed, count):
-    """Independent re-derivation of the pinned generator, step by step."""
-
-    def splitmix(state):
-        state = (state + 0x9E3779B97F4A7C15) % 2**64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
-        return state, (z ^ (z >> 31))
-
-    def rotl(x, k):
-        return ((x << k) % 2**64) | (x >> (64 - k))
-
-    state = []
-    sm = seed
-    for _ in range(4):
-        sm, out = splitmix(sm)
-        state.append(out)
-    s = state
-    outputs = []
-    for _ in range(count):
-        outputs.append((rotl((s[1] * 5) % 2**64, 7) * 9) % 2**64)
-        t = (s[1] << 17) % 2**64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = rotl(s[3], 45)
-    return outputs
+from akws.expansion import normal_matrix
 
 
 def reference_normals(seed, count):
-    """Box-Muller, as pinned in the module docstring, on the reference stream."""
+    """Box-Muller, as the ``expansion`` module docstring pins it, over numpy's raw PCG64 stream."""
     pairs = (count + 1) // 2
-    draws = reference_stream(seed, 2 * pairs)
+    draws = np.random.PCG64(seed).random_raw(2 * pairs).tolist()
     u = np.array([x >> 11 for x in draws], dtype=np.float64) * 2.0**-53
     r = np.sqrt(-2.0 * np.log(u[0::2] + 2.0**-53))
     theta = (2.0 * math.pi) * u[1::2]
@@ -52,33 +18,6 @@ def reference_normals(seed, count):
     out[0::2] = r * np.cos(theta)
     out[1::2] = r * np.sin(theta)
     return out[:count]
-
-
-def test_splitmix64_avalanche_and_determinism():
-    s1, out1 = splitmix64_next(0)
-    s2, out2 = splitmix64_next(0)
-    assert (s1, out1) == (s2, out2)
-    _, other = splitmix64_next(1)
-    assert out1 != other
-
-
-def test_stream_matches_independent_rederivation():
-    for seed in (0, 1, 42, 2**64 - 1):
-        assert u64_stream(seed, 64).tolist() == reference_stream(seed, 64)
-
-
-def test_outputs_fit_in_64_bits():
-    got = u64_stream(123, 1000)
-    assert got.dtype == np.dtype("<u8")
-    assert got.tolist() == reference_stream(123, 1000)
-    assert all(0 <= v <= MASK for v in got.tolist())
-
-
-# The smallest lane is 64 draws; 5000 draws run in 79 lanes of 64.
-@pytest.mark.parametrize("count", [1, 2, 3, 63, 64, 65, 5000])
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_lanes_reproduce_the_sequential_stream(seed, count):
-    assert u64_stream(seed, count).tolist() == reference_stream(seed, count)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 63, 64, 65, 5000])
@@ -96,19 +35,26 @@ def test_normals_deterministic_and_odd_count():
     assert np.array_equal(a[0], b[0, :7])
 
 
+@pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5)])
+def test_seed_is_taken_modulo_2_to_the_64(seed, same):
+    # the snapshot stores the seed in 64 unsigned bits; that stored seed rebuilds the matrix
+    assert normal_matrix(4, 9, seed).tobytes() == normal_matrix(4, 9, same).tobytes()
+
+
 def test_normal_matrix_row_major_fill():
     mat = normal_matrix(3, 4, 11)
     assert np.array_equal(mat, reference_normals(11, 12).reshape(3, 4))
 
 
-# Digests of the expansion matrices at the benchmark's shapes, recorded
-# with the one-draw-at-a-time generator this module replaced.
+# Digests of the expansion matrices at the benchmark's shapes, seed 0,
+# recorded from reference_normals; numpy keeps its raw PCG64 stream fixed
+# for a seed, so a numpy that changed it fails here.
 @pytest.mark.parametrize(
     "rows, cols, digest",
     [
-        (64, 4096, "f3e7cde7575feab26915ebc0ade2cac56ef0aabbfaf5b8bb78667cbef4e17e41"),
-        (32, 2048, "2a469f86c94459e966ed89bc178a31418922a539847c6827c25950d2d5e09327"),
-        (32, 512, "85b4dc7b6f92fd61f09423431e0fa4936b668f23eff1a1c4783f89f21a2bfac0"),
+        (64, 4096, "f39af24feaeaa18fa70d2996dadd226c8bd6c163ca5323f0960c28d800182bf0"),
+        (32, 2048, "b7aad64e0b8f181a16f56a3dca3fd6073e2fd9cd5676cc56aa3d61562a8fb772"),
+        (32, 512, "6ea5f04d60a4094563bee6daa83dc8517a40f995876fbb5ed0c6a9eafc229b71"),
     ],
 )
 def test_normal_matrix_digest_is_pinned(rows, cols, digest):
