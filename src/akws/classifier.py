@@ -61,17 +61,18 @@ leaves ``A`` as it was and adds a zero column per class it registers.
 ``S' A`` is formed from the RFP blocks: BLAS ``symm`` on the two
 diagonal triangles and a GEMM each way on the off-diagonal block. The
 refresh is one ``sfrk`` on ``A_{t-1}``'s own buffer (half the flops of
-the whole product), so ``update`` consumes its input: the new
-classifier holds that buffer. ``Z_a^T Z_a`` is symmetric by
-construction, and only one triangle of it is ever formed.
+the whole product), so ``update`` advances the classifier it is given:
+``A_t`` is written over that classifier's ``afam``. ``Z_a^T Z_a`` is
+symmetric by construction, and only one triangle of it is ever formed.
 
 The weights grow in place too. ``W`` is the leading C columns of a
 Fortran-ordered E x capacity array, whose capacity doubles when a batch
 registers more classes than fit. One GEMM writes ``-S' W`` into the
 residual, and one more, with beta = 1, adds ``Z_a^T Z_r`` into that
 array after the new columns are zeroed. So no update allocates new
-weights while the array has room, and the input's weights are consumed
-with its ``A``.
+weights while the array has room. The classifier records the array its
+last update grew, and its weights are written in place only while they
+are still that array's leading columns.
 
 LAPACK ``potrf`` factors ``K``, symmetric only to roundoff, in place from
 its lower triangle. ``Z`` comes from one in-place triangular solve (BLAS
@@ -93,7 +94,7 @@ first presents it. A class presented again keeps its column, which then
 sums the label correlations of every batch that holds it.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,17 +174,18 @@ class LabelMatrix:
 class AnalyticClassifier:
     """Closed-form classifier state: weights, autocorrelation, class ids.
 
-    ``update`` consumes the state it is given: the refreshed ``afam`` is
-    written over the input's and the new weights into the array the
-    input's weights view, whose ``afam`` and ``weights`` then become None.
+    ``update`` advances the classifier in place; ``copy.deepcopy`` one to
+    branch from it.
     """
 
-    weights: np.ndarray | None  # E x C, maybe the leading columns of a wider array; None if consumed
-    # the regularized inverse Gram matrix in RFP storage, E(E+1)/2 numbers; None if consumed or weights-only
+    weights: np.ndarray  # E x C, after an update the leading columns of _grown
+    # the regularized inverse Gram matrix in RFP storage, E(E+1)/2 numbers; None if weights-only
     afam: np.ndarray | None
     gamma: float
     class_ids: tuple[int, ...] = ()  # global ids in column order
     tasks_seen: int = 0
+    # the Fortran-ordered E x capacity array the last update wrote the weights into
+    _grown: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def expansion_size(self) -> int:
@@ -205,34 +207,21 @@ class AnalyticClassifier:
 
 def _no_state(c: AnalyticClassifier) -> None:
     if c.afam is None:
-        raise StateError(
-            "this classifier has no autocorrelation state: it was consumed by an earlier update, "
-            "or solved for its weights only; update the result of the last update"
-        )
+        raise StateError("this classifier was solved for its weights only and has no autocorrelation state")
 
 
-def _weight_buffer(w: np.ndarray, cols: int) -> np.ndarray:
-    """A Fortran-ordered E x capacity array whose leading columns hold ``w``, with room for ``cols`` columns.
+def _weight_buffer(c: AnalyticClassifier, cols: int) -> np.ndarray:
+    """A Fortran-ordered E x capacity array whose leading columns hold ``c.weights``, with room for ``cols`` columns.
 
-    That is the array ``w`` views, when ``w`` is its leading column block
-    and it has the room. Otherwise it is a new array with twice the
-    capacity, or ``cols`` columns if that is more, into which ``w`` is
-    copied.
+    That is ``c._grown`` while ``c.weights`` still views it and it has the
+    room. Otherwise it is a new array with twice the capacity, or ``cols``
+    columns if that is more, into which the weights are copied.
     """
-    buf = w if w.base is None else w.base
-    if (
-        isinstance(buf, np.ndarray)
-        and buf.dtype == np.float64
-        and buf.ndim == 2
-        and buf.shape[0] == w.shape[0]
-        and buf.flags.f_contiguous
-        and buf.flags.writeable
-        and w.flags.f_contiguous
-        and w.ctypes.data == buf.ctypes.data
-    ):
-        if buf.shape[1] >= cols:
-            return buf
-        room = buf.shape[1]
+    w = c.weights
+    if c._grown is not None and w.base is c._grown:
+        if c._grown.shape[1] >= cols:
+            return c._grown
+        room = c._grown.shape[1]
     else:
         room = w.shape[1]
     grown = np.empty((w.shape[0], max(cols, 2 * room)), order="F")
@@ -332,16 +321,15 @@ def recalibrate(blocks, gamma: float) -> AnalyticClassifier:
 
 
 def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) -> AnalyticClassifier:
-    """Absorb one task's batch; touches no data from earlier tasks.
+    """Absorb one task's batch into ``c``; touches no data from earlier tasks. Returns ``c``.
 
-    Returns a new classifier whose weights equal the joint ridge solution
-    over every batch seen so far. Consumes ``c``: the new state is written
-    over ``c.afam`` and the new weights into the array ``c.weights``
-    views, growing it when it is full (``_weight_buffer``); both fields
-    become None. A batch that is rejected leaves ``c`` as it was. A batch
-    may re-present registered classes (sample streaming); their columns
-    then also receive the batch's label correlations, as in
-    ``joint_solve``.
+    Afterwards ``c``'s weights equal the joint ridge solution over every
+    batch seen so far. The new state is written over ``c.afam`` and the
+    new weights into the array ``c``'s last update grew, growing it when
+    it is full (``_weight_buffer``). A batch that is rejected leaves ``c``
+    as it was. A batch may re-present registered classes (sample
+    streaming); their columns then also receive the batch's label
+    correlations, as in ``joint_solve``.
     """
     _no_state(c)
     s = np.require(_check_batch(s_t_expanded, y_t), np.float64, "CW")  # C-ordered: s.T is Fortran-ordered
@@ -351,7 +339,7 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     class_ids, cols = _register(c.class_ids, y_t.class_ids)
     n = s.shape[0]
     n_cols = c.n_classes
-    w = _weight_buffer(c.weights, len(class_ids))  # if it is c's own, written only once nothing below can raise
+    w = _weight_buffer(c, len(class_ids))  # if it is c's own, written only once nothing below can raise
     a = np.require(c.afam, np.float64, "CW")  # written over; a copy only if afam is not writeable float64
     a11, a22, a21 = _rfp_blocks(a, e)
     e1 = len(a11)
@@ -375,15 +363,14 @@ def update(c: AnalyticClassifier, s_t_expanded: np.ndarray, y_t: LabelMatrix) ->
     lapack.trsm("R", "L", "T", "N", 1.0, chol, rhs.T)
     za = rhs[:, :e]
 
-    c.afam = c.weights = None  # consumed: nothing below can raise, and A_t is written over A_{t-1}
+    # nothing below can raise
     lapack.sfrk(-1.0, za.T, 1.0, a)  # A_t = A_{t-1} - Z_a^T Z_a
-
     weights = w[:, : len(class_ids)]
     weights[:, n_cols:] = 0.0
     lapack.gemm("N", "T", 1.0, za.T, rhs[:, e:].T, 1.0, weights)  # W + A_t S'T (Y - S W) = W + Z_a^T Z_r
-    return AnalyticClassifier(
-        weights=weights, afam=a, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
-    )
+    c.weights, c.afam, c._grown, c.class_ids = weights, a, w, class_ids
+    c.tasks_seen += 1
+    return c
 
 
 def _ridge(gamma: float) -> float:
@@ -483,11 +470,8 @@ def predict(c: AnalyticClassifier, x_expanded: np.ndarray) -> np.ndarray:
     """Global class id of the best-scoring column per row.
 
     Ties resolve to the lowest column index, i.e. the earliest-registered
-    class, so predictions are deterministic. A classifier consumed by
-    ``update`` raises ``StateError``.
+    class, so predictions are deterministic.
     """
-    if c.weights is None:
-        raise StateError("this classifier was consumed by an earlier update; predict with the result of the last update")
     if c.n_classes < 1:
         raise ShapeError("classifier has no registered classes")
     x = np.asarray(x_expanded, dtype=np.float64)

@@ -18,14 +18,14 @@ the classes left when ``--steps`` is omitted names the flag), a manifest
 or feature CSV that does not parse, manifest contents a run cannot use
 (a class in two tasks, files of different widths, a label outside its
 task's classes, a train file without rows), an input file that is not
-UTF-8 text, an expansion whose E x E state alone exceeds physical
-memory, or whose state and expanded test rows (m_test x E) together
-exceed it, synthetic data whose train and test features exceed it, or data
-whose first task has no test rows (so its accuracy, and ACC, are
-undefined) is invalid input; a data file that cannot be opened under
-``run`` or ``oracle-check``, a numerical failure such as a Woodbury
-kernel that is not positive definite, or running out of memory is a
-runtime failure. No command mutates its inputs.
+UTF-8 text, an expansion whose packed state (E(E+1)/2 numbers) alone
+exceeds physical memory, or whose state and expanded test rows
+(m_test x E) together exceed it, synthetic data whose train and test
+features exceed it, or data whose first task has no test rows (so its
+accuracy, and ACC, are undefined) is invalid input; a data file that
+cannot be opened under ``run`` or ``oracle-check``, a numerical failure
+such as a Woodbury kernel that is not positive definite, or running out
+of memory is a runtime failure. No command mutates its inputs.
 """
 
 import argparse

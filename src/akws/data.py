@@ -20,18 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import _whole
 from .errors import ConfigError, DataError, ParseError
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Raw feature rows with global integer class labels."""
+    """Raw feature rows with global integer class labels; a label not an int64 integer raises ``DataError``."""
 
     features: np.ndarray  # n x d
     labels: np.ndarray  # n, int64
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
-        lab = np.asarray(self.labels, dtype=np.int64)
+        lab = _whole(self.labels, "label")
         if f.ndim != 2:
             raise DataError("features must be a 2-D matrix")
         if lab.shape != (f.shape[0],):

@@ -50,5 +50,5 @@ class SnapshotFormatError(AkwsError, ValueError):
 
 
 class StateError(AkwsError, ValueError):
-    """A classifier lacks the autocorrelation state an operation needs:
-    an update consumed it, or it was solved for its weights only."""
+    """A classifier solved for its weights only lacks the autocorrelation
+    state an operation needs."""

@@ -285,8 +285,8 @@ class _Pipeline:
         as ``train_blocks(0)`` (the Gram route). Every later batch
         is released as part of its fit, before evaluation. After step t's
         grid row, ``on_task(t, clf, pred)`` sees the fitted classifier (the
-        next step's update consumes it, ``afam`` and ``weights``, so read
-        it there) and the predictions on tasks 0..t; its failures are named
+        next step's update advances it in place, so copy what must outlast
+        the step) and the predictions on tasks 0..t; its failures are named
         as the oracle's.
         """
         n = len(self.tasks)

@@ -54,7 +54,6 @@ _SIGNATURES = {
         _CHAR, _CHAR, _INT, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT,
         _LEN, _LEN,
     ),
-    "syrk": (_CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _LEN, _LEN),
     "symm": (
         _CHAR, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT,
         _LEN, _LEN,
@@ -180,24 +179,6 @@ def gemm(transa: str, transb: str, alpha: float, a: np.ndarray, b: np.ndarray, b
     _routine("gemm")(
         transa.encode(), transb.encode(), _int(m), _int(n), _int(k), ctypes.byref(ctypes.c_double(alpha)),
         _ptr(a), _ld(a), _ptr(b), _ld(b), ctypes.byref(ctypes.c_double(beta)), _ptr(c), _ld(c), 1, 1,
-    )
-
-
-def syrk(uplo: str, trans: str, alpha: float, a: np.ndarray, beta: float, c: np.ndarray) -> None:
-    """Symmetric rank-k update in place on the ``uplo`` triangle of ``c``.
-
-    ``c = alpha a a^T + beta c`` (trans "N") or ``alpha a^T a + beta c``
-    ("T"). The other triangle of ``c`` is neither read nor written. Only
-    the tests' full-storage reference update calls it.
-    """
-    _matrix(a)
-    _matrix(c, square=True)
-    n, k = a.shape if trans == "N" else a.shape[::-1]
-    if n != c.shape[0]:
-        raise ShapeError(f"operand is {a.shape}, result {c.shape} (trans {trans})")
-    _routine("syrk")(
-        uplo.encode(), trans.encode(), _int(n), _int(k), ctypes.byref(ctypes.c_double(alpha)),
-        _ptr(a), _ld(a), ctypes.byref(ctypes.c_double(beta)), _ptr(c), _ld(c), 1, 1,
     )
 
 

@@ -84,10 +84,7 @@ def _snapshot_parts(c: AnalyticClassifier, meta: SnapshotMeta) -> list:
     Fortran-ordered array; they are written row-major, as E x C.
     """
     if c.afam is None:
-        raise StateError(
-            "cannot snapshot a classifier without its autocorrelation state: it was consumed by an "
-            "earlier update, or solved for its weights only"
-        )
+        raise StateError("cannot snapshot a classifier without its autocorrelation state (a weights-only solve)")
     x_in, x_hidden = _extractor_widths(meta)
     for name, value in [
         ("dim", meta.dim),

@@ -8,8 +8,10 @@ breaks the recursion for tests that the oracle check catches it.
 ``pretrain_per_step`` is the extractor's SGD written one array per
 operation, the reference the library's loop must match bit for bit.
 ``full_storage_update`` is the Woodbury update on a full E x E state,
-refreshed by ``syrk`` on one triangle and mirrored onto the other, the
-reference for the library's update on packed storage.
+refreshed by one whole-matrix product, the reference for the library's
+update on packed storage. ``per_line_features`` is ``load_features``
+through its per-line parser alone, the reference for numpy's C reader,
+and ``parse_outcome`` what a parse gives, to compare the two.
 """
 
 from dataclasses import replace
@@ -18,7 +20,8 @@ import numpy as np
 
 from akws import lapack
 from akws.classifier import AnalyticClassifier, LabelMatrix, _check_batch, _register, _spd_factor
-from akws.errors import MetricUndefinedError
+from akws.data import _feature_lines, _parse_lines, read_text
+from akws.errors import MetricUndefinedError, ParseError
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,29 +177,12 @@ def pretrain_per_step(x: np.ndarray, labels: np.ndarray, hidden: int, epochs: in
     return (w1, b1, w2, b2), history
 
 
-# Edge of the square tiles ``mirror_upper`` copies: a pair of 64 x 64 float64
-# tiles (64 KiB) stays in cache while one is read transposed.
-_TILE = 64
-_BELOW_DIAGONAL = np.tri(_TILE, k=-1, dtype=bool)
-
-
-def mirror_upper(x: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of square ``x`` onto its lower one, in place, tile by tile; returns ``x``."""
-    n = x.shape[0]
-    for i in range(0, n, _TILE):
-        d = x[i : i + _TILE, i : i + _TILE]
-        np.copyto(d, d.T, where=_BELOW_DIAGONAL[: len(d), : len(d)])
-        for j in range(i + _TILE, n, _TILE):
-            x[j : j + _TILE, i : i + _TILE] = x[i : i + _TILE, j : j + _TILE].T
-    return x
-
-
 def full_storage_update(c: AnalyticClassifier, s: np.ndarray, y: LabelMatrix) -> AnalyticClassifier:
     """``akws.update`` on a classifier whose ``afam`` is a full C-ordered E x E array.
 
     The square-root Woodbury step with ``S A`` as one GEMM and the refresh
-    ``A - Z_a^T Z_a`` by ``syrk`` on the upper triangle, then mirrored.
-    Consumes ``c.afam``.
+    ``A - Z_a^T Z_a`` as one more. Writes over ``c.afam``; returns a new
+    classifier.
     """
     s = _check_batch(s, y)
     e = c.expansion_size
@@ -213,10 +199,24 @@ def full_storage_update(c: AnalyticClassifier, s: np.ndarray, y: LabelMatrix) ->
     chol = _spd_factor(np.add(np.eye(n), rhs[:, :e] @ s.T, order="F"), "the Woodbury kernel")
     lapack.trsm("R", "L", "T", "N", 1.0, chol, rhs.T)
     za = rhs[:, :e]
-    lapack.syrk("L", "N", -1.0, za.T, 1.0, a.T)  # the upper triangle of C-ordered A
-    mirror_upper(a)
+    a -= za.T @ za
     weights = za.T @ rhs[:, e:]
     weights[:, :n_cols] += c.weights
     return AnalyticClassifier(
         weights=weights, afam=a, gamma=c.gamma, class_ids=class_ids, tasks_seen=c.tasks_seen + 1
     )
+
+
+def per_line_features(path):
+    """``load_features`` through its per-line parser alone."""
+    where = f"feature file {path}"
+    return _parse_lines(where, *_feature_lines(where, read_text(path, where)))
+
+
+def parse_outcome(parse, path):
+    """Arrays and labels as bytes, or the ParseError's message and line."""
+    try:
+        ds = parse(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()

@@ -24,7 +24,7 @@ from akws import classifier, full_afam, lapack
 from akws.classifier import NormalEquations, _materialize_inverse, _spd_factor
 from akws.errors import DataError, ShapeError, StateError
 
-from oracles import full_storage_update, mirror_upper, ridge_augmented_lstsq, ridge_normal_equations
+from oracles import full_storage_update, ridge_augmented_lstsq, ridge_normal_equations
 
 
 def packed(full):
@@ -272,7 +272,7 @@ class TestPrior:
 class TestUpdate:
     def test_empty_batch_no_new_classes_is_noop(self):
         clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
-        before = copy.deepcopy(clf)  # update consumes clf's state
+        before = copy.deepcopy(clf)  # update advances clf in place
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 0)), ()))
         assert np.array_equal(out.weights, before.weights)
         assert np.array_equal(out.afam, before.afam)
@@ -297,7 +297,7 @@ class TestUpdate:
 
     def test_empty_batch_with_new_classes_registers_zero_columns(self):
         clf = recalibrate([(np.eye(2), LabelMatrix(np.eye(2), (0, 1)))], 1.0)
-        a_before = clf.afam.copy()  # update consumes clf's state
+        a_before = clf.afam.copy()  # update writes over clf's state
         out = update(clf, np.zeros((0, 2)), LabelMatrix(np.zeros((0, 2)), (7, 8)))
         assert out.class_ids == (0, 1, 7, 8)
         assert np.all(out.weights[:, 2:] == 0.0)
@@ -357,9 +357,9 @@ class TestUpdate:
         # spectrum stays positive definite
         assert np.all(np.linalg.eigvalsh(full_afam(out)) > 0.0)
 
-    def test_consumes_input_state_and_weights(self):
+    def test_writes_into_the_classifier_it_is_given(self):
         # the refreshed state is written over the input's, and the new weights
-        # into the array the input's weights view once it has room
+        # into the array the last update grew once it has room
         rng = np.random.default_rng(6)
         # odd and even E pack A differently
         for e in (5, 129, 130, 600):
@@ -368,17 +368,17 @@ class TestUpdate:
             b2 = random_batch(rng, 7, e, range(1, 4))  # no new class: the first update's array has room
             clf = recalibrate([b0], 0.1)
             state = clf.afam
-            out = update(clf, *b1)
-            assert clf.afam is None and clf.weights is None
-            assert out.afam is state
-            grown = out.weights.base
+            assert update(clf, *b1) is clf
+            assert clf.afam is state
+            assert clf.class_ids == (0, 1, 2, 3) and clf.tasks_seen == 2
+            grown = clf.weights.base
             assert grown.shape == (e, 4) and grown.flags.f_contiguous
-            again = update(out, *b2)
-            assert out.afam is None and out.weights is None
-            assert again.weights.base is grown
+            assert update(clf, *b2) is clf
+            assert clf.weights.base is grown
+            assert all(value is not None for value in vars(clf).values())
             joint = joint_solve([b0, b1, b2], 0.1)
-            assert relative_frobenius(again.weights, joint.weights) < 1e-9
-            assert relative_frobenius(full_afam(again), full_afam(joint)) < 1e-9
+            assert relative_frobenius(clf.weights, joint.weights) < 1e-9
+            assert relative_frobenius(full_afam(clf), full_afam(joint)) < 1e-9
 
     def test_weights_grow_by_doubling_over_a_long_chain(self):
         # 70 one-class updates after a two-class base: the array the weights
@@ -398,17 +398,39 @@ class TestUpdate:
         assert clf.class_ids == joint.class_ids
         assert relative_frobenius(clf.weights, joint.weights) < 1e-9
 
-    def test_second_update_of_consumed_input_raises(self):
+    def test_caller_array_beyond_the_weights_view_is_untouched(self):
+        # weights that are the leading columns of the caller's own wider array:
+        # the update writes the new weights into an array of its own
         rng = np.random.default_rng(15)
-        clf = recalibrate([random_batch(rng, 12, 6, range(2))], 0.1)
-        x = rng.standard_normal((20, 6))
-        batch = random_batch(rng, 5, 6, range(2, 4))
-        out = update(clf, *batch)
-        with pytest.raises(StateError, match="consumed by an earlier update"):
-            update(clf, *batch)
-        with pytest.raises(StateError, match="consumed by an earlier update"):
-            predict(clf, x)
-        assert predict(out, x).shape == (20,)
+        b0 = random_batch(rng, 12, 6, range(2))
+        b1 = random_batch(rng, 5, 6, range(2, 4))
+        clf = recalibrate([b0], 0.1)
+        mine = np.full((6, 4), 7.0, order="F")
+        mine[:, :2] = clf.weights
+        before = mine.copy()
+        clf.weights = mine[:, :2]
+        update(clf, *b1)
+        assert np.array_equal(mine, before)
+        assert relative_frobenius(clf.weights, joint_solve([b0, b1], 0.1).weights) < 1e-9
+
+    def test_update_of_a_deep_copy_matches_joint(self):
+        # a deep copy holds its weights in an array of its own, so the branch
+        # and the original each grow their own; odd and even E
+        rng = np.random.default_rng(21)
+        for e in (9, 10):
+            b0 = random_batch(rng, 12, e, range(2))
+            b1 = random_batch(rng, 6, e, [2])  # the array grown here has room for one more class
+            clf = update(recalibrate([b0], 0.1), *b1)
+            branch = copy.deepcopy(clf)
+            b2 = random_batch(rng, 6, e, [3])
+            b3 = random_batch(rng, 6, e, [4, 5])
+            update(branch, *b2)
+            update(clf, *b3)
+            for got, batches in ((branch, [b0, b1, b2]), (clf, [b0, b1, b3])):
+                joint = joint_solve(batches, 0.1)
+                assert got.class_ids == joint.class_ids
+                assert relative_frobenius(got.weights, joint.weights) < 1e-9
+                assert relative_frobenius(full_afam(got), full_afam(joint)) < 1e-9
 
     def test_weights_only_solve_cannot_be_updated(self):
         rng = np.random.default_rng(17)
@@ -472,7 +494,7 @@ class TestUpdate:
         batches = [random_batch(rng, 16, e, range(2))]
         batches += [random_batch(rng, 8, e, range(2 * t, 2 * t + 2)) for t in range(1, 20)]
         got = recalibrate([batches[0]], e + 168.0)
-        ref = replace(got, weights=got.weights.copy(), afam=full_afam(got))  # update consumes both
+        ref = replace(got, weights=got.weights.copy(), afam=full_afam(got))  # update writes over both
         for b in batches[1:]:
             got = update(got, *b)
             ref = full_storage_update(ref, *b)
@@ -487,7 +509,7 @@ class TestUpdate:
         batch = random_batch(rng, 5, 6, range(2, 4))
         with pytest.raises(DataError, match="Woodbury kernel .* not positive definite"):
             update(broken, *batch)
-        # the failed update did not consume its input
+        # the failed update left its input as it was
         assert np.array_equal(full_afam(broken), -np.eye(6))
         with pytest.raises(DataError, match="Woodbury kernel"):
             update(broken, *batch)
@@ -519,11 +541,6 @@ class TestUpdate:
 
 
 class TestKernels:
-    @pytest.mark.parametrize("e", [1, 63, 64, 65, 130, 257])
-    def test_mirror_upper_bit_identical_to_whole_matrix_form(self, e):
-        x = np.random.default_rng(e).standard_normal((e, e))
-        assert np.array_equal(mirror_upper(x.copy()), np.triu(x) + np.triu(x, 1).T)
-
     def test_materialize_inverse_symmetric_and_accurate(self):
         rng = np.random.default_rng(10)
         for e in (130, 129):

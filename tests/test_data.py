@@ -13,9 +13,11 @@ from akws import (
     save_features,
     write_manifest,
 )
+from akws.cli import main
+from akws.data import _feature_lines, _parse_c, read_text
 from akws.errors import ConfigError, DataError, ParseError
 
-from oracles import nearest_centroid_fit, nearest_centroid_predict
+from oracles import nearest_centroid_fit, nearest_centroid_predict, parse_outcome, per_line_features
 
 
 class TestGenSynth:
@@ -97,6 +99,39 @@ class TestRectifierScramble:
         assert np.array_equal(joint.features[: train.n], apart.features)
 
 
+class TestLabeledDataset:
+    def test_integral_float_labels_load(self):
+        ds = LabeledDataset(np.zeros((3, 2)), [0.0, 1.0, 2.0])
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0.5, 1.7, 2.0], "label 0.5 is not an integer"),
+            ([1.0, np.nan], "label nan is not an integer"),
+            # a cast would wrap 2**63 + 10 to -9223372036854775798
+            (np.array([1, 2**63 + 10], dtype=np.uint64), f"label {2**63 + 10} is outside int64"),
+            ([1.0, 1e30], "label 1e+30 is outside int64"),
+        ],
+        ids=["fraction", "nan", "uint64", "1e30"],
+    )
+    def test_label_that_is_not_an_int64_integer_is_a_data_error(self, labels, message):
+        with pytest.raises(DataError) as exc:
+            LabeledDataset(np.zeros((len(labels), 2)), labels)
+        assert str(exc.value) == message
+
+
+def c_reader(path):
+    where = f"feature file {path}"
+    return _parse_c(*_feature_lines(where, read_text(path, where)))
+
+
+# Cells whose parse numpy's C reader and float() might disagree on.
+ODD_CELLS = ["1_0", "\u0663", "1\x00", "", "nan", "-inf", "1e999", "1e-400", "-0", " 1 ", "\t1\x0b", "\xa01",
+             "1\x1c", "\x1f1", "1\r2", "+.5", "1.", "0x1", "2,3", "1.0", "4294967296", "4294967295", str(2**64)]
+
+
 class TestFeatureCsv:
     def test_round_trip(self, tmp_path):
         ds = gen_synth_split(SynthSpec(3, 7, 5, 5.0, 1.0, seed=4), 1)[0]
@@ -154,6 +189,26 @@ class TestFeatureCsv:
         with pytest.raises(ParseError, match=f"class id {label} does not fit in 32 unsigned bits") as exc:
             load_features(path)
         assert exc.value.line == 3
+
+
+    def test_c_reader_parses_as_the_per_line_parser(self, tmp_path, capsys):
+        # load_features takes numpy's C reader only where it gives what the
+        # per-line parser gives: on every file akws gen writes, and on odd
+        # cells in the label and feature columns, with either line ending
+        assert main(["gen", "--out", str(tmp_path / "data")]) == 0
+        generated = [t[k] for t in load_manifest(capsys.readouterr().out.strip()) for k in ("train", "test")]
+        assert len(generated) == 12  # a base task and five steps
+        for path in generated:
+            assert c_reader(path) is not None, f"{path}: the C reader refused a generated file"
+            assert parse_outcome(load_features, path) == parse_outcome(per_line_features, path), path
+        odd = tmp_path / "odd.csv"
+        for label in ["7", *ODD_CELLS]:
+            for cell in ODD_CELLS:
+                for ending in ["\n", "\r\n"]:
+                    with open(odd, "w", encoding="utf-8", newline="") as fh:
+                        fh.write(ending.join(["label,f0,f1", f"{label},{cell},2", "8,3,4", ""]))
+                    got = parse_outcome(load_features, odd)
+                    assert got == parse_outcome(per_line_features, odd), (label, cell, ending)
 
 
 class TestManifest:

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akws import LabelMatrix, dump_snapshot, load_features, load_manifest, load_snapshot, read_grid_csv, recalibrate
-from akws.data import _feature_lines, _parse_c, _parse_lines, read_text
-from akws.errors import AkwsError, ParseError, SnapshotFormatError
+from akws.data import _feature_lines, _parse_c, read_text
+from akws.errors import AkwsError, SnapshotFormatError
 from akws.snapshot import SnapshotMeta
+
+from oracles import parse_outcome, per_line_features
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -90,24 +92,9 @@ def test_load_features_loads_or_raises_typed_error(scratch, data):
     check_file(load_features, scratch, data)
 
 
-def per_line_features(path):
-    """``load_features`` through its per-line parser alone."""
-    where = f"feature file {path}"
-    return _parse_lines(where, *_feature_lines(where, read_text(path, where)))
-
-
-def outcome(parse, path):
-    """Arrays and labels as bytes, or the ParseError's message and line."""
-    try:
-        ds = parse(path)
-    except ParseError as exc:
-        return str(exc), exc.line
-    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
-
-
 def assert_parsers_agree(path, data):
     path.write_bytes(data.encode("utf-8"))
-    assert outcome(load_features, path) == outcome(per_line_features, path)
+    assert parse_outcome(load_features, path) == parse_outcome(per_line_features, path)
 
 
 # texts where numpy's C reader and float() or int() part ways or nearly do:
@@ -165,7 +152,7 @@ def test_canonical_file_takes_the_c_reader(scratch):
     scratch.write_text("label,f0,f1\n3,1.5,-2.0\n0,0.25,3.0\n", encoding="utf-8")
     where = f"feature file {scratch}"
     ds = _parse_c(*_feature_lines(where, read_text(scratch, where)))
-    assert ds is not None and outcome(lambda _: ds, scratch) == outcome(per_line_features, scratch)
+    assert ds is not None and parse_outcome(lambda _: ds, scratch) == parse_outcome(per_line_features, scratch)
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from akws import (
     AccuracyMatrix,
     HarnessConfig,
+    LabelMatrix,
     SynthSpec,
     acc_bwt,
     acc_metric,
@@ -16,6 +17,7 @@ from akws import (
     gen_synth_split,
     oracle_check,
     read_grid_csv,
+    relative_frobenius,
     run_experiment,
     split_tasks,
     tasks_from_manifest,
@@ -27,9 +29,9 @@ from akws.errors import (
     MetricUndefinedError,
     ParseError,
 )
-from akws.harness import TaskData, results_dict
+from akws.harness import TaskData, _Pipeline, results_dict
 
-from oracles import inject_faulty_updates, time_trend
+from oracles import inject_faulty_updates, ridge_augmented_lstsq, time_trend
 
 
 def make_accuracy(a_values):
@@ -364,6 +366,28 @@ class TestRunExperiment:
             report = oracle_check(tasks, cfg)
             assert report.min_agreement == 1.0
             assert report.max_deviation <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_small_gamma_identity_run_stays_near_the_ridge_solution(self, seed):
+        # README's config with the identity activation at gamma 1e-6: S has
+        # rank 32 at E=128, so cond(G) is as large as gamma makes it. Each
+        # prefix's weights against a QR ridge reference over its rows; the worst
+        # prefix read 2.6e-4 to 3.1e-4 on these data and split seeds, at 1 and 2
+        # BLAS threads, and 2.9e-3 to 4.5e-3 on the expansion stream drawn
+        # before numpy's PCG64
+        gamma = 1e-6
+        train, test = gen_synth_split(SynthSpec(seed=seed), 25)
+        tasks = build_tasks(train, test, split_tasks(range(10), 5, 5, 1, seed=seed))
+        pipe = _Pipeline(tasks, HarnessConfig(gamma=gamma, activation="identity", seed=42))
+        fits = []
+        pipe.run(lambda t, clf, pred: fits.append((clf.weights.copy(), clf.class_ids)))
+        rows = []
+        for t, (weights, class_ids) in enumerate(fits):
+            rows.append(pipe.train_batch(t)[0])
+            labels = np.concatenate([task.train.labels for task in tasks[: t + 1]])
+            y = LabelMatrix.from_labels(labels, class_ids=class_ids).onehot
+            ref = ridge_augmented_lstsq(np.vstack(rows), y, gamma)
+            assert relative_frobenius(weights, ref) <= 1e-3, f"prefix {t}"
 
 
 class TestGridCsv:

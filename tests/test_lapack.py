@@ -119,29 +119,6 @@ class TestRoutines:
         with pytest.raises(ShapeError):
             lapack.gemm(transa, transb, 1.0, a, b, 1.0, buffer[:, :7])
 
-    @pytest.mark.parametrize("uplo", ["U", "L"])
-    def test_syrk_updates_the_named_triangle_only(self, e, uplo):
-        # the operand is a column slice of a wider buffer, as in update: leading dimension e + 4
-        x = np.random.default_rng(3).standard_normal((9, e + 4))[:, :e]
-        c0 = spd(e)
-        c = c0.copy(order="F")
-        lapack.syrk(uplo, "N", -1.0, x.T, 1.0, c)
-        if uplo == "U":
-            named, other = np.triu_indices(e), np.tril_indices(e, -1)
-        else:
-            named, other = np.tril_indices(e), np.triu_indices(e, 1)
-        want = c0 - x.T @ x
-        assert np.linalg.norm(c[named] - want[named]) <= 1e-12 * np.linalg.norm(want)
-        assert np.array_equal(c[other], c0[other])
-
-    def test_syrk_of_zero_rows_is_a_no_op(self, e, capfd):
-        x = np.empty((0, e + 4))[:, :e]  # numpy gives this view zero strides
-        c0 = spd(e)
-        c = c0.copy(order="F")
-        lapack.syrk("L", "N", -1.0, x.T, 1.0, c)
-        assert np.array_equal(c, c0)
-        assert capfd.readouterr() == ("", "")  # OpenBLAS reports a bad argument on the console and returns
-
     def test_not_positive_definite_is_a_data_error(self, e):
         g = spd(e)
         g[e - 1, e - 1] = -1.0
