@@ -18,14 +18,14 @@ the classes left when ``--steps`` is omitted names the flag), a manifest
 or feature CSV that does not parse, manifest contents a run cannot use
 (a class in two tasks, files of different widths, a label outside its
 task's classes, a train file without rows), an input file that is not
-UTF-8 text, an expansion whose packed state (E(E+1)/2 numbers) alone
-exceeds physical memory, or whose state and expanded test rows
-(m_test x E) together exceed it, synthetic data whose train and test
-features exceed it, or data whose first task has no test rows (so its
-accuracy, and ACC, are undefined) is invalid input; a data file that
-cannot be opened under ``run`` or ``oracle-check``, a numerical failure
-such as a Woodbury kernel that is not positive definite, or running out
-of memory is a runtime failure. No command mutates its inputs.
+UTF-8 text, an expansion whose packed state (E(E+1)/2 numbers) exceeds
+physical memory (test rows are expanded a block at a time and not
+counted), synthetic data whose train and test features exceed it, or
+data whose first task has no test rows (so its accuracy, and ACC, are
+undefined) is invalid input; a data file that cannot be opened under
+``run`` or ``oracle-check``, a numerical failure such as a Woodbury
+kernel that is not positive definite, or running out of memory is a
+runtime failure. No command mutates its inputs.
 """
 
 import argparse
@@ -119,14 +119,6 @@ def _assemble_tasks(cfg: RunConfig):
         tasks = tasks_from_manifest(d.path)
     else:
         tasks = _synth_tasks(d, cfg.split)
-    # the run holds every task's expanded test rows in one m x E buffer next to the state
-    m = sum(task.test.n for task in tasks)
-    need = state + 8 * m * e
-    if need > _physical_memory():  # refused before the run allocates either
-        raise ConfigError(
-            f"its {e} x {e} state and {m} expanded test rows need {need} bytes, more than physical memory",
-            field="expansion",
-        )
     if tasks:  # an empty manifest fails in the harness
         width = h.extractor_hidden if h.use_extractor else tasks[0].train.dim
         if h.expansion_size <= width:

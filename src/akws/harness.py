@@ -6,6 +6,10 @@ fit the classifier in closed form, single pass, one block of rows at a
 time; (3) for each incremental task, one single-pass recursive update.
 After every task the classifier is evaluated on the test sets of all
 tasks seen so far, filling one row of a lower-triangular accuracy grid.
+The run keeps the test rows as the extractor gives them (m_test x d), not
+expanded (m_test x E): each evaluation expands them one block at a time
+into one buffer of ``_EVAL_BLOCK_BYTES``, allocated once per run, and
+scores each block with ``predict``.
 
 ``a_vector[t]`` is the sample-weighted accuracy over the union of test
 sets 0..t; the average-accuracy metric is the mean of that vector and
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import (
+    _EVAL_BLOCK_BYTES,
     AnalyticClassifier,
     LabelMatrix,
     NormalEquations,
@@ -223,25 +228,32 @@ class _Pipeline:
         self.expansion = build_expansion(
             feature_dim, config.expansion_size, config.seed, config.activation
         )
-        # Every task's expanded test rows live in one buffer, in task order,
-        # so evaluating tasks 0..t is one product over a prefix of it.
+        # Every task's test rows as the extractor gives them, in task order, in
+        # one m_test x d buffer; grid_row expands the prefix it scores into
+        # _eval_s, one block of rows at a time.
         self.test_sizes = np.array([task.test.n for task in tasks], dtype=np.int64)
         self.test_offsets = np.concatenate([[0], np.cumsum(self.test_sizes)])
         self.test_labels = np.concatenate([task.test.labels for task in tasks])
-        self._test_x = np.empty((int(self.test_offsets[-1]), config.expansion_size))
+        m, e = int(self.test_offsets[-1]), config.expansion_size
+        self._test_f = np.empty((m, feature_dim))
         self._test_filled = 0
+        self._eval_s = np.empty((max(1, min(m, _EVAL_BLOCK_BYTES // (8 * e))), e))
 
-    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self.extractor is not None:
-            self.stage = "extract"
-            x = extract(self.extractor, x)
+    def extracted(self, x: np.ndarray) -> np.ndarray:
+        """``x`` through the frozen extractor, or ``x`` itself in a run without one."""
+        if self.extractor is None:
+            return x
+        self.stage = "extract"
+        return extract(self.extractor, x)
+
+    def expanded(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self.stage = "expand"
         return expand(x, self.expansion, out=out)
 
     def train_batch(self, t: int, rows: slice = slice(None)) -> tuple[np.ndarray, LabelMatrix]:
         """Task t's expanded training rows (all, or a slice of them) and their labels."""
         task = self.tasks[t]
-        s = self.features(task.train.features[rows])
+        s = self.expanded(self.extracted(task.train.features[rows]))
         self.stage = "fit"
         y = LabelMatrix.from_labels(task.train.labels[rows], class_ids=task.classes)
         return s, y
@@ -251,22 +263,27 @@ class _Pipeline:
         for i in range(0, self.tasks[t].train.n, _FIT_BLOCK):
             yield self.train_batch(t, slice(i, i + _FIT_BLOCK))
 
-    def test_features(self, upto: int) -> np.ndarray:
-        """Expanded test rows of tasks 0..upto, expanding each task once."""
+    def test_rows(self, upto: int) -> np.ndarray:
+        """Extracted, unexpanded test rows of tasks 0..upto, extracting each task once."""
         off = self.test_offsets
         for t in range(self._test_filled, upto + 1):
-            self.features(self.tasks[t].test.features, out=self._test_x[off[t] : off[t + 1]])
+            self._test_f[off[t] : off[t + 1]] = self.extracted(self.tasks[t].test.features)
         self._test_filled = max(self._test_filled, upto + 1)
-        return self._test_x[: off[upto + 1]]
+        return self._test_f[: off[upto + 1]]
 
     def grid_row(self, clf: AnalyticClassifier, upto: int, grid: np.ndarray) -> np.ndarray:
         """Fill row ``upto`` of the grid; returns the predictions on tasks 0..upto.
 
-        A task with no test rows scores 0.0.
+        The test rows are expanded and scored one block of ``_eval_s``'s
+        rows at a time. A task with no test rows scores 0.0.
         """
-        x = self.test_features(upto)
-        self.stage = "evaluate"
-        pred = predict(clf, x)
+        x = self.test_rows(upto)
+        block = len(self._eval_s)
+        pred = np.empty(len(x), dtype=np.int64)
+        for i in range(0, len(x), block):
+            s = self.expanded(x[i : i + block], out=self._eval_s[: len(x) - i])
+            self.stage = "evaluate"
+            pred[i : i + block] = predict(clf, s)
         hits = np.concatenate([[0], np.cumsum(pred == self.test_labels[: pred.size])])
         off = self.test_offsets[: upto + 2]
         sizes = np.diff(off)

@@ -234,6 +234,27 @@ class TestRecalibrate:
             assert relative_frobenius(got.weights, whole.weights) <= bound
             assert relative_frobenius(full_afam(got), full_afam(whole)) <= bound
 
+    def test_holds_the_gram_matrix_and_one_block(self):
+        # four fresh 256-row blocks at E=1024: G is 4.2 MB and a block 2.1 MB.
+        # A block still held while the next is made would put the traced
+        # peak at G + 2.15 blocks; released, it is G + 1.15 (the rest is the
+        # finiteness check's mask and the small arrays)
+        e, rows = 1024, 256
+        rng = np.random.default_rng(8)
+
+        def blocks():
+            for _ in range(4):
+                yield random_batch(rng, rows, e, range(3))
+
+        tracemalloc.start()
+        try:
+            recalibrate(blocks(), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram, block = 8 * e * (e + 1) // 2, 8 * rows * e
+        assert peak - gram < 1.5 * block, f"G + {(peak - gram) / block:.2f} blocks"
+
 
 class TestPrior:
     @pytest.mark.parametrize("e", [1, 2, 5, 128, 129])

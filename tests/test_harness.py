@@ -171,25 +171,42 @@ class TestRunExperiment:
             assert result.accuracy.a_vector[t] == pytest.approx(direct, abs=1e-12)
         assert np.all(np.isnan(grid[np.triu_indices(len(tasks), k=1)]))
 
-    def test_grid_cells_match_per_task_prediction(self):
-        from akws import expand, extract, predict
+    def test_grid_cells_match_per_task_prediction(self, monkeypatch):
+        # with the default evaluation block (one block per grid row here) and
+        # with blocks of 7 rows, so that each grid row spans many blocks:
+        # every step's predictions are one predict over the prefix's rows
+        # expanded whole, and the grid and the oracle's agreement follow
+        import akws.harness
+        from akws import extract, predict
 
         tasks = synth_tasks(separation=2.0)
         hollow = tasks[2]
         tasks[2] = TaskData(2, hollow.classes, hollow.train, hollow.test.restrict([]))
-        result = run_experiment(tasks, FAST)
-        grid = result.accuracy.grid
         last = len(tasks) - 1
-        for j, task in enumerate(tasks):
-            if task.test.n == 0:
-                assert np.all(grid[j:, j] == 0.0)
-                continue
-            x = expand(extract(result.extractor, task.test.features), result.expansion)
-            hits = predict(result.classifier, x) == task.test.labels
-            assert grid[last, j] == float(np.mean(hits))
-        report = oracle_check(tasks, FAST)
-        assert report.min_agreement == 1.0
-        assert np.all(report.recursive_accuracy.grid[2:, 2] == 0.0)
+        for block_bytes in (akws.harness._EVAL_BLOCK_BYTES, 7 * 8 * FAST.expansion_size):
+            monkeypatch.setattr(akws.harness, "_EVAL_BLOCK_BYTES", block_bytes)
+            pipe = _Pipeline(tasks, FAST)
+            steps = []
+
+            def whole(t, clf, pred):
+                x = np.vstack([task.test.features for task in tasks[: t + 1]])
+                assert np.array_equal(pred, predict(clf, expand(extract(pipe.extractor, x), pipe.expansion)))
+                steps.append(t)
+
+            result = pipe.run(whole)
+            assert steps == list(range(len(tasks)))
+            grid = result.accuracy.grid
+            for j, task in enumerate(tasks):
+                if task.test.n == 0:
+                    assert np.all(grid[j:, j] == 0.0)
+                    continue
+                x = expand(extract(result.extractor, task.test.features), result.expansion)
+                hits = predict(result.classifier, x) == task.test.labels
+                assert grid[last, j] == float(np.mean(hits))
+            report = oracle_check(tasks, FAST)
+            assert report.min_agreement == 1.0
+            assert np.array_equal(report.recursive_accuracy.grid, grid, equal_nan=True)
+            assert np.all(report.recursive_accuracy.grid[2:, 2] == 0.0)
 
     def test_memory_accounting(self):
         tasks = synth_tasks()
@@ -350,6 +367,28 @@ class TestRunExperiment:
                 tracemalloc.stop()
         run_peak, oracle_peak = peaks
         assert oracle_peak <= 1.2 * run_peak, f"oracle {oracle_peak / 1e6:.2f} MB, run {run_peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("entry", [run_experiment, oracle_check])
+    def test_peak_memory_grows_with_the_test_rows_by_their_extracted_width(self, entry):
+        # 5 classes at E=512 over d=16 raw features, with 220 and then 2200
+        # test rows per class: both counts exceed one evaluation block (1024
+        # rows), and holding the 9900 extra rows expanded would add 8E = 4096
+        # bytes each (40 MB), where held as extracted they add 8d = 128
+        e, d = 512, 16
+        cfg = HarnessConfig(gamma=0.1, expansion_size=e, activation="relu", seed=3, use_extractor=False)
+        peaks = []
+        for test_per_class in (220, 2200):
+            train, test = gen_synth_split(SynthSpec(5, 20, d, 6.0, 1.0, seed=0), test_per_class)
+            tasks = build_tasks(train, test, split_tasks(range(5), 2, 3, 1, seed=0))
+            tracemalloc.start()
+            try:
+                entry(tasks, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra = 5 * (2200 - 220)
+        growth = peaks[1] - peaks[0]
+        assert growth <= extra * 8 * (d + 8), f"{growth / extra:.0f} bytes per extra test row"
 
     def test_absolute_memorization_over_twenty_seeds(self):
         # at every prefix the incremental classifier must predict exactly
