@@ -264,14 +264,16 @@ def _register(class_ids: tuple[int, ...], batch_ids) -> tuple[tuple[int, ...], l
 # measurable there and are still large enough to be efficient GEMMs.
 _SCORE_BLOCK = 1 << 15
 
-# Bytes of the one buffer into which the harness expands test rows for
-# evaluation, a block of rows at a time (1024 rows at E=512). A run keeps
-# its test rows unexpanded and expands them again at every step; that costs
-# time whatever the block, and the block sets the memory. On the
-# ``features`` benchmark 2, 4 and 8 MB read peak RSS 56.6, 59.7 and 64.5
-# MB, against 75.0 with every expanded test row held. The run's evaluation
-# took 0.58, 0.53 and 0.51 s in-process, and 0.53 s at one block per step,
-# against 0.36 s with the rows held: above 4 MB a larger block buys no time.
+# Bytes of evaluation buffers, which the harness allocates once per run and
+# splits in half: one half holds a block of expanded test rows (512 rows at
+# E=512), the other the weights of steps fitted and not yet scored. A run
+# keeps its test rows unexpanded; one pass expands each block once and
+# scores it for every step held until then. On the ``features`` benchmark
+# one 4 MB block, re-expanded for every step's prefix, read peak RSS 59.7
+# MB (2 and 8 MB blocks read 56.6 and 64.5, every expanded row held 75.0),
+# and above 4 MB a larger block bought no time. Split, it reads 58.7 MB,
+# and the run's evaluation took 0.42 s in-process instead of 0.64 s
+# (median of 7 alternating runs, 2 cores).
 _EVAL_BLOCK_BYTES = 1 << 22
 
 

@@ -24,6 +24,7 @@ from .data import LabeledDataset
 from .errors import DataError, ShapeError
 
 BATCH_SIZE = 32
+_ROWS = np.arange(BATCH_SIZE)  # the row index of a batch, made once
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,9 @@ class ExtractorModel:
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, computed in place over ``z``."""
-    z -= z.max(axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
     return z
 
 
@@ -61,7 +62,7 @@ def loss_and_grads(params, x: np.ndarray, cols: np.ndarray, out=None):
     w1, b1, w2, b2 = params
     gw1, gb1, gw2, gb2 = (np.empty_like(p) for p in params) if out is None else out
     n = x.shape[0]
-    rows = np.arange(n)
+    rows = _ROWS[:n] if n <= BATCH_SIZE else np.arange(n)
     z1 = x @ w1
     z1 += b1
     a1 = np.maximum(z1, 0.0)
@@ -70,16 +71,16 @@ def loss_and_grads(params, x: np.ndarray, cols: np.ndarray, out=None):
     probs = _softmax(z2)
     picked = probs[rows, cols]  # each row's probability of its own label
     picked += np.finfo(np.float64).tiny
-    loss = -np.mean(np.log(picked, out=picked))
+    loss = -(np.add.reduce(np.log(picked, out=picked)) / n)  # np.mean's sum and division
     # probs becomes dz2 = (probs - onehot) / n
     probs[rows, cols] -= 1.0
     probs /= n
     np.matmul(a1.T, probs, out=gw2)
-    probs.sum(axis=0, out=gb2)
+    np.add.reduce(probs, axis=0, out=gb2)
     dz1 = probs @ w2.T
     dz1 *= z1 > 0.0
     np.matmul(x.T, dz1, out=gw1)
-    dz1.sum(axis=0, out=gb1)
+    np.add.reduce(dz1, axis=0, out=gb1)
     return loss, (gw1, gb1, gw2, gb2)
 
 

@@ -7,9 +7,13 @@ time; (3) for each incremental task, one single-pass recursive update.
 After every task the classifier is evaluated on the test sets of all
 tasks seen so far, filling one row of a lower-triangular accuracy grid.
 The run keeps the test rows as the extractor gives them (m_test x d), not
-expanded (m_test x E): each evaluation expands them one block at a time
-into one buffer of ``_EVAL_BLOCK_BYTES``, allocated once per run, and
-scores each block with ``predict``.
+expanded (m_test x E), and evaluates several steps in one pass. After a
+fit it copies the step's weights into a buffer of held weights while they
+fit there; a step whose weights do not fit, and the last, scores itself
+and every held step. The pass expands the test rows of the latest step's
+prefix one block at a time, each block once, into a second buffer, and
+each step's ``predict`` scores the rows of the block in its own prefix.
+The two buffers split ``_EVAL_BLOCK_BYTES`` and are allocated once per run.
 
 ``a_vector[t]`` is the sample-weighted accuracy over the union of test
 sets 0..t; the average-accuracy metric is the mean of that vector and
@@ -188,11 +192,12 @@ def acc_bwt(a: AccuracyMatrix) -> tuple[float, float, bool]:
 class _Pipeline:
     """The one task loop, with the extraction, expansion and evaluation it runs.
 
-    ``stage`` names the step of the loop running now (``extract``,
-    ``expand``, ``fit`` or ``evaluate``). An ``AkwsError`` raised there, in
-    task t, in pretraining (task 0, ``pretrain``) or in the oracle's
-    callback after task t (``oracle``) is raised again as itself, so its
-    type and exit code stay, with the message ``task t, <stage>: <message>``.
+    ``task`` and ``stage`` name the task and the step of the loop running
+    now (``extract``, ``expand``, ``fit`` or ``evaluate``). An
+    ``AkwsError`` raised there, in task t, in pretraining (task 0,
+    ``pretrain``) or in the oracle's callback for task t (``oracle``) is
+    raised again as itself, so its type and exit code stay, with the
+    message ``task t, <stage>: <message>``.
     """
 
     def __init__(self, tasks: list[TaskData], config: HarnessConfig):
@@ -229,15 +234,17 @@ class _Pipeline:
             feature_dim, config.expansion_size, config.seed, config.activation
         )
         # Every task's test rows as the extractor gives them, in task order, in
-        # one m_test x d buffer; grid_row expands the prefix it scores into
-        # _eval_s, one block of rows at a time.
+        # one m_test x d buffer; score expands the prefix it scores into
+        # _eval_s, one block of rows at a time. _held holds the weights of the
+        # steps fitted and not yet scored. Each takes half of _EVAL_BLOCK_BYTES.
         self.test_sizes = np.array([task.test.n for task in tasks], dtype=np.int64)
         self.test_offsets = np.concatenate([[0], np.cumsum(self.test_sizes)])
         self.test_labels = np.concatenate([task.test.labels for task in tasks])
         m, e = int(self.test_offsets[-1]), config.expansion_size
         self._test_f = np.empty((m, feature_dim))
         self._test_filled = 0
-        self._eval_s = np.empty((max(1, min(m, _EVAL_BLOCK_BYTES // (8 * e))), e))
+        self._eval_s = np.empty((max(1, min(m, _EVAL_BLOCK_BYTES // (16 * e))), e))
+        self._held = np.empty(_EVAL_BLOCK_BYTES // 16)
 
     def extracted(self, x: np.ndarray) -> np.ndarray:
         """``x`` through the frozen extractor, or ``x`` itself in a run without one."""
@@ -267,29 +274,44 @@ class _Pipeline:
         """Extracted, unexpanded test rows of tasks 0..upto, extracting each task once."""
         off = self.test_offsets
         for t in range(self._test_filled, upto + 1):
+            self.task = t
             self._test_f[off[t] : off[t + 1]] = self.extracted(self.tasks[t].test.features)
         self._test_filled = max(self._test_filled, upto + 1)
         return self._test_f[: off[upto + 1]]
 
-    def grid_row(self, clf: AnalyticClassifier, upto: int, grid: np.ndarray) -> np.ndarray:
-        """Fill row ``upto`` of the grid; returns the predictions on tasks 0..upto.
+    def score(self, steps: list, grid: np.ndarray) -> list[np.ndarray]:
+        """Fill grid row t for each ``(t, clf)`` of ``steps``, given in task order.
 
-        The test rows are expanded and scored one block of ``_eval_s``'s
-        rows at a time. A task with no test rows scores 0.0.
+        Returns each step's predictions on tasks 0..t. The test rows of the
+        last step's prefix are expanded one block of ``_eval_s``'s rows at a
+        time, each block once for every step. Each step's ``predict`` then
+        scores the rows of its own prefix in the block, the rows it would
+        score alone, so its scores keep their bits (``predict``'s depend on
+        the rows of each call). An expansion failure names the earliest
+        step whose prefix the block reaches. A task with no test rows
+        scores 0.0.
         """
-        x = self.test_rows(upto)
+        x = self.test_rows(steps[-1][0])
+        ends = [int(self.test_offsets[t + 1]) for t, _ in steps]
+        preds = [np.empty(end, dtype=np.int64) for end in ends]
         block = len(self._eval_s)
-        pred = np.empty(len(x), dtype=np.int64)
+        first = 0  # the earliest step whose prefix reaches the block
         for i in range(0, len(x), block):
+            while ends[first] <= i:
+                first += 1
+            self.task = steps[first][0]
             s = self.expanded(x[i : i + block], out=self._eval_s[: len(x) - i])
             self.stage = "evaluate"
-            pred[i : i + block] = predict(clf, s)
-        hits = np.concatenate([[0], np.cumsum(pred == self.test_labels[: pred.size])])
-        off = self.test_offsets[: upto + 2]
-        sizes = np.diff(off)
-        correct = hits[off[1:]] - hits[off[:-1]]
-        grid[upto, : upto + 1] = np.where(sizes > 0, correct / np.maximum(sizes, 1), 0.0)
-        return pred
+            for (t, clf), end, pred in zip(steps[first:], ends[first:], preds[first:]):
+                self.task = t
+                pred[i : i + block] = predict(clf, s[: end - i])
+        for (t, _), pred in zip(steps, preds):
+            hits = np.concatenate([[0], np.cumsum(pred == self.test_labels[: pred.size])])
+            off = self.test_offsets[: t + 2]
+            sizes = np.diff(off)
+            correct = hits[off[1:]] - hits[off[:-1]]
+            grid[t, : t + 1] = np.where(sizes > 0, correct / np.maximum(sizes, 1), 0.0)
+        return preds
 
     def run(self, on_task=None) -> ExperimentResult:
         """Fit task 0 in closed form, absorb each later task by one update.
@@ -300,18 +322,27 @@ class _Pipeline:
         When 3n < E it is one ``update`` of ``prior(E, gamma)`` by its
         whole batch (the kernel route). Otherwise it reaches ``recalibrate``
         as ``train_blocks(0)`` (the Gram route). Every later batch
-        is released as part of its fit, before evaluation. After step t's
-        grid row, ``on_task(t, clf, pred)`` sees the fitted classifier (the
-        next step's update advances it in place, so copy what must outlast
-        the step) and the predictions on tasks 0..t; its failures are named
-        as the oracle's.
+        is released as part of its fit, before evaluation.
+
+        After a fit, outside its timer, the step's weights are copied into
+        ``_held`` while they fit there and later tasks remain. Otherwise
+        the held steps and this one are scored in one ``score`` pass, this
+        one by the live classifier. ``on_task(t, clf, pred)`` is then called
+        for each of them in task order, after step t's grid row is filled,
+        with the predictions on tasks 0..t and a classifier whose weights
+        are step t's; a held step's is weights-only. It is valid only during
+        the call (later steps write over ``_held``, and each update advances
+        the live classifier in place), so copy what must outlast it. Its
+        failures are named as the oracle's.
         """
         n = len(self.tasks)
         e, gamma = self.config.expansion_size, self.config.gamma
         grid = np.full((n, n), np.nan)
         fit_times = []
         clf = None
+        held, used = [], 0  # the held steps' (t, weights-only classifier), and _held's numbers they take
         for t in range(n):
+            self.task = t
             try:
                 t0 = time.perf_counter()
                 self.stage = "fit"
@@ -320,15 +351,28 @@ class _Pipeline:
                 else:
                     clf = update(clf if t else prior(e, gamma), *self.train_batch(t))
                 fit_times.append(time.perf_counter() - t0)
-                pred = self.grid_row(clf, t, grid)
+                size = clf.weights.size
+                if t < n - 1 and used + size <= self._held.size:
+                    w = self._held[used : used + size].reshape(clf.weights.shape, order="F")
+                    w[...] = clf.weights
+                    held.append(
+                        (t, AnalyticClassifier(w, None, gamma, class_ids=clf.class_ids, tasks_seen=clf.tasks_seen))
+                    )
+                    used += size
+                    continue
+                steps = [*held, (t, clf)]
+                preds = self.score(steps, grid)
             except AkwsError as exc:
-                exc.args = (f"task {t}, {self.stage}: {exc}",)
+                exc.args = (f"task {self.task}, {self.stage}: {exc}",)
                 raise
-            if on_task is not None:
+            held, used = [], 0
+            if on_task is None:
+                continue
+            for (k, clf_k), pred in zip(steps, preds):
                 try:
-                    on_task(t, clf, pred)
+                    on_task(k, clf_k, pred)
                 except AkwsError as exc:
-                    exc.args = (f"task {t}, oracle: {exc}",)
+                    exc.args = (f"task {k}, oracle: {exc}",)
                     raise
         return ExperimentResult(
             accuracy=AccuracyMatrix.from_grid(grid, self.test_sizes),
@@ -382,9 +426,10 @@ def relative_frobenius(a: np.ndarray, b: np.ndarray) -> float:
 def oracle_check(tasks: list[TaskData], config: HarnessConfig) -> OracleReport:
     """Run the production task loop against the joint solution per prefix.
 
-    The joint side keeps no batch: after the loop fits task t, the task's
-    rows are expanded again in the blocks of ``train_blocks`` and added to
-    the normal equations, which are then solved for the weights. On the
+    The joint side keeps no batch: once the loop has scored step t, the
+    task's rows are expanded again in the blocks of ``train_blocks`` and
+    added to the normal equations, which are then solved for the weights
+    and scored by ``score`` alone. On the
     Gram route task 0's joint solution is the first fit's own computation,
     so its deviation is exactly 0. On the kernel route (3n < E, see
     ``_Pipeline.run``) the first fit is an ``update``, and prefix 0
@@ -401,7 +446,7 @@ def oracle_check(tasks: list[TaskData], config: HarnessConfig) -> OracleReport:
         normal.add(pipe.train_blocks(t))
         joint = normal.solve(inverse=False)
         deviations.append(relative_frobenius(clf.weights, joint.weights))
-        pred_joint = pipe.grid_row(joint, t, grid_joint)
+        (pred_joint,) = pipe.score([(t, joint)], grid_joint)
         agreements.append(float(np.mean(pred_rec == pred_joint)) if pred_rec.size else 1.0)
 
     recursive = pipe.run(compare)

@@ -277,20 +277,27 @@ class TestRun:
     def test_failure_in_the_task_loop_names_its_task_and_stage(
         self, tmp_path, capsys, monkeypatch, stage, name, task, error, code
     ):
-        # each task is evaluated once, so a call made after `task` evaluations is in task `task`
-        evaluated = 0
-        predict = harness.predict
+        # at E=48 every step but the last is held, so no test row is extracted,
+        # expanded or scored before the last fit: any other call made once `task`
+        # fits have returned, and before the next returns, is in task `task`. A
+        # predict is in task `task` when its classifier has seen `task` + 1 tasks
+        fits = 0
 
-        def counted_predict(*args):
-            nonlocal evaluated
-            evaluated += 1
-            return predict(*args)
+        def counted(fit):
+            def fitted(*args):
+                nonlocal fits
+                clf = fit(*args)
+                fits += 1
+                return clf
 
-        monkeypatch.setattr(harness, "predict", counted_predict)
+            return fitted
+
+        for fit in ("recalibrate", "update"):
+            monkeypatch.setattr(harness, fit, counted(getattr(harness, fit)))
         real = getattr(harness, name)
 
         def failing(*args, **kwargs):
-            if evaluated == task:
+            if (args[0].tasks_seen == task + 1) if name == "predict" else (fits == task):
                 raise error("forced")
             return real(*args, **kwargs)
 

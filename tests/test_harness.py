@@ -173,9 +173,10 @@ class TestRunExperiment:
 
     def test_grid_cells_match_per_task_prediction(self, monkeypatch):
         # with the default evaluation block (one block per grid row here) and
-        # with blocks of 7 rows, so that each grid row spans many blocks:
-        # every step's predictions are one predict over the prefix's rows
-        # expanded whole, and the grid and the oracle's agreement follow
+        # with blocks of 7 rows, so that each grid row spans many blocks (the
+        # held weights then take 7E numbers, so steps are scored in pairs and
+        # alone): every step's predictions are one predict over the prefix's
+        # rows expanded whole, and the grid and the oracle's agreement follow
         import akws.harness
         from akws import extract, predict
 
@@ -183,7 +184,7 @@ class TestRunExperiment:
         hollow = tasks[2]
         tasks[2] = TaskData(2, hollow.classes, hollow.train, hollow.test.restrict([]))
         last = len(tasks) - 1
-        for block_bytes in (akws.harness._EVAL_BLOCK_BYTES, 7 * 8 * FAST.expansion_size):
+        for block_bytes in (akws.harness._EVAL_BLOCK_BYTES, 2 * 7 * 8 * FAST.expansion_size):
             monkeypatch.setattr(akws.harness, "_EVAL_BLOCK_BYTES", block_bytes)
             pipe = _Pipeline(tasks, FAST)
             steps = []
@@ -207,6 +208,86 @@ class TestRunExperiment:
             assert report.min_agreement == 1.0
             assert np.array_equal(report.recursive_accuracy.grid, grid, equal_nan=True)
             assert np.all(report.recursive_accuracy.grid[2:, 2] == 0.0)
+
+    @pytest.mark.parametrize("block_bytes", [None, 2 * 7 * 8 * FAST.expansion_size], ids=["default", "7-row"])
+    def test_holding_steps_back_changes_nothing(self, monkeypatch, block_bytes):
+        # the held weights emptied, sized to the base task's 5E numbers, and
+        # sized to every step: the passes differ, and the grid and what each
+        # on_task call sees do not. With blocks of 7 rows a shared block also
+        # reaches into rows that the earlier steps of its pass do not score
+        import akws.harness
+
+        if block_bytes is not None:
+            monkeypatch.setattr(akws.harness, "_EVAL_BLOCK_BYTES", block_bytes)
+        tasks = synth_tasks(separation=2.0)
+        hollow = tasks[3]
+        tasks[3] = TaskData(3, hollow.classes, hollow.train, hollow.test.restrict([]))
+        e, n = FAST.expansion_size, len(tasks)
+        expected_passes = {
+            0: [[t] for t in range(n)],
+            5 * e: [[0, 1], *([t] for t in range(2, n))],
+            10**6: [list(range(n))],
+        }
+        grids, seen = [], []
+        for held, passes in expected_passes.items():
+            pipe = _Pipeline(tasks, FAST)
+            pipe._held = np.empty(held)
+            scored = []
+            score = pipe.score
+
+            def counted(steps, grid):
+                scored.append([t for t, _ in steps])
+                return score(steps, grid)
+
+            monkeypatch.setattr(pipe, "score", counted)
+            calls = []
+            result = pipe.run(lambda t, clf, pred: calls.append((t, clf.weights.tobytes(), clf.class_ids, pred.tobytes())))
+            assert scored == passes
+            assert [t for t, *_ in calls] == list(range(n))
+            grids.append(result.accuracy.grid.tobytes())
+            seen.append(calls)
+        assert grids[1:] == grids[:1] * 2
+        assert seen[1:] == seen[:1] * 2
+
+    def test_a_failure_scoring_a_held_step_names_that_step(self, monkeypatch):
+        # every step is held until the last; predict fails for step 3's
+        # weights, and expand for the block of 7 rows that holds task 2's
+        # first test row, which begins among task 1's rows
+        import akws.harness
+        from akws import predict
+
+        monkeypatch.setattr(akws.harness, "_EVAL_BLOCK_BYTES", 2 * 7 * 8 * FAST.expansion_size)
+        tasks = synth_tasks()
+
+        def held_all():
+            pipe = _Pipeline(tasks, FAST)
+            pipe._held = np.empty(10**6)
+            return pipe
+
+        def failing_predict(clf, x):
+            if clf.tasks_seen == 4:
+                raise MetricUndefinedError("forced")
+            return predict(clf, x)
+
+        monkeypatch.setattr(akws.harness, "predict", failing_predict)
+        with pytest.raises(MetricUndefinedError, match="^task 3, evaluate: forced$"):
+            held_all().run()
+        monkeypatch.setattr(akws.harness, "predict", predict)
+
+        pipe = held_all()
+        row = int(pipe.test_offsets[2])
+        start = row // 7 * 7
+        assert pipe.test_offsets[1] <= start < row
+        starts = iter(range(0, len(pipe.test_labels), 7))  # the first row of each block of test rows
+
+        def failing_expand(x, m, out=None):
+            if out is not None and next(starts) == start:
+                raise DataError("forced")
+            return expand(x, m, out=out)
+
+        monkeypatch.setattr(akws.harness, "expand", failing_expand)
+        with pytest.raises(DataError, match="^task 1, expand: forced$"):
+            pipe.run()
 
     def test_memory_accounting(self):
         tasks = synth_tasks()
@@ -371,7 +452,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("entry", [run_experiment, oracle_check])
     def test_peak_memory_grows_with_the_test_rows_by_their_extracted_width(self, entry):
         # 5 classes at E=512 over d=16 raw features, with 220 and then 2200
-        # test rows per class: both counts exceed one evaluation block (1024
+        # test rows per class: both counts exceed one evaluation block (512
         # rows), and holding the 9900 extra rows expanded would add 8E = 4096
         # bytes each (40 MB), where held as extracted they add 8d = 128
         e, d = 512, 16
