@@ -25,7 +25,11 @@ data whose first task has no test rows (so its accuracy, and ACC, are
 undefined) is invalid input; a data file that cannot be opened under
 ``run`` or ``oracle-check``, a numerical failure such as a Woodbury
 kernel that is not positive definite, or running out of memory is a
-runtime failure. No command mutates its inputs.
+runtime failure. A manifest's contents are checked before any fit,
+except each later task's train file: it is opened before any fit, so
+one that cannot be opened fails there, but read and checked only when
+the run reaches its task, where an error in it ends the run, unnamed by
+task and stage, with nothing written. No command mutates its inputs.
 """
 
 import argparse

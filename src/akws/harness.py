@@ -21,6 +21,10 @@ backward transfer compares the final entry against each intermediate one.
 Per-task training wall time covers stage-3 work only (feature extraction,
 expansion, update), never evaluation or I/O.
 
+A run from a manifest keeps no old data: it reads a later task's train
+file when it reaches that task, and drops the task's training rows once
+its fit (and the oracle's callback, if any) is done (``TrainFile``).
+
 ``run_experiment`` and ``oracle_check`` run the same task loop
 (``_Pipeline.run``). The oracle only watches it, one callback per fitted
 task, so the loop it checks against the joint solution is the one
@@ -63,11 +67,60 @@ def _first_fit_by_update(rows: int, e: int) -> bool:
     return 3 * rows < e
 
 
+class TrainFile:
+    """A manifest task's train set, read from its file on first use.
+
+    ``features``, ``labels``, ``n`` and ``dim`` are those of the
+    ``LabeledDataset`` the file holds; the first use reads the file,
+    through ``load_features``, with the checks ``tasks_from_manifest``
+    makes of every file (``width`` is the first train file's, None for
+    that file itself), and raises ``ParseError`` if it has no rows.
+    ``drop`` releases the rows, and the next use reads the file again.
+    The file is opened when this is made, so one that cannot be opened
+    fails before any fit.
+    """
+
+    def __init__(self, path, task_id: int, classes: tuple[int, ...], width: int | None):
+        with open(path, "rb"):
+            pass
+        self.path, self.task_id, self.classes, self.width = path, task_id, classes, width
+        self._rows = None
+
+    def rows(self) -> LabeledDataset:
+        """The file's rows, read now if they are not held."""
+        if self._rows is None:
+            where = f"task {self.task_id} train file {self.path}"
+            ds = _checked(load_features(self.path), where, self.classes, self.width)
+            if ds.n == 0:
+                raise ParseError(f"{where}: no training rows")
+            self._rows = ds
+        return self._rows
+
+    def drop(self) -> None:
+        self._rows = None
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.rows().features
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.rows().labels
+
+    @property
+    def n(self) -> int:
+        return self.rows().n
+
+    @property
+    def dim(self) -> int:
+        return self.rows().dim
+
+
 @dataclass(frozen=True)
 class TaskData:
     task_id: int
     classes: tuple[int, ...]
-    train: LabeledDataset
+    train: LabeledDataset | TrainFile
     test: LabeledDataset
 
 
@@ -86,12 +139,27 @@ def build_tasks(train: LabeledDataset, test: LabeledDataset, task_classes) -> li
     return tasks
 
 
-def tasks_from_manifest(path) -> list[TaskData]:
-    """Load per-task train/test feature files listed in a manifest.
+def _checked(ds: LabeledDataset, where: str, classes: tuple[int, ...], width: int | None) -> LabeledDataset:
+    """``ds``, if it is ``width`` features wide (any width if None) and its labels are among ``classes``."""
+    if width is not None and ds.dim != width:
+        raise ParseError(f"{where}: {ds.dim} features, but the first train file has {width}", line=1)
+    outside = ~np.isin(ds.labels, classes)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ParseError(f"{where}: label {ds.labels[row]} is not among the task's classes", line=row + 2)
+    return ds
 
-    Contents a run cannot use raise ``ParseError`` before any fit: a class
-    declared by two tasks, a file whose width differs from the first train
-    file's, a label outside its task's classes, or a train file without rows.
+
+def tasks_from_manifest(path) -> list[TaskData]:
+    """Per-task train/test feature files listed in a manifest, each train set a ``TrainFile``.
+
+    Before any fit, the manifest, every test file and task 0's train file
+    are read and every later train file is opened. Contents a run cannot
+    use raise ``ParseError``: a class declared by two tasks, a file whose
+    width differs from the first train file's, a label outside its task's
+    classes, or a train file without rows. A later task's train file is
+    read, and so checked, when the run reaches that task, and its rows
+    are dropped once the run is done with them (``_Pipeline.run``).
     """
     tasks = []
     owner: dict[int, int] = {}
@@ -104,23 +172,11 @@ def tasks_from_manifest(path) -> list[TaskData]:
                     f"manifest {path}: task {tid} declares class {cid}, as task {owner[cid]} does"
                 )
             owner[cid] = tid
-        loaded = []
-        for kind in ("train", "test"):
-            ds = load_features(entry[kind])
-            where = f"task {tid} {kind} file {entry[kind]}"
-            width = ds.dim if width is None else width
-            if ds.dim != width:
-                raise ParseError(f"{where}: {ds.dim} features, but the first train file has {width}", line=1)
-            outside = ~np.isin(ds.labels, classes)
-            if outside.any():
-                row = int(np.argmax(outside))
-                raise ParseError(
-                    f"{where}: label {ds.labels[row]} is not among the task's classes", line=row + 2
-                )
-            loaded.append(ds)
-        if loaded[0].n == 0:
-            raise ParseError(f"task {tid} train file {entry['train']}: no training rows")
-        tasks.append(TaskData(task_id=tid, classes=classes, train=loaded[0], test=loaded[1]))
+        train = TrainFile(entry["train"], tid, classes, width)
+        if width is None:
+            width = train.dim  # reads task 0's train file
+        test = _checked(load_features(entry["test"]), f"task {tid} test file {entry['test']}", classes, width)
+        tasks.append(TaskData(task_id=tid, classes=classes, train=train, test=test))
     return tasks
 
 
@@ -203,8 +259,8 @@ class _Pipeline:
     def __init__(self, tasks: list[TaskData], config: HarnessConfig):
         if not tasks:
             raise DataError("experiment needs at least one task")
-        for task in tasks:
-            if task.train.n == 0:
+        for task in tasks:  # a TrainFile checks its own rows when read
+            if isinstance(task.train, LabeledDataset) and task.train.n == 0:
                 raise DataError(f"task {task.task_id} has an empty training set")
         if tasks[0].test.n == 0:
             # checked before any fit: step 0's accuracy would be 0/0
@@ -265,6 +321,11 @@ class _Pipeline:
         y = LabelMatrix.from_labels(task.train.labels[rows], class_ids=task.classes)
         return s, y
 
+    def release(self, t: int) -> None:
+        """Drop task t's training rows if they are a ``TrainFile``'s, which can read them again."""
+        if isinstance(self.tasks[t].train, TrainFile):
+            self.tasks[t].train.drop()
+
     def train_blocks(self, t: int):
         """Task t's training batch, ``_FIT_BLOCK`` rows at a time, each block expanded when read."""
         for i in range(0, self.tasks[t].train.n, _FIT_BLOCK):
@@ -322,7 +383,11 @@ class _Pipeline:
         When 3n < E it is one ``update`` of ``prior(E, gamma)`` by its
         whole batch (the kernel route). Otherwise it reaches ``recalibrate``
         as ``train_blocks(0)`` (the Gram route). Every later batch
-        is released as part of its fit, before evaluation.
+        is released as part of its fit, before evaluation. A task whose
+        train set is a ``TrainFile`` has its file read before its fit timer
+        starts, and its rows dropped once the fit is done, or once
+        ``on_task`` returns for it where there is one; its errors are the
+        file's own, not named by task and stage.
 
         After a fit, outside its timer, the step's weights are copied into
         ``_held`` while they fit there and later tasks remain. Otherwise
@@ -343,6 +408,8 @@ class _Pipeline:
         held, used = [], 0  # the held steps' (t, weights-only classifier), and _held's numbers they take
         for t in range(n):
             self.task = t
+            if isinstance(self.tasks[t].train, TrainFile):
+                self.tasks[t].train.rows()  # read before the fit timer starts: no fit time is I/O
             try:
                 t0 = time.perf_counter()
                 self.stage = "fit"
@@ -351,6 +418,8 @@ class _Pipeline:
                 else:
                     clf = update(clf if t else prior(e, gamma), *self.train_batch(t))
                 fit_times.append(time.perf_counter() - t0)
+                if on_task is None:
+                    self.release(t)
                 size = clf.weights.size
                 if t < n - 1 and used + size <= self._held.size:
                     w = self._held[used : used + size].reshape(clf.weights.shape, order="F")
@@ -374,6 +443,7 @@ class _Pipeline:
                 except AkwsError as exc:
                     exc.args = (f"task {k}, oracle: {exc}",)
                     raise
+                self.release(k)
         return ExperimentResult(
             accuracy=AccuracyMatrix.from_grid(grid, self.test_sizes),
             classifier=clf,

@@ -324,6 +324,28 @@ class TestRun:
         cfg.write_text('{"data": {"kind": "manifest", "path": "nowhere.json"}}')
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 1
 
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
+    def test_missing_later_train_file_exits_1_before_pretraining(self, tmp_path, capsys, monkeypatch, command):
+        # later train files are read when the run reaches them, but each is opened while the tasks load
+        def unreached(*args, **kwargs):
+            raise AssertionError("pretraining reached")
+
+        data = tmp_path / "data"
+        assert run_cli("gen", "--classes", 6, "--per-class", 5, "--dim", 3, "--out", data) == 0
+        doc = json.loads((data / "manifest.json").read_text())
+        missing = data / doc["tasks"][2]["train"]
+        missing.unlink()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"kind": "manifest", "path": str(data / "manifest.json")}}))
+        monkeypatch.setattr(harness, "pretrain_extractor", unreached)
+        capsys.readouterr()
+        extra = ("--out", tmp_path / "o") if command == "run" else ()
+        assert run_cli(command, "--config", cfg, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+        assert not (tmp_path / "o").exists()
+
 
 # Manifest contents a run cannot use. Each edits generated data (4 classes,
 # dim 3, 2 test rows per class, tasks of 2, 1 and 1 classes) and returns the
@@ -394,30 +416,42 @@ class TestMalformedInputExits2:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, later_train",
         [
-            _empty_train,
-            _foreign_label("train", 1, 0),
-            _foreign_label("test", 2, 1),
-            _class_in_two_tasks,
-            _narrow_file,
+            (_empty_train, True),
+            (_foreign_label("train", 1, 0), True),
+            (_foreign_label("test", 2, 1), False),
+            (_class_in_two_tasks, False),
+            (_narrow_file, False),
         ],
         ids=["empty-train", "train-label", "test-label", "class-in-two-tasks", "width"],
     )
-    def test_unusable_manifest_contents(self, tmp_path, capsys, monkeypatch, command, mutate):
-        # rejected while the tasks load: no extractor is trained and nothing is fit
+    def test_unusable_manifest_contents(self, tmp_path, capsys, monkeypatch, command, mutate, later_train):
+        # The manifest, the test files and task 0's train file are checked while
+        # the tasks load: no extractor is trained and nothing is fit. Task 1's
+        # train file is read when the run reaches task 1: pretraining and the
+        # first fit may run, task 1's fit does not.
         import akws.harness
 
         def unreached(*args, **kwargs):
             raise AssertionError("pretraining reached")
 
+        def first_fit_only(clf, *args, **kwargs):
+            if clf.tasks_seen:
+                raise AssertionError("task 1's fit reached")
+            return real_update(clf, *args, **kwargs)
+
+        real_update = akws.harness.update
         data = tmp_path / "data"
         gen = ("gen", "--classes", 4, "--per-class", 5, "--test-per-class", 2, "--dim", 3, "--out", data)
         assert run_cli(*gen) == 0
         doc = json.loads((data / "manifest.json").read_text())
         error = mutate(data, doc)
         (data / "manifest.json").write_text(json.dumps(doc))
-        monkeypatch.setattr(akws.harness, "pretrain_extractor", unreached)
+        if later_train:
+            monkeypatch.setattr(akws.harness, "update", first_fit_only)
+        else:
+            monkeypatch.setattr(akws.harness, "pretrain_extractor", unreached)
         capsys.readouterr()
         assert run_cli(*self._args(command, tmp_path, self._config(tmp_path, data / "manifest.json"))) == 2
         assert capsys.readouterr().err == f"error: {error}\n"

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -580,29 +581,90 @@ class TestGridCsv:
         assert exc.value.line == line
 
 
+def write_task_files(root, tasks):
+    """Write each task's train and test CSV and a manifest under ``root``; returns the manifest's path."""
+    from akws import save_features, write_manifest
+
+    entries = []
+    for t in tasks:
+        save_features(t.train, root / f"t{t.task_id}_train.csv")
+        save_features(t.test, root / f"t{t.task_id}_test.csv")
+        entries.append(
+            {
+                "id": t.task_id,
+                "classes": list(t.classes),
+                "train": f"t{t.task_id}_train.csv",
+                "test": f"t{t.task_id}_test.csv",
+            }
+        )
+    write_manifest(root / "manifest.json", entries)
+    return root / "manifest.json"
+
+
 class TestManifestTasks:
     def test_round_trip_through_files(self, tmp_path):
-        from akws import save_features, write_manifest
-
         tasks = synth_tasks(n_classes=4, base=2, steps=2)
-        entries = []
-        for t in tasks:
-            save_features(t.train, tmp_path / f"t{t.task_id}_train.csv")
-            save_features(t.test, tmp_path / f"t{t.task_id}_test.csv")
-            entries.append(
-                {
-                    "id": t.task_id,
-                    "classes": list(t.classes),
-                    "train": f"t{t.task_id}_train.csv",
-                    "test": f"t{t.task_id}_test.csv",
-                }
-            )
-        write_manifest(tmp_path / "manifest.json", entries)
-        loaded = tasks_from_manifest(tmp_path / "manifest.json")
+        loaded = tasks_from_manifest(write_task_files(tmp_path, tasks))
         for orig, back in zip(tasks, loaded):
             assert np.array_equal(orig.train.features, back.train.features)
             assert np.array_equal(orig.test.labels, back.test.labels)
             assert orig.classes == back.classes
+
+    def _watch_train_rows(self, tmp_path, monkeypatch, tasks):
+        """Manifest tasks of ``tasks``, and per train file (in task order) a weak
+        reference to each features array read from it."""
+        from akws import harness
+
+        manifest = write_task_files(tmp_path, tasks)
+        reads = {str(tmp_path / f"t{t.task_id}_train.csv"): [] for t in tasks}
+        real_load = harness.load_features
+
+        def load(path):
+            ds = real_load(path)
+            if path in reads:
+                reads[path].append(weakref.ref(ds.features))
+            return ds
+
+        monkeypatch.setattr(harness, "load_features", load)
+        return tasks_from_manifest(manifest), list(reads.values())
+
+    def test_a_run_reads_each_train_file_at_its_step_and_holds_no_rows_past_it(self, tmp_path, monkeypatch):
+        # the method keeps no old data: a manifest run reads task t's rows when
+        # it reaches task t and holds none of them once task t's step is done
+        from akws import harness
+
+        tasks = synth_tasks()
+        held = run_experiment(tasks, FAST)
+        manifest_tasks, reads = self._watch_train_rows(tmp_path, monkeypatch, tasks)
+        alive = []  # per fit, whether each train file's rows were read and are held
+
+        def watched(real):
+            def fit(*args, **kwargs):
+                alive.append([[ref() is not None for ref in refs] for refs in reads])
+                return real(*args, **kwargs)
+
+            return fit
+
+        monkeypatch.setattr(harness, "recalibrate", watched(harness.recalibrate))
+        monkeypatch.setattr(harness, "update", watched(harness.update))
+        result = run_experiment(manifest_tasks, FAST)
+        n = len(tasks)
+        assert alive == [[[False]] * t + [[True]] + [[]] * (n - 1 - t) for t in range(n)]
+        assert [[ref() is None for ref in refs] for refs in reads] == [[True]] * n
+        assert result.accuracy.grid.tobytes() == held.accuracy.grid.tobytes()
+        assert result.classifier.weights.tobytes() == held.classifier.weights.tobytes()
+        assert result.classifier.afam.tobytes() == held.classifier.afam.tobytes()
+
+    def test_the_oracle_reads_each_train_file_once_and_drops_it(self, tmp_path, monkeypatch):
+        # the joint side reads a task's rows in the oracle's callback, after which they go
+        tasks = synth_tasks()
+        held = oracle_check(tasks, FAST)
+        manifest_tasks, reads = self._watch_train_rows(tmp_path, monkeypatch, tasks)
+        report = oracle_check(manifest_tasks, FAST)
+        assert [[ref() is None for ref in refs] for refs in reads] == [[True]] * len(tasks)
+        assert report.weight_deviation == held.weight_deviation
+        assert report.argmax_agreement == held.argmax_agreement
+        assert report.joint_accuracy.grid.tobytes() == held.joint_accuracy.grid.tobytes()
 
 
 class TestResultsDict:
